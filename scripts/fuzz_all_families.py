@@ -34,7 +34,8 @@ def main(argv=None) -> int:
     for fam in args.families:
         summary = random_family_fuzz(fam, args.seed, args.trials)
         if args.lines:
-            print(summary.to_json_lines())
+            for line in summary.to_json_lines():
+                print(line)
         counts = summary.counts()
         total["comparisons"] += summary.comparisons
         total["disagreements"] += len(summary.disagreements)

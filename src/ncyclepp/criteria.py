@@ -21,10 +21,10 @@ from .errors import (
     BadParams, HypothesisViolated, NotDivisor, NotPermutation, NotSurjective,
     PrereqNotNcycle,
 )
-from .field import FieldCtx, FieldElement, NcycleInternal
+from .field import FieldCtx, FieldElement, NcycleInternal, element_index
 from .polyperm import (
-    PermMap, SparsePoly, as_images, as_vector_fn, is_ncycle, perm_from_images,
-    require_perm,
+    PermMap, SparsePoly, as_images, as_vector_fn, functional_power, is_ncycle,
+    perm_from_images, require_perm,
 )
 
 
@@ -55,17 +55,6 @@ class CriterionVerdict:
 
 def _element(ctx: FieldCtx, i) -> FieldElement:
     return ctx.element(int(i))
-
-
-def _as_index(ctx: FieldCtx, a) -> int:
-    if isinstance(a, FieldElement):
-        if a.ctx.key != ctx.key:
-            raise BadParams("element from a different field")
-        return a.i
-    a = int(a)
-    if not 0 <= a < ctx.order:
-        raise BadParams(f"element index {a} out of range")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +102,8 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
         raise NcycleInternal("twist must inherit the n-cycle property")
     witness = None
     if not twist_ok:
-        cur = ctx.varange()
-        for _ in range(n):
-            cur = twist.images[cur]
-        witness = _element(ctx, np.flatnonzero(cur != ctx.varange())[0])
+        moved = functional_power(twist, n).images != ctx.varange()
+        witness = _element(ctx, np.flatnonzero(moved)[0])
     return CriterionVerdict(holds, witness, ctx.order,
                             extras={"twist_is_ncycle": bool(twist_ok)})
 
@@ -251,7 +238,7 @@ def shift_criterion(ctx: FieldCtx, g, params: ShiftParams,
     m = ctx.n // params.sub_degree
     if not 1 <= params.i <= m - 1:
         raise BadParams(f"need 1 <= i <= {m - 1}")
-    delta = _as_index(ctx, params.delta)
+    delta = element_index(ctx, params.delta)
     allx = ctx.varange()
     frob = lambda v: ctx.vfrob(v, params.sub_degree, params.i)
     shifted = ctx.vadd(ctx.vsub(frob(allx), allx), np.int64(delta))
@@ -346,7 +333,7 @@ def rs_single_criterion(ctx: FieldCtx, h: SparsePoly, params: RsParams,
         raise BadParams("r^3 = 1 mod s is required")
     if v < 0 or pow(v, 3, ell) != 1 % ell:
         raise BadParams("v^3 = 1 mod ell is required")
-    ai = _as_index(ctx, a)
+    ai = element_index(ctx, a)
     if ctx.pow_idx(ai, v * v + v + 1) != 1:
         raise BadParams("a^(v^2+v+1) = 1 is required")
     mu = ctx.mu_indices(ell)
@@ -379,18 +366,17 @@ def agw_commute_check(ctx: FieldCtx, f, lam, lam_bar, g,
     f is a bijection iff g is a bijection from S to S_bar and f is injective
     on every lam-fiber.  Returns that conjunction; False when the square
     does not commute."""
-    allx = ctx.varange()
     f_im = as_images(ctx, f)
-    lam_im = as_vector_fn(ctx, lam)(allx)
-    lam_bar_im = as_vector_fn(ctx, lam_bar)(allx)
+    lam_im = as_images(ctx, lam)
+    lam_bar_im = as_images(ctx, lam_bar)
     s_set = np.unique(lam_im)
     s_bar_set = np.unique(lam_bar_im)
     if S is not None:
-        declared = np.unique(np.array([_as_index(ctx, t) for t in S], dtype=np.int64))
+        declared = np.unique(np.array([element_index(ctx, t) for t in S], dtype=np.int64))
         if not np.array_equal(declared, s_set):
             raise NotSurjective("lam does not map onto the declared S")
     if S_bar is not None:
-        declared = np.unique(np.array([_as_index(ctx, t) for t in S_bar], dtype=np.int64))
+        declared = np.unique(np.array([element_index(ctx, t) for t in S_bar], dtype=np.int64))
         if not np.array_equal(declared, s_bar_set):
             raise NotSurjective("lam_bar does not map onto the declared S_bar")
     if len(s_set) != len(s_bar_set):

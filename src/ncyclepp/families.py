@@ -29,9 +29,11 @@ from .errors import (
     BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
     KernelViolation,
 )
-from .field import FieldCtx, FieldElement, NcycleInternal, make_field
+from .field import (
+    FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
+)
 from .polyperm import (
-    POLY_TERM_CAP, PermMap, SparsePoly, as_images, compose, identity_perm,
+    POLY_TERM_CAP, PermMap, SparsePoly, compose, identity_perm,
     map_exp, poly_add, poly_compose, poly_frob, poly_mul, poly_pow,
     require_perm,
 )
@@ -44,19 +46,6 @@ PolyLike = Union[SparsePoly, str]
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-def _element_index(ctx: FieldCtx, v) -> int:
-    if isinstance(v, FieldElement):
-        if v.ctx.key != ctx.key:
-            raise BadParams("element from a different field")
-        return v.i
-    if isinstance(v, str):
-        return ctx.from_literal(v).i
-    iv = int(v)
-    if not 0 <= iv < ctx.order:
-        raise BadParams(f"element index {iv} out of range")
-    return iv
-
 
 def _as_poly(ctx: FieldCtx, v: PolyLike, what: str, env=None) -> SparsePoly:
     if isinstance(v, SparsePoly):
@@ -123,9 +112,6 @@ class FamilyInstance:
     degenerate: bool = False
     notes: tuple[str, ...] = ()
     inverse_poly: Optional[SparsePoly] = None
-
-    def images(self) -> np.ndarray:
-        return as_images(self.ctx, self.fn)
 
     def criterion(self) -> CriterionVerdict:
         return self.check()
@@ -271,7 +257,7 @@ def build_xh_lambda(ctx: FieldCtx, variant: str, *, sub_degree: int,
             raise BadParams("theta_cor needs n and theta")
         if n < 1 or (q - 1) % n != 0:
             raise BadParams(f"n={n} must divide q-1={q - 1}")
-        th = _element_index(ctx, theta)
+        th = element_index(ctx, theta)
         if ctx.frob_idx(th, sub_degree, 1) != th:
             raise BadParams("theta must lie in GF(q)")
         if ctx.pow_idx(th, n) != 1 or any(
@@ -449,7 +435,7 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
             raise BadParams("field must be a quadratic extension of GF(q)")
         if c is None:
             raise BadParams("needs c with c + c^q = 0")
-        ci = _element_index(ctx, c)
+        ci = element_index(ctx, c)
         if ci == 0 or ctx.add_idx(ci, ctx.frob_idx(ci, sub_degree, 1)) != 0:
             raise BadParams("need nonzero c with c + c^q = 0")
         if s is None:
@@ -547,7 +533,7 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
         raise BadParams(f"need 1 <= i <= {m - 1}")
     p = ctx.p
     env = {"q": q, "p": p}
-    di = _element_index(ctx, delta)
+    di = element_index(ctx, delta)
     allx = ctx.varange()
     shifted = np.unique(ctx.vadd(
         ctx.vsub(ctx.vfrob(allx, sub_degree, i), allx), np.int64(di)))
@@ -656,7 +642,7 @@ def build_xq_h_alpha(q: int, alpha,
         raise BadParams("q must be 2^(2m') so 3 divides q^2+q+1")
     ctx = _ctx_for(q, 3, ctx)
     M = q * q + q + 1
-    ai = _element_index(ctx, alpha)
+    ai = element_index(ctx, alpha)
     if ai == 0 or ctx.pow_idx(ai, 3) != 1:
         raise BadParams("alpha must be a cube root of unity")
     if ctx.frob_idx(ai, e, 1) != ai:
@@ -747,7 +733,7 @@ def build_trace_theta(q: int, theta=None,
     if theta is None:
         th = ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // 3)
     else:
-        th = _element_index(ctx, theta)
+        th = element_index(ctx, theta)
     if th == 1 or ctx.pow_idx(th, 3) != 1:
         raise BadParams("theta must be a cube root of unity other than 1")
     if ctx.frob_idx(th, e, 1) != th:

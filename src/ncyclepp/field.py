@@ -206,12 +206,6 @@ class FieldCtx:
             idx //= self.p
         return out
 
-    def _encode(self, coords: Sequence[int]) -> int:
-        v = 0
-        for c, pw in zip(coords, self._p_pows):
-            v += (c % self.p) * pw
-        return v
-
     def _cmul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         r = _pmulmod(list(a), list(b), list(self.modulus), self.p)
         return r + [0] * (self.n - len(r))
@@ -634,11 +628,19 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
 # module-level operations on elements
 # ---------------------------------------------------------------------------
 
-def field_pow(a: FieldElement, e: int) -> FieldElement:
-    """a^e for e >= 0, with pow(0, 0) = 1."""
-    if e < 0:
-        raise BadParams("exponent must be non-negative")
-    return FieldElement(a.ctx, a.ctx.pow_idx(a.i, e))
+def element_index(ctx: FieldCtx, v) -> int:
+    """Index of an element given as a FieldElement of ctx, an element
+    literal string (an index or 'g^k') or an integer index in [0, q)."""
+    if isinstance(v, FieldElement):
+        if v.ctx.key != ctx.key:
+            raise BadParams("element from a different field")
+        return v.i
+    if isinstance(v, str):
+        return ctx.from_literal(v).i
+    iv = int(v)
+    if not 0 <= iv < ctx.order:
+        raise BadParams(f"element index {iv} out of range")
+    return iv
 
 
 def frobenius(a: FieldElement, sub_degree: int, i: int = 1) -> FieldElement:

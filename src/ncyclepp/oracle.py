@@ -1,20 +1,21 @@
 """Brute-force ground truth and randomized cross-validation.
 
 exhaustive_verdict re-derives bijectivity and cycle structure from nothing
-but the evaluated image table (a visited-bitmap walk plus an n-fold
-composition replay as a second opinion), deliberately sharing no code with
-the permutation module beyond field arithmetic, so agreement between the
-algebraic criteria and this module is a genuine two-implementation check.
-cross_check runs both sides on one constructed instance; random_family_fuzz
-drives many seeded trials mixing valid, invalid and perturbed parameter
-tuples through the constructors and the criteria.
+but the evaluated image table, with two implementations that must agree:
+the cycle walk (polyperm.cycle_structure) gives the cycle type and order,
+and repeated-squaring composition (polyperm.functional_power) answers each
+n-cycle question again.  The algebraic criteria never enumerate the map's
+cycles, so agreement between a criterion and this module is a genuine
+two-implementation check.  cross_check runs both sides on one constructed
+instance; random_family_fuzz drives many seeded trials mixing valid,
+invalid and perturbed parameter tuples through the constructors and the
+criteria.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from time import perf_counter
@@ -37,7 +38,10 @@ from .families import (
     lambda_vector_fn, search_k_2to3m, solve_jieguo_congruences,
 )
 from .field import FieldCtx, NcycleInternal, make_field
-from .polyperm import PermMap, SparsePoly
+from .polyperm import (
+    NotBijective, SparsePoly, as_images, cycle_structure, functional_power,
+    identity_perm, perm_from_images,
+)
 from .walsh import WALSH_CAP, walsh_involution_test
 
 # errors a constructor may legitimately raise on a bad parameter tuple
@@ -46,8 +50,6 @@ REJECTABLE = (BadParams, InvalidSpec, NotDivisor, NotPermutation,
 # errors a criterion raises when its statement does not apply to the input
 HYPOTHESIS_ERRORS = (HypothesisViolated, PrereqNotNcycle, NotPermutation,
                      NotSurjective, NotDivisor)
-
-EVAL_CHUNK = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -85,63 +87,12 @@ class OracleVerdict:
         }
 
 
-def _vector_fn(ctx: FieldCtx, f) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, SparsePoly):
-        if f.ctx.key != ctx.key:
-            raise BadParams("polynomial belongs to a different field")
-        return f.eval_vec
-    if isinstance(f, PermMap):
-        if f.ctx.key != ctx.key:
-            raise BadParams("permutation belongs to a different field")
-        return lambda v: f.images[v]
-    if isinstance(f, np.ndarray):
-        table = np.asarray(f, dtype=np.int64)
-        if table.shape != (ctx.order,):
-            raise BadParams(f"image table must have length {ctx.order}")
-        return lambda v: table[v]
-    if callable(f):
-        return f
-    raise BadParams(f"cannot evaluate a {type(f).__name__} as a map")
-
-
-def _image_table(ctx: FieldCtx, fn, threads: Optional[int]) -> np.ndarray:
-    xs = ctx.varange()
-    if not threads or threads <= 1 or ctx.order <= EVAL_CHUNK:
-        out = np.asarray(fn(xs), dtype=np.int64)
-        if out.shape != xs.shape:
-            raise BadParams("map did not return one image per point")
-    else:
-        out = np.empty(ctx.order, dtype=np.int64)
-        starts = range(0, ctx.order, EVAL_CHUNK)
-
-        def work(lo: int) -> None:
-            hi = min(lo + EVAL_CHUNK, ctx.order)
-            out[lo:hi] = fn(xs[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    if out.size and (out.min() < 0 or out.max() >= ctx.order):
-        raise BadParams("map produced values outside the field")
-    return out
-
-
-def _compose_power(imgs: np.ndarray, n: int) -> np.ndarray:
-    result = np.arange(len(imgs), dtype=np.int64)
-    base = imgs
-    while n:
-        if n & 1:
-            result = base[result]
-        base = base[base]
-        n >>= 1
-    return result
-
-
 def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
                        cap: Optional[int] = None) -> OracleVerdict:
     """Evaluate f on the whole field and answer, for each n in ns, whether
-    f is an n-cycle permutation.  Cycle lengths come from a visited-bitmap
-    walk over the image table; each answer is re-derived by direct n-fold
-    composition and the two must agree."""
+    f is an n-cycle permutation.  Cycle lengths come from the cycle walk
+    over the image table; each answer is re-derived by repeated-squaring
+    n-fold composition and the two must agree."""
     t0 = perf_counter()
     limit = ctx.cap if cap is None else cap
     if ctx.order > limit:
@@ -149,34 +100,20 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
     ns = sorted({int(n) for n in ns})
     if ns and ns[0] < 1:
         raise BadParams("cycle lengths must be positive")
-    imgs = _image_table(ctx, _vector_fn(ctx, f), threads)
-    bijective = bool(np.bincount(imgs, minlength=ctx.order).max() == 1)
-    if not bijective:
+    pm = perm_from_images(ctx, as_images(ctx, f, threads))
+    if isinstance(pm, NotBijective):
         return OracleVerdict(False, None, {n: False for n in ns}, {},
                              ctx.order, perf_counter() - t0)
-    table = imgs.tolist()
-    seen = bytearray(ctx.order)
-    cycle_type: dict[int, int] = {}
-    for start in range(ctx.order):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = table[cur]
-            length += 1
-        cycle_type[length] = cycle_type.get(length, 0) + 1
-    order = math.lcm(*cycle_type)
+    walk = cycle_structure(pm)
     answers: dict[int, bool] = {}
-    ident = np.arange(ctx.order, dtype=np.int64)
+    ident = identity_perm(ctx)
     for n in ns:
-        direct = bool(np.array_equal(_compose_power(imgs, n), ident))
-        if direct != (n % order == 0):
+        direct = functional_power(pm, n) == ident
+        if direct != (n % walk.order == 0):
             raise NcycleInternal("cycle walk disagrees with direct composition")
         answers[n] = direct
-    return OracleVerdict(True, order, answers, cycle_type, ctx.order,
-                         perf_counter() - t0)
+    return OracleVerdict(True, walk.order, answers, dict(walk.cycle_type),
+                         ctx.order, perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ast
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Mapping
@@ -274,6 +276,9 @@ def poly_frob(f: SparsePoly, k: int) -> SparsePoly:
 # materialized maps
 # ---------------------------------------------------------------------------
 
+EVAL_CHUNK = 1 << 15
+
+
 @dataclass(frozen=True)
 class NotBijective:
     """Evidence that an image table is not a bijection."""
@@ -301,53 +306,80 @@ class PermMap:
             raise CtxMismatch("element from a different field")
         return self.ctx.element(int(self.images[a.i]))
 
-    def fixed_point_count(self) -> int:
-        return int(np.count_nonzero(self.images == self.ctx.varange()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermMap):
             return NotImplemented
         return self.ctx.key == other.ctx.key and bool(
             np.array_equal(self.images, other.images))
 
-    def __hash__(self) -> int:  # pragma: no cover - maps are not dict keys
-        return hash((self.ctx.key, self.images.tobytes()))
-
-
-def as_images(ctx: FieldCtx, fn) -> np.ndarray:
-    """Materialize fn over the whole field; fn may be a SparsePoly, a
-    vectorized index function, or a precomputed table."""
-    if isinstance(fn, SparsePoly):
-        return fn.eval_vec(ctx.varange())
-    if isinstance(fn, PermMap):
-        return fn.images
-    if isinstance(fn, np.ndarray):
-        if fn.shape != (ctx.order,):
-            raise BadParams("image table has the wrong length")
-        return fn.astype(np.int64)
-    out = np.asarray(fn(ctx.varange()), dtype=np.int64)
-    if out.shape != (ctx.order,):
-        raise BadParams("map did not return one image per field element")
-    return out
-
 
 def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt a SparsePoly, PermMap, image table, or callable to a function
-    on index arrays, so criteria can re-evaluate maps on subsets."""
+    on index arrays, so criteria can re-evaluate maps on subsets.  A
+    polynomial from another field, or a table that as_images rejects,
+    raises BadParams."""
     if isinstance(fn, SparsePoly):
+        if fn.ctx.key != ctx.key:
+            raise BadParams("polynomial belongs to a different field")
         return fn.eval_vec
-    if isinstance(fn, PermMap):
-        return lambda xs: fn.images[xs]
-    if isinstance(fn, np.ndarray):
-        table = fn.astype(np.int64)
+    if isinstance(fn, (PermMap, np.ndarray)):
+        table = as_images(ctx, fn)
         return lambda xs: table[xs]
-    return lambda xs: np.asarray(fn(xs), dtype=np.int64)
+    if callable(fn):
+        return lambda xs: np.asarray(fn(xs), dtype=np.int64)
+    raise BadParams(f"cannot evaluate a {type(fn).__name__} as a map")
 
 
-def perm_from_images(ctx: FieldCtx, images: np.ndarray) -> PermMap | NotBijective:
-    images = np.asarray(images, dtype=np.int64)
+def as_images(ctx: FieldCtx, fn, threads: int | None = None) -> np.ndarray:
+    """Materialize fn (anything as_vector_fn accepts) over the whole field
+    as an int64 image table; a table is checked, not copied.
+
+    With threads > 1 on a field larger than EVAL_CHUNK the chunks are
+    evaluated on a pool of at most min(threads, cpu count, chunk count)
+    workers.  Raises BadParams for a permutation from another field, and
+    unless fn gives one image per point, each inside the field."""
+    if isinstance(fn, PermMap):
+        if fn.ctx.key != ctx.key:
+            raise BadParams("permutation belongs to a different field")
+        out = fn.images
+    elif isinstance(fn, np.ndarray):
+        out = np.asarray(fn, dtype=np.int64)
+        if out.shape != (ctx.order,):
+            raise BadParams(f"image table must have length {ctx.order}")
+    else:
+        vec = as_vector_fn(ctx, fn)
+        xs = ctx.varange()
+
+        def evaluate(lo: int, hi: int) -> np.ndarray:
+            chunk = vec(xs[lo:hi])
+            if chunk.shape != (hi - lo,):
+                raise BadParams("map did not return one image per point")
+            return chunk
+
+        if not threads or threads <= 1 or ctx.order <= EVAL_CHUNK:
+            out = evaluate(0, ctx.order)
+        else:
+            out = np.empty(ctx.order, dtype=np.int64)
+            starts = range(0, ctx.order, EVAL_CHUNK)
+
+            def work(lo: int) -> None:
+                hi = min(lo + EVAL_CHUNK, ctx.order)
+                out[lo:hi] = evaluate(lo, hi)
+
+            workers = min(threads, os.cpu_count() or 1, len(starts))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(work, starts))
+    if out.size and (out.min() < 0 or out.max() >= ctx.order):
+        raise BadParams("map produced values outside the field")
+    return out
+
+
+def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
+    """The permutation given by images (anything as_images accepts), or
+    evidence that it is not a bijection."""
+    images = as_images(ctx, images)
     counts = np.bincount(images, minlength=ctx.order)
-    if counts.max(initial=0) <= 1 and len(counts) == ctx.order:
+    if counts.max(initial=0) <= 1:
         return PermMap(ctx, images)
     missing = int(np.flatnonzero(counts == 0)[0])
     dup = int(np.flatnonzero(counts > 1)[0])
@@ -355,12 +387,8 @@ def perm_from_images(ctx: FieldCtx, images: np.ndarray) -> PermMap | NotBijectiv
     return NotBijective(missing, (int(pre[0]), int(pre[1])))
 
 
-def perm_from_fn(ctx: FieldCtx, fn) -> PermMap | NotBijective:
-    return perm_from_images(ctx, as_images(ctx, fn))
-
-
 def require_perm(ctx: FieldCtx, fn) -> PermMap:
-    got = perm_from_fn(ctx, fn)
+    got = perm_from_images(ctx, fn)
     if isinstance(got, NotBijective):
         raise NotPermutation(got.describe())
     return got
@@ -434,18 +462,15 @@ def cycle_structure(pm: PermMap) -> CycleReport:
             t = imgs[t]
             length += 1
         counts[length] = counts.get(length, 0) + 1
-    order = 1
-    for length in counts:
-        order = lcm(order, length)
     ctype = tuple(sorted(counts.items()))
-    return CycleReport(True, order, ctype, counts.get(1, 0))
+    return CycleReport(True, lcm(*counts), ctype, counts.get(1, 0))
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
     """Cycle report for an arbitrary map; non-bijections get order None."""
-    got = perm_from_fn(ctx, fn)
+    images = as_images(ctx, fn)
+    got = perm_from_images(ctx, images)
     if isinstance(got, NotBijective):
-        images = as_images(ctx, fn)
         fixed = int(np.count_nonzero(images == ctx.varange()))
         return CycleReport(False, None, (), fixed)
     return cycle_structure(got)

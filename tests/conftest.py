@@ -17,6 +17,26 @@ def field(p, n):
     return _CACHE[key]
 
 
+def naive_cycle_type(images):
+    """Reference cycle type sharing no code with the library: follow each
+    point until it returns to the start."""
+    q = len(images)
+    done = [False] * q
+    counts = {}
+    for s in range(q):
+        if done[s]:
+            continue
+        t, length = s, 0
+        while True:
+            done[t] = True
+            t = images[t]
+            length += 1
+            if t == s:
+                break
+        counts[length] = counts.get(length, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 @pytest.fixture(scope="session")
 def fields():
     return field

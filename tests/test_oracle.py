@@ -1,10 +1,12 @@
 """Brute-force oracle: image-table verdicts, cross-checks, seeded fuzzing."""
 import json
+import math
 
 import numpy as np
 import pytest
 
 import ncyclepp.oracle as oracle
+import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import CriterionVerdict
 from ncyclepp.errors import BadParams, CapExceeded, HypothesisViolated
 from ncyclepp.families import (
@@ -13,9 +15,9 @@ from ncyclepp.families import (
 from ncyclepp.oracle import (
     cross_check, exhaustive_verdict, random_family_fuzz,
 )
-from ncyclepp.polyperm import SparsePoly, cycle_structure, perm_from_images
+from ncyclepp.polyperm import SparsePoly
 
-from conftest import field
+from conftest import field, naive_cycle_type
 
 
 class TestExhaustiveVerdict:
@@ -59,25 +61,27 @@ class TestExhaustiveVerdict:
             exhaustive_verdict(ctx, SparsePoly.monomial(ctx, 1), [0])
 
     def test_matches_independent_cycle_walk(self):
-        # two-implementation invariant: same orders and cycle types as the
-        # permutation module on assorted permutation polynomials
+        # two-implementation invariant: same orders and cycle types as a
+        # walk that shares no code with the library
         rng = np.random.default_rng(5)
         for p, n in ((2, 4), (3, 3), (5, 2)):
             ctx = field(p, n)
             for _ in range(6):
                 imgs = np.array(rng.permutation(ctx.order), dtype=np.int64)
-                pm = perm_from_images(ctx, imgs)
-                rep = cycle_structure(pm)
-                v = exhaustive_verdict(ctx, imgs, [2, 3, rep.order])
-                assert v.order == rep.order
-                assert v.cycle_type == dict(rep.cycle_type)
-                assert v.is_ncycle_at[rep.order]
+                cycle_type = naive_cycle_type(imgs.tolist())
+                order = math.lcm(*(length for length, _ in cycle_type))
+                v = exhaustive_verdict(ctx, imgs, [2, 3, order])
+                assert v.order == order
+                assert v.cycle_type == dict(cycle_type)
+                assert v.is_ncycle_at[order]
+                assert v.is_ncycle_at[2] == (2 % order == 0)
+                assert v.is_ncycle_at[3] == (3 % order == 0)
 
     def test_threaded_evaluation_matches_serial(self, monkeypatch):
         ctx = field(2, 12)
         inst = build_jieguo(64, 25, 5, ctx=ctx)
         serial = exhaustive_verdict(ctx, inst.fn, [3])
-        monkeypatch.setattr(oracle, "EVAL_CHUNK", 512)
+        monkeypatch.setattr(polyperm, "EVAL_CHUNK", 512)
         threaded = exhaustive_verdict(ctx, inst.fn, [3], threads=4)
         assert threaded.to_json() == serial.to_json()
 

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ncyclepp.polyperm as polyperm
 from ncyclepp.errors import BadParams, CtxMismatch, NotPermutation
 from ncyclepp.polyperm import (
-    CycleReport, NotBijective, PermMap, SparsePoly, compose, cycle_report_for_fn,
-    cycle_structure, eval_int_expr, functional_power, identity_perm, invert,
-    is_ncycle, perm_from_fn, perm_order, require_perm,
+    CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
+    cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
+    identity_perm, invert, is_ncycle, perm_from_images, perm_order,
+    require_perm,
 )
-from conftest import field
+from ncyclepp.walsh import walsh_involution_test
+from conftest import field, naive_cycle_type
 
 
 # --- expression parsing ------------------------------------------------------
@@ -115,7 +118,7 @@ def test_perm_from_poly_bijective():
 
 def test_perm_from_poly_collision():
     ctx = field(7, 1)
-    got = perm_from_fn(ctx, SparsePoly.from_text(ctx, "x^2"))
+    got = perm_from_images(ctx, SparsePoly.from_text(ctx, "x^2"))
     assert isinstance(got, NotBijective)
     x1, x2 = got.collision
     assert x1 != x2
@@ -123,6 +126,60 @@ def test_perm_from_poly_collision():
     assert got.missing not in {ctx.mul_idx(i, i) for i in range(7)}
     with pytest.raises(NotPermutation):
         require_perm(ctx, SparsePoly.from_text(ctx, "x^2"))
+
+
+# every entry point that materializes a map over GF(5) rejects these
+BAD_MAPS = {
+    "out_of_range_callable": lambda ctx: (lambda v: v + np.int64(ctx.order)),
+    "negative_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) - 1,
+    "out_of_range_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) + 1,
+    "foreign_polynomial": lambda ctx: SparsePoly.monomial(field(7, 1), 1),
+    "foreign_permutation": lambda ctx: identity_perm(field(7, 1)),
+}
+MAP_ENTRY_POINTS = {
+    "perm_from_images": perm_from_images,
+    "require_perm": require_perm,
+    "cycle_report_for_fn": cycle_report_for_fn,
+    "walsh_involution_test": walsh_involution_test,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MAP_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(BAD_MAPS))
+def test_bad_map_input_raises_bad_params(entry, bad):
+    ctx = field(5, 1)
+    with pytest.raises(BadParams):
+        MAP_ENTRY_POINTS[entry](ctx, BAD_MAPS[bad](ctx))
+
+
+@pytest.mark.parametrize("threads, cpus, workers",
+                         [(512, 2, 2), (3, 16, 3), (64, 64, 8), (4, None, 1)])
+def test_evaluation_pool_is_capped(monkeypatch, threads, cpus, workers):
+    sizes = []
+
+    class RecordingPool:
+        """Records its requested size and runs the work inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    ctx = field(2, 12)
+    poly = SparsePoly.from_text(ctx, "x^(q-2)", {"q": ctx.order})
+    monkeypatch.setattr(polyperm, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(polyperm.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(polyperm, "EVAL_CHUNK", 512)   # 8 chunks
+    imgs = as_images(ctx, poly, threads=threads)
+    assert sizes == [workers]
+    assert np.array_equal(imgs, poly.eval_vec(ctx.varange()))
 
 
 def test_compose_invert_power_against_loops():
@@ -148,25 +205,6 @@ def test_compose_invert_power_against_loops():
 
 
 # --- cycle analysis ----------------------------------------------------------
-
-def naive_cycle_type(images):
-    """Oracle: follow each point until it returns to the start."""
-    q = len(images)
-    done = [False] * q
-    counts = {}
-    for s in range(q):
-        if done[s]:
-            continue
-        t, length = s, 0
-        while True:
-            done[t] = True
-            t = images[t]
-            length += 1
-            if t == s:
-                break
-        counts[length] = counts.get(length, 0) + 1
-    return tuple(sorted(counts.items()))
-
 
 def test_cycle_structure_against_oracle():
     ctx = field(2, 6)
