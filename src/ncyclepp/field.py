@@ -15,6 +15,11 @@ Construction is deterministic:
 Multiplication, powering and inversion run on precomputed discrete-log
 tables, so the whole field is materialized at construction time.  A size cap
 (default 2^24 elements) keeps that tractable.
+
+The tables are built by GF(p)-linear maps (multiplication by a constant,
+the trace) applied through chunked digit lookups: each chunk of base-p
+digits of an index is looked up in a small table of its images, and the
+partial images are added.
 """
 from __future__ import annotations
 
@@ -35,9 +40,6 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 24
-
-# columns processed per block when applying a linear map to the exp table
-_BLOCK = 1 << 18
 
 
 def _is_prime(m: int) -> bool:
@@ -190,6 +192,8 @@ class FieldCtx:
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
+        # base-p digits per chunk of _linear_map: p^chunk <= 4096 lookup entries
+        self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > 4096))
         self._gen_idx = self._find_generator()
         self._build_tables()
         self._exp_list: Optional[list[int]] = None
@@ -232,26 +236,38 @@ class FieldCtx:
                 return idx
         raise NcycleInternal("no generator found")  # pragma: no cover
 
-    def _mul_matrix(self, coords: Sequence[int]) -> np.ndarray:
-        """n x n matrix over GF(p) of multiplication by the given element."""
-        cols = []
-        cur = list(coords)
-        for _ in range(self.n):
-            cols.append(cur)
-            cur = self._cmul(cur, [0, 1] + [0] * (self.n - 2)) if self.n > 1 else [0]
-        return np.array(cols, dtype=np.int64).T
+    def _index(self, coords: Sequence[int]) -> int:
+        return sum(c * pw for c, pw in zip(coords, self._p_pows))
 
-    def _decode_vec(self, idx: np.ndarray) -> np.ndarray:
-        digs = np.empty((self.n, idx.shape[0]), dtype=np.int64)
-        v = idx.astype(np.int64, copy=True)
-        for i in range(self.n):
-            digs[i] = v % self.p
-            v //= self.p
-        return digs
+    def _power_cols(self, a: Sequence[int], z: Sequence[int]) -> list[int]:
+        """Indices of a * z^i for i < n, by coordinate arithmetic."""
+        cols = [self._index(a)]
+        for _ in range(self.n - 1):
+            a = self._cmul(a, z)
+            cols.append(self._index(a))
+        return cols
 
-    def _encode_vec(self, digs: np.ndarray) -> np.ndarray:
-        pw = np.array(self._p_pows, dtype=np.int64)
-        return pw @ digs
+    def _linear_map(self, cols: Sequence[int], x) -> np.ndarray:
+        """Image of every index in x under the GF(p)-linear map sending the
+        i-th basis vector (index p^i) to the index cols[i]: each chunk of
+        self._chunk digits of x is looked up in a table of its p^chunk
+        images, and the partial images are added."""
+        x = np.asarray(x, dtype=np.int64)
+        if self.n == 1:   # GF(p): the map is multiplication by cols[0]
+            return x * cols[0] % self.p
+        scalars = np.arange(self.p, dtype=np.int64)[:, None]
+        pows = np.array(self._p_pows, dtype=np.int64)
+        out = None
+        for lo in range(0, self.n, self._chunk):
+            tab = np.zeros(1, dtype=np.int64)
+            for col in cols[lo:lo + self._chunk]:   # one more digit per pass
+                multiples = ((scalars * self._decode(col)) % self.p) @ pows
+                tab = self.vadd(multiples[:, None], tab).ravel()
+            digits = x // self._p_pows[lo]
+            digits %= tab.shape[0]
+            part = tab[digits]
+            out = part if out is None else self.vadd(out, part)
+        return out
 
     def _build_tables(self) -> None:
         q1 = self.order - 1
@@ -259,15 +275,12 @@ class FieldCtx:
             raise BadParams("field must have at least 2 elements")
         exp = np.empty(q1, dtype=np.int64)
         exp[0] = 1
-        g = self._decode(self._gen_idx)
-        filled = 1
+        x = self._cmul([0, 1], [1])
+        a, filled = self._decode(self._gen_idx), 1   # a = g^filled
         while filled < q1:
             take = min(filled, q1 - filled)
-            mat = self._mul_matrix(self._cpow(g, filled))
-            for start in range(0, take, _BLOCK):
-                stop = min(start + _BLOCK, take)
-                digs = self._decode_vec(exp[start:stop])
-                exp[filled + start: filled + stop] = self._encode_vec((mat @ digs) % self.p)
+            exp[filled:filled + take] = self._linear_map(self._power_cols(a, x), exp[:take])
+            a = self._cmul(a, a)
             filled += take
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
@@ -361,24 +374,21 @@ class FieldCtx:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a + b) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for i in range(self.n):
-            out += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
+        shape = np.broadcast(a, b).shape
+        out, s, t = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        for pw in self._p_pows:   # digit-wise sum, reusing s and t
+            np.floor_divide(a, pw, out=s)
+            np.floor_divide(b, pw, out=t)
+            s += t
+            s %= self.p
+            s *= pw
+            out += s
         return out
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return a.copy() if isinstance(a, np.ndarray) else a
-        if self.n == 1:
-            return (-a) % self.p
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        pw = 1
-        for i in range(self.n):
-            out += ((-(a // pw)) % self.p) * pw
-            pw *= self.p
-        return out
+        return self.vmul(np.int64(self.p - 1), a)   # -a = (p-1)*a
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.vadd(a, self.vneg(b))
@@ -386,13 +396,9 @@ class FieldCtx:
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        q1 = self.order - 1
-        la = self._log[np.broadcast_to(a, out.shape)[nz]]
-        lb = self._log[np.broadcast_to(b, out.shape)[nz]]
-        out[nz] = self._exp[(la + lb) % q1]
-        return out
+        t = self._log[a] + self._log[b]   # log[0] = -1: a junk index, masked below
+        t %= self.order - 1
+        return np.where((a != 0) & (b != 0), self._exp[t], 0)
 
     def vpow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a^e; e == 0 gives all ones (pow(0,0) = 1)."""
@@ -402,11 +408,9 @@ class FieldCtx:
         if e < 0:
             raise DivisionByZero("negative vector exponent")
         q1 = self.order - 1
-        er = e % q1
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = a != 0
-        out[nz] = self._exp[(self._log[a[nz]] * er) % q1]
-        return out
+        t = self._log[a] * (e % q1)   # log[0] = -1: a junk index, masked below
+        t %= q1
+        return np.where(a != 0, self._exp[t], 0)
 
     def vfrob(self, a: np.ndarray, sub_degree: int, i: int = 1) -> np.ndarray:
         if self.n % sub_degree != 0:
@@ -416,13 +420,12 @@ class FieldCtx:
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
         if self.n % sub_degree != 0:
             raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-        m = self.n // sub_degree
-        acc = np.asarray(a, dtype=np.int64).copy()
-        t = a
-        for _ in range(m - 1):
-            t = self.vfrob(t, sub_degree, 1)
-            acc = self.vadd(acc, t)
-        return acc
+        # basis images Tr(x^i) = sum over k of z^i, z = x^(p^(sub_degree*k))
+        cols, z = [0] * self.n, self._cmul([0, 1], [1])
+        for _ in range(self.n // sub_degree):
+            cols = [self.add_idx(s, t) for s, t in zip(cols, self._power_cols([1], z))]
+            z = self._cpow(z, self.p ** sub_degree)
+        return self._linear_map(cols, a)
 
     # -- cached structure ------------------------------------------------------
 
@@ -433,16 +436,13 @@ class FieldCtx:
         return self._tr1
 
     def subfield_indices(self, sub_degree: int) -> np.ndarray:
-        """Sorted indices of the GF(p^sub_degree) subfield (Frobenius fixed set)."""
+        """Sorted indices of the GF(p^sub_degree) subfield: zero and the
+        powers of g^((q-1)/(p^sub_degree-1))."""
         if sub_degree not in self._subfield_cache:
             if self.n % sub_degree != 0:
                 raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-            allv = self.varange()
-            mask = self.vfrob(allv, sub_degree, 1) == allv
-            idxs = np.flatnonzero(mask).astype(np.int64)
-            if idxs.shape[0] != self.p ** sub_degree:  # pragma: no cover
-                raise InvalidSubfield("subfield size mismatch")
-            self._subfield_cache[sub_degree] = idxs
+            nonzero = self.mu_indices(self.p ** sub_degree - 1)
+            self._subfield_cache[sub_degree] = np.sort(np.append(np.int64(0), nonzero))
         return self._subfield_cache[sub_degree]
 
     def mu_indices(self, ell: int) -> np.ndarray:

@@ -34,12 +34,17 @@ _BINOPS = {
     ast.Pow: operator.pow,
 }
 
+# largest power an expression may compute, as a bound on its size in bits
+_POW_BITS = 1 << 16
+
 
 def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
     """Evaluate an integer expression like ``(q^2+q+1)*45``.
 
     Supports + - * // % ** and parentheses; ``^`` is accepted as a synonym
     for exponentiation.  Only names present in ``variables`` may appear.
+    A power whose base bit length times exponent exceeds _POW_BITS is
+    refused with BadParams before it is computed.
     """
     env = dict(variables or {})
     src = text.replace("^", "**")
@@ -56,7 +61,11 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -walk(node.operand)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
+            left, right = walk(node.left), walk(node.right)
+            if (isinstance(node.op, ast.Pow)
+                    and abs(left).bit_length() * right > _POW_BITS):
+                raise BadParams(f"power too large in expression {text!r}")
+            return _BINOPS[type(node.op)](left, right)
         raise BadParams(f"unsupported syntax in expression {text!r}")
 
     try:

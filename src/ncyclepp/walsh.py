@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .field import FieldCtx, FieldElement
+from .field import FieldCtx, element_index
 from .polyperm import PermMap, as_images
 
 WALSH_CAP = 1 << 12
@@ -60,8 +60,7 @@ class WalshValue:
 
 def walsh_coefficient(ctx: FieldCtx, fn, u, v) -> WalshValue:
     """Single coefficient W(u, v), O(field size)."""
-    ui = u.i if isinstance(u, FieldElement) else int(u)
-    vi = v.i if isinstance(v, FieldElement) else int(v)
+    ui, vi = element_index(ctx, u), element_index(ctx, v)
     imgs = as_images(ctx, fn)
     xs = ctx.varange()
     arg = ctx.vadd(ctx.vmul(np.int64(ui), xs), ctx.vmul(np.int64(vi), imgs))
@@ -86,15 +85,14 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
 def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
     """Permutation sigma with tr(u*x) = <digits(sigma[u]), digits(x)> mod p.
 
-    Built from the Gram matrix G[j][k] = tr(b_j * b_k) of the power basis;
-    nondegeneracy of the trace form makes sigma a bijection."""
-    p, n, q = ctx.p, ctx.n, ctx.order
+    sigma is the GF(p)-linear map sending the j-th basis vector b_j to the
+    element whose digits are row j of the Gram matrix G[j][k] = tr(b_j * b_k)
+    of the power basis; nondegeneracy of the trace form makes it a bijection."""
+    p, n = ctx.p, ctx.n
     tr1 = ctx.tr1_table()
-    gram = np.array([[int(tr1[ctx.mul_idx(p ** j, p ** k)]) for k in range(n)]
-                     for j in range(n)], dtype=np.int64)
-    powers = p ** np.arange(n, dtype=np.int64)
-    digits = (ctx.varange()[:, None] // powers[None, :]) % p
-    return ((digits @ gram) % p) @ powers
+    rows = [sum(int(tr1[ctx.mul_idx(p ** j, p ** k)]) * p ** k for k in range(n))
+            for j in range(n)]
+    return ctx._linear_map(rows, ctx.varange())
 
 
 def _involution_char2(ctx: FieldCtx, imgs: np.ndarray):

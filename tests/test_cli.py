@@ -1,7 +1,9 @@
 """Command line interface: output documents, exit codes, determinism."""
 import json
+import resource
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -245,6 +247,22 @@ def test_console_script_matches_module():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["k"][0] == 3
     assert "elapsed_s" in proc.stderr
+
+
+@pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])
+def test_huge_power_exits_two_quickly(capsys, poly, cycle):
+    argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]
+    # a child process first, with its address space capped at 2 GB, so
+    # that an unbounded evaluation fails or is killed instead of hanging
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=limit)
+    assert proc.returncode == 2
+    t0 = perf_counter()
+    assert main(argv) == 2
+    assert perf_counter() - t0 < 1.0
+    assert "power too large" in capsys.readouterr().err
 
 
 def test_module_entry_point():

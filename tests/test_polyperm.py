@@ -30,6 +30,14 @@ def test_eval_int_expr():
         eval_int_expr("1 +")
 
 
+@pytest.mark.parametrize("text", ["2^(2^20)", "(2^30000)^3", "3^40000"])
+def test_eval_int_expr_refuses_huge_powers(text):
+    # the size of a power is bounded before it is computed
+    with pytest.raises(BadParams):
+        eval_int_expr(text)
+    assert eval_int_expr("2^32768") == 1 << 32768
+
+
 # --- sparse polynomial canonical form ---------------------------------------
 
 def test_make_merges_and_drops():

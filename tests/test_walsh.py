@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ncyclepp.errors import CapExceeded
+from ncyclepp.errors import BadParams, CapExceeded
 from ncyclepp.polyperm import (
     PermMap, SparsePoly, compose, functional_power, identity_perm, invert,
     perm_order, require_perm,
@@ -117,3 +117,12 @@ def test_cap_enforced():
     ctx = field(2, 13)
     with pytest.raises(CapExceeded):
         walsh_involution_test(ctx, identity_perm(ctx))
+
+
+@pytest.mark.parametrize("u,v", [(16, 0), (-1, 0), (0, 16), (0, -1)])
+def test_coefficient_rejects_out_of_range_arguments(u, v):
+    # an index outside [0, q) is bad input, not an IndexError or a
+    # silently wrapped log lookup
+    ctx = field(2, 4)
+    with pytest.raises(BadParams):
+        walsh_coefficient(ctx, identity_perm(ctx), u, v)
