@@ -12,9 +12,9 @@ Construction is deterministic:
 * the multiplicative generator is the first element, scanning indices
   1, 2, 3, ..., whose order is exactly p^n - 1.
 
-Multiplication, powering and inversion run on precomputed discrete-log
-tables, so the whole field is materialized at construction time.  A size cap
-(default 2^24 elements) keeps that tractable.
+Products, powers, inverses and odd-p sums (Zech logarithms) run on
+precomputed discrete-log tables, so the whole field is materialized at
+construction time.  A size cap (default 2^24 elements) keeps that tractable.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
 the trace) applied through chunked digit lookups: each chunk of base-p
@@ -195,6 +195,7 @@ class FieldCtx:
         # base-p digits per chunk of _linear_map: p^chunk <= 4096 lookup entries
         self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > 4096))
         self._gen_idx = self._find_generator()
+        self._zech: Optional[np.ndarray] = None
         self._build_tables()
         self._exp_list: Optional[list[int]] = None
         self._log_list: Optional[list[int]] = None
@@ -257,16 +258,20 @@ class FieldCtx:
             return x * cols[0] % self.p
         scalars = np.arange(self.p, dtype=np.int64)[:, None]
         pows = np.array(self._p_pows, dtype=np.int64)
-        out = None
+        out, digits = None, np.empty_like(x)
         for lo in range(0, self.n, self._chunk):
             tab = np.zeros(1, dtype=np.int64)
             for col in cols[lo:lo + self._chunk]:   # one more digit per pass
                 multiples = ((scalars * self._decode(col)) % self.p) @ pows
                 tab = self.vadd(multiples[:, None], tab).ravel()
-            digits = x // self._p_pows[lo]
+            np.floor_divide(x, self._p_pows[lo], out=digits)
             digits %= tab.shape[0]
-            part = tab[digits]
-            out = part if out is None else self.vadd(out, part)
+            if out is None:
+                out = tab[digits]
+            elif self.p == 2:   # later partial images reuse the digit buffer
+                out ^= np.take(tab, digits, mode="clip", out=digits)
+            else:
+                out = self.vadd(out, np.take(tab, digits, mode="clip", out=digits))
         return out
 
     def _build_tables(self) -> None:
@@ -288,6 +293,8 @@ class FieldCtx:
             raise NcycleInternal("generator order check failed")  # pragma: no cover
         self._exp = exp
         self._log = log
+        if self.p != 2 and self.n > 1:   # Z[k] = log(1 + g^k); x + 1 alters digit 0 only
+            self._zech = np.roll(log.reshape(-1, self.p), -1, axis=1).ravel()[exp]
 
     # -- scalar index arithmetic ----------------------------------------------
 
@@ -374,15 +381,30 @@ class FieldCtx:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a + b) % self.p
-        shape = np.broadcast(a, b).shape
-        out, s, t = (np.zeros(shape, dtype=np.int64) for _ in range(3))
-        for pw in self._p_pows:   # digit-wise sum, reusing s and t
-            np.floor_divide(a, pw, out=s)
-            np.floor_divide(b, pw, out=t)
-            s += t
+        if self._zech is None:   # _build_tables has not made the tables yet
+            return self._digit_add(a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        if a.size > b.size:   # sums commute: gather the larger operand into t
+            a, b = b, a
+        la, t = self._log[a], np.asarray(self._log[b])   # log[0] = -1 is junk, fixed below
+        # in place unless t lacks the broadcast shape, as in (p, 1) against (k,)
+        t = np.subtract(t, la, out=None if a.ndim and a.shape != b.shape else t)
+        np.take(self._zech, t, mode="wrap", out=t)   # log(1 + b/a)
+        cancel = t < 0   # b = -a
+        t += la
+        np.take(self._exp, t, mode="wrap", out=t)   # a * (1 + b/a)
+        t[cancel] = 0
+        np.copyto(t, b, where=a == 0)
+        np.copyto(t, a, where=b == 0)
+        return t
+
+    def _digit_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Odd-p digit-wise sum: only _linear_map's bootstrap before _zech exists."""
+        out, s, t = (np.zeros(np.broadcast(a, b).shape, dtype=np.int64) for _ in range(3))
+        for pw in self._p_pows:   # reuse s and t: fresh big temporaries fault in pages
+            np.add(np.floor_divide(a, pw, out=s), np.floor_divide(b, pw, out=t), out=s)
             s %= self.p
-            s *= pw
-            out += s
+            out += np.multiply(s, pw, out=s)
         return out
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
@@ -394,11 +416,9 @@ class FieldCtx:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        t = self._log[a] + self._log[b]   # log[0] = -1: a junk index, masked below
-        t %= self.order - 1
-        return np.where((a != 0) & (b != 0), self._exp[t], 0)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        t = self._log[a] + self._log[b]   # in [-2, 2q-4]; log[0] = -1 is junk, masked
+        return np.where((a != 0) & (b != 0), np.take(self._exp, t, mode="wrap"), 0)
 
     def vpow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a^e; e == 0 gives all ones (pow(0,0) = 1)."""

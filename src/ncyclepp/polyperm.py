@@ -43,8 +43,9 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
 
     Supports + - * // % ** and parentheses; ``^`` is accepted as a synonym
     for exponentiation.  Only names present in ``variables`` may appear.
-    A power whose base bit length times exponent exceeds _POW_BITS is
-    refused with BadParams before it is computed.
+    A power whose base bit length times exponent exceeds _POW_BITS, or
+    whose exponent is negative, is refused with BadParams before it is
+    computed.
     """
     env = dict(variables or {})
     src = text.replace("^", "**")
@@ -62,9 +63,11 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
             return -walk(node.operand)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             left, right = walk(node.left), walk(node.right)
-            if (isinstance(node.op, ast.Pow)
-                    and abs(left).bit_length() * right > _POW_BITS):
-                raise BadParams(f"power too large in expression {text!r}")
+            if isinstance(node.op, ast.Pow):
+                if right < 0:   # the result would not be an integer
+                    raise BadParams(f"negative power in expression {text!r}")
+                if abs(left).bit_length() * right > _POW_BITS:
+                    raise BadParams(f"power too large in expression {text!r}")
             return _BINOPS[type(node.op)](left, right)
         raise BadParams(f"unsupported syntax in expression {text!r}")
 

@@ -265,6 +265,15 @@ def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     assert "power too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("poly,cycle", [("x^(2^-1)", "2"), ("x^2", "2^-1")])
+def test_negative_power_exits_two(capsys, poly, cycle):
+    # 2^-1 is no integer: it must not be truncated to x^0 or a 0-cycle
+    argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "negative power" in captured.err and captured.out == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncyclepp.cli", "field", "--p", "3", "--n",

@@ -6,7 +6,10 @@ table: sums and negatives digit by digit, products and powers with the
 polynomial routines _cmul and _cpow, traces as sums of Frobenius powers
 taken with _cpow.  Every pair is compared in the fields with q <= 256; in
 larger fields up to 2^10, 2,000 seeded random pairs are compared, and 200
-seeded powers and traces (each costs a chain of _cmul calls).
+seeded powers and traces (each costs a chain of _cmul calls).  Odd-p
+addition runs on a Zech logarithm table, so it gets its own checks on the
+fields of the odd-p benchmark workload (3^11, 5^7, 7^6): random pairs,
+cancellation, zero operands, broadcasting, scalars and the table itself.
 """
 import random
 
@@ -14,10 +17,13 @@ import numpy as np
 import pytest
 
 from conftest import field
+from ncyclepp.cli import main
+from ncyclepp.field import FieldCtx
 
 SMALL = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 2), (251, 1)])
 MEDIUM = [(2, 9), (2, 10), (3, 6), (5, 4), (31, 2), (1021, 1)]
+ZECH = [(3, 11), (5, 7), (7, 6)]
 
 
 def digits(ctx, i):
@@ -115,3 +121,77 @@ def test_random_pairs_match_coordinate_arithmetic(p, n):
             assert np.array_equal(ctx.vtrace(av[:200], d),
                                   [ref_trace(ctx, i, d) for i in a[:200]]), d
     assert np.array_equal(ctx.tr1_table()[av[:200]], ctx.vtrace(av[:200], 1))
+
+
+@pytest.mark.parametrize("p,n", ZECH)
+def test_zech_addition_matches_digit_sums(p, n):
+    ctx = field(p, n)
+    q = ctx.order
+    rng = random.Random(1000 * p + n)
+    a = [rng.randrange(q) for _ in range(2000)]
+    b = [rng.randrange(q) for _ in range(2000)]
+    av, bv = np.array(a), np.array(b)
+    assert np.array_equal(ctx.vadd(av, bv), [ref_add(ctx, i, j) for i, j in zip(a, b)])
+    # a + (-a) = 0, and a zero on either side gives the other operand
+    neg = np.array([ref_neg(ctx, i) for i in a])
+    assert not ctx.vadd(av, neg).any() and not ctx.vadd(neg, av).any()
+    zeros = np.zeros_like(av)
+    assert np.array_equal(ctx.vadd(av, zeros), av)
+    assert np.array_equal(ctx.vadd(zeros, av), av)
+    assert not ctx.vadd(zeros, zeros).any()
+    # (p, 1) against (k,), as _linear_map builds its chunk tables
+    col = np.array(a[:p])[:, None]
+    want = [[ref_add(ctx, i, j) for j in b[:50]] for i in a[:p]]
+    assert np.array_equal(ctx.vadd(col, bv[:50]), want)
+    assert np.array_equal(ctx.vadd(bv[:50], col), want)
+    # 0-d np.int64 on either side, against arrays and against each other
+    for c in (0, 1, p - 1, a[0], ref_neg(ctx, a[1])):
+        s = np.int64(c)
+        want = [ref_add(ctx, c, i) for i in a]
+        assert np.array_equal(ctx.vadd(s, av), want)
+        assert np.array_equal(ctx.vadd(av, s), want)
+        for j in (0, a[1], b[2]):
+            assert int(ctx.vadd(s, np.int64(j))) == ref_add(ctx, c, j)
+
+
+@pytest.mark.parametrize("p,n", ZECH + [(3, 2), (13, 2)])
+def test_zech_table_is_minus_one_only_at_half_order(p, n):
+    ctx = field(p, n)
+    q1 = ctx.order - 1
+    # 1 + g^k = 0 exactly when g^k = -1, that is k = (q-1)/2
+    assert np.flatnonzero(ctx._zech == -1).tolist() == [q1 // 2]
+    k = np.arange(0, q1, max(1, q1 // 500))
+    want = [ctx._log[ref_add(ctx, 1, int(ctx._exp[i]))] for i in k]
+    assert np.array_equal(ctx._zech[k], want)
+
+
+def test_vadd_leaves_the_digit_bootstrap_once_built(monkeypatch, capsys):
+    bootstrap, build, vadd = FieldCtx._digit_add, FieldCtx._build_tables, FieldCtx.vadd
+    calls = {"bootstrap": 0, "vadd_after_build": 0}
+
+    def build_then_seal(self):
+        build(self)
+        self.sealed = True
+
+    def guarded_bootstrap(self, a, b):
+        if getattr(self, "sealed", False):
+            raise AssertionError("digit bootstrap entered after make_field returned")
+        calls["bootstrap"] += 1
+        return bootstrap(self, a, b)
+
+    def counted_vadd(self, a, b):
+        calls["vadd_after_build"] += getattr(self, "sealed", False)
+        return vadd(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", build_then_seal)
+    monkeypatch.setattr(FieldCtx, "_digit_add", guarded_bootstrap)
+    monkeypatch.setattr(FieldCtx, "vadd", counted_vadd)
+    for argv in (["additive", "--p", "3", "--n", "4", "--variant", "trace_g1",
+                  "--sub-degree", "1"],
+                 ["xh_lambda", "--p", "3", "--n", "4", "--variant", "involution_cor",
+                  "--sub-degree", "1", "--lam", "lambda2"],
+                 ["shift", "--p", "7", "--n", "2", "--variant", "trace_g1",
+                  "--sub-degree", "1", "--i", "1", "--delta", "1"]):
+        assert main(["construct", *argv, "--verify"]) == 0
+    assert '"status": "AGREE"' in capsys.readouterr().out
+    assert calls["bootstrap"] > 0 and calls["vadd_after_build"] > 0

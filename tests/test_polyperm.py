@@ -38,6 +38,14 @@ def test_eval_int_expr_refuses_huge_powers(text):
     assert eval_int_expr("2^32768") == 1 << 32768
 
 
+@pytest.mark.parametrize("text", ["2^-1", "q^(1-2)", "(-2)^-3", "0^-1"])
+def test_eval_int_expr_refuses_negative_powers(text):
+    # 2^-1 would be the float 0.5, which an exponent would truncate to 0
+    with pytest.raises(BadParams, match="negative power"):
+        eval_int_expr(text, {"q": 9})
+    assert eval_int_expr("(-2)^3") == -8
+
+
 # --- sparse polynomial canonical form ---------------------------------------
 
 def test_make_merges_and_drops():
