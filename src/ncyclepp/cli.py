@@ -68,8 +68,22 @@ def _int(text, env: dict) -> int:
     return eval_int_expr(text, env)
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+def _emit(*lines: str) -> None:
+    """Write lines to stdout; every stdout write goes through here.  When
+    the reader has gone (a closed pipe), the rest of the output goes to
+    os.devnull, so the command still ends with its own exit code."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit_json(doc: dict) -> None:
+    _emit(json.dumps(doc, sort_keys=True))
 
 
 def _emit_csv(doc: dict) -> None:
@@ -84,12 +98,11 @@ def _emit_csv(doc: dict) -> None:
         else:
             flat[key] = value
     keys = sorted(flat)
-    print(",".join(keys))
-    print(",".join(str(flat[k]) for k in keys))
+    _emit(",".join(keys), ",".join(str(flat[k]) for k in keys))
 
 
 def _report(doc: dict, csv: bool) -> None:
-    (_emit_csv if csv else _emit)(doc)
+    (_emit_csv if csv else _emit_json)(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +110,7 @@ def _report(doc: dict, csv: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_field(args) -> int:
-    _emit(_ctx(args.p, args.n, args.modulus).to_json_dict())
+    _emit_json(_ctx(args.p, args.n, args.modulus).to_json_dict())
     return 0
 
 
@@ -185,7 +198,7 @@ def _cmd_construct(args) -> int:
         rep = cross_check(inst, threads=args.threads)
         doc["cross_check"] = rep.to_json()
         code = 0 if rep.agree and rep.criterion_holds else 1
-    _emit(doc)
+    _emit_json(doc)
     return code
 
 
@@ -253,17 +266,18 @@ def _cmd_criterion(args) -> int:
         verdict = rs_single_criterion(
             ctx, poly(args.h), RsParams(_int(args.r, env), _int(args.s, env)),
             ctx.from_literal(args.a).i, _int(args.v, env))
-    _emit(verdict.to_json())
+    _emit_json(verdict.to_json())
     return 0 if verdict.holds else 1
 
 
 def _cmd_search(args) -> int:
     if args.target == "jieguo":
         pairs = solve_jieguo_congruences(args.q)
-        _emit({"family": "jieguo", "q": args.q,
-               "pairs": [[t, m] for t, m in pairs]})
+        _emit_json({"family": "jieguo", "q": args.q,
+                    "pairs": [[t, m] for t, m in pairs]})
     else:
-        _emit({"family": "rs2to3m", "q": args.q, "k": search_k_2to3m(args.q)})
+        _emit_json({"family": "rs2to3m", "q": args.q,
+                    "k": search_k_2to3m(args.q)})
     return 0
 
 
@@ -272,16 +286,15 @@ def _cmd_walsh(args) -> int:
     env = {"p": args.p, "n": args.n, "q": ctx.order}
     poly = SparsePoly.from_text(ctx, args.poly, env)
     flag, witness = walsh_involution_test(ctx, poly)
-    _emit({"involution": flag,
-           "witness": None if witness is None else [witness[0].i,
-                                                    witness[1].i]})
+    _emit_json({"involution": flag,
+                "witness": None if witness is None else [witness[0].i,
+                                                         witness[1].i]})
     return 0 if flag else 1
 
 
 def _cmd_fuzz(args) -> int:
     summary = random_family_fuzz(args.family, args.seed, args.trials)
-    for line in summary.to_json_lines():
-        print(line)
+    _emit(*summary.to_json_lines())
     return 0 if not summary.failures else 1
 
 

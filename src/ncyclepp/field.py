@@ -72,6 +72,12 @@ def _factorize(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def divisors(m: int) -> list[int]:
+    """The divisors of m > 0, ascending."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return sorted({*small, *(m // d for d in small)})
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over GF(p): lists of ints, constant term first, trimmed
 # ---------------------------------------------------------------------------
@@ -356,10 +362,15 @@ class FieldCtx:
         q1 = self.order - 1
         return el[(ll[a] * (e % q1)) % q1]
 
-    def frob_idx(self, a: int, sub_degree: int, i: int = 1) -> int:
+    def _frob_exponent(self, sub_degree: int, i: int) -> int:
+        """p^(sub_degree*i), with i reduced mod n/sub_degree first: x^(p^n)
+        is x, so the power map stays the same."""
         if self.n % sub_degree != 0:
             raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-        return self.pow_idx(a, self.p ** (sub_degree * i))
+        return self.p ** (sub_degree * (i % (self.n // sub_degree)))
+
+    def frob_idx(self, a: int, sub_degree: int, i: int = 1) -> int:
+        return self.pow_idx(a, self._frob_exponent(sub_degree, i))
 
     def trace_idx(self, a: int, sub_degree: int) -> int:
         if self.n % sub_degree != 0:
@@ -433,9 +444,7 @@ class FieldCtx:
         return np.where(a != 0, self._exp[t], 0)
 
     def vfrob(self, a: np.ndarray, sub_degree: int, i: int = 1) -> np.ndarray:
-        if self.n % sub_degree != 0:
-            raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-        return self.vpow(a, self.p ** (sub_degree * i))
+        return self.vpow(a, self._frob_exponent(sub_degree, i))
 
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
         if self.n % sub_degree != 0:

@@ -37,7 +37,7 @@ from .families import (
     build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_spec,
     lambda_vector_fn, search_k_2to3m, solve_jieguo_congruences,
 )
-from .field import FieldCtx, NcycleInternal, make_field
+from .field import FieldCtx, NcycleInternal, divisors, make_field
 from .polyperm import (
     NotBijective, SparsePoly, as_images, cycle_structure, functional_power,
     identity_perm, perm_from_images,
@@ -50,6 +50,8 @@ REJECTABLE = (BadParams, InvalidSpec, NotDivisor, NotPermutation,
 # errors a criterion raises when its statement does not apply to the input
 HYPOTHESIS_ERRORS = (HypothesisViolated, PrereqNotNcycle, NotPermutation,
                      NotSurjective, NotDivisor)
+# largest field on which exhaustive_verdict also walks the cycles (33 ms)
+WALK_CHECK_MAX = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -104,16 +106,22 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
     if isinstance(pm, NotBijective):
         return OracleVerdict(False, None, {n: False for n in ns}, {},
                              ctx.order, perf_counter() - t0)
-    walk = cycle_structure(pm)
+    period = math.lcm(*ns)
+    report = cycle_structure(pm, period)
+    # re-derive counted cycles by the walk (a failed period already walked)
+    if (ctx.order <= WALK_CHECK_MAX and period % report.order == 0
+            and cycle_structure(pm) != report):
+        raise NcycleInternal("fixed-point counts disagree with the cycle walk")
     answers: dict[int, bool] = {}
     ident = identity_perm(ctx)
     for n in ns:
         direct = functional_power(pm, n) == ident
-        if direct != (n % walk.order == 0):
-            raise NcycleInternal("cycle walk disagrees with direct composition")
+        if direct != (n % report.order == 0):
+            raise NcycleInternal("cycle type disagrees with direct composition")
         answers[n] = direct
-    return OracleVerdict(True, walk.order, answers, dict(walk.cycle_type),
-                         ctx.order, perf_counter() - t0)
+    return OracleVerdict(True, report.order, answers,
+                         dict(report.cycle_type), ctx.order,
+                         perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +310,6 @@ def _subfield_generator(ctx: FieldCtx, sub_degree: int) -> int:
     return ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // (q - 1))
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 def _random_poly(ctx: FieldCtx, rng: random.Random, max_terms: int,
                  max_exp: int, nonzero: bool = True) -> SparsePoly:
     terms = [(rng.randrange(1, ctx.order), rng.randrange(0, max_exp + 1))
@@ -323,7 +327,7 @@ def _perturbed_xh(ctx: FieldCtx, rng: random.Random,
     whenever the twisted image map stays a bijection, and the verdict is an
     honest maybe-no."""
     q = ctx.p ** sub_degree
-    choices = [n for n in _divisors(q - 1) if n >= 2]
+    choices = [n for n in divisors(q - 1) if n >= 2]
     n = rng.choice(choices)
     subgen = _subfield_generator(ctx, sub_degree)
     theta = ctx.pow_idx(subgen, rng.randrange(0, q - 1))
@@ -388,7 +392,7 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
         params = {"variant": variant, "lambda": lam, "sub_degree": sub}
         build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub, lam=lam)
     elif variant == "theta_cor":
-        n = rng.choice(_divisors(q - 1))
+        n = rng.choice(divisors(q - 1))
         theta = ctx.pow_idx(_subfield_generator(ctx, sub), (q - 1) // n)
         params = {"variant": variant, "lambda": "lambda1", "n": n,
                   "theta": theta}
@@ -452,7 +456,7 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
                                            c=0)
         else:
             badsub = sub if m == 3 else rng.choice(
-                [d for d in _divisors(deg) if deg // d != 3])
+                [d for d in divisors(deg) if deg // d != 3])
             params = {"variant": "xq_g_trace", "sub_degree": badsub}
             if m == 3:
                 outside = next(i for i in range(1, ctx.order)

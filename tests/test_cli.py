@@ -1,5 +1,6 @@
 """Command line interface: output documents, exit codes, determinism."""
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -280,3 +281,40 @@ def test_module_entry_point():
          "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 3
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["construct", "xh_lambda", "--p", "3", "--n", "4", "--variant",
+      "involution_cor", "--sub-degree", "1", "--lam", "lambda2", "--verify"],
+     0),
+    (["verify", "--p", "7", "--n", "1", "--poly", "x^3", "--cycle", "2"], 1),
+    (["order", "--p", "5", "--n", "2", "--poly", "x^5", "--csv"], 0),
+    (["fuzz", "involution_cor", "--seed", "0", "--trials", "5"], 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # the read end is closed before the child starts, so every write to
+    # stdout fails with a broken pipe, not only a late one
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
+                              stdout=w, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
+
+
+def test_frobenius_exponent_is_reduced_before_powering(capsys):
+    argv = ["criterion", "frobenius_twist", "--p", "2", "--n", "4", "--poly",
+            "x^2", "--cycle", "4", "--sub-degree", "1", "--i"]
+    # x^(2^(10^12)) would need a 10^12-bit exponent: run it in a child
+    # process under a 2 GB address-space limit and a 30 s timeout first
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv
+                          + ["10^12"], capture_output=True, text=True,
+                          timeout=30, preexec_fn=limit)
+    assert proc.returncode == 0
+    assert main(argv + ["0"]) == 0   # 10^12 = 0 mod 4
+    assert proc.stdout == capsys.readouterr().out

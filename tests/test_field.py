@@ -255,3 +255,17 @@ def test_order_factorization():
     for pr, e in ctx.order_factorization:
         total *= pr ** e
     assert total == ctx.order - 1
+
+
+@pytest.mark.parametrize("p,n,sub", [(2, 4, 1), (2, 6, 2), (3, 4, 2), (5, 3, 1)])
+def test_frobenius_exponent_reduced_mod_extension_degree(p, n, sub):
+    # x^(p^n) = x, so the power p^(sub*i) depends on i mod n/sub only; an
+    # i too large to power in full is tested in a child process (test_cli)
+    ctx = field(p, n)
+    m = n // sub
+    allx = ctx.varange()
+    for i in (m, m + 1, 3 * m + 2, 1000, 10**4 + 1):
+        assert np.array_equal(ctx.vfrob(allx, sub, i),
+                              ctx.vfrob(allx, sub, i % m))
+        assert ctx.frob_idx(2, sub, i) == ctx.frob_idx(2, sub, i % m)
+    assert ctx.frob_idx(2, sub, m) == 2

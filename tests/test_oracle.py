@@ -15,7 +15,8 @@ from ncyclepp.families import (
 from ncyclepp.oracle import (
     cross_check, exhaustive_verdict, random_family_fuzz,
 )
-from ncyclepp.polyperm import SparsePoly
+from ncyclepp.field import NcycleInternal
+from ncyclepp.polyperm import PermMap, SparsePoly, identity_perm
 
 from conftest import field, naive_cycle_type
 
@@ -76,6 +77,37 @@ class TestExhaustiveVerdict:
                 assert v.is_ncycle_at[order]
                 assert v.is_ncycle_at[2] == (2 % order == 0)
                 assert v.is_ncycle_at[3] == (3 % order == 0)
+
+    @pytest.mark.parametrize("n", [8, 17])   # the walk cross-checks at 2^8
+    def test_wrong_composition_raises(self, monkeypatch, n):
+        # the second opinion: f^n = id must agree with n % order == 0
+        ctx = field(2, n)
+        monkeypatch.setattr(oracle, "functional_power", lambda f, k: f)
+        with pytest.raises(NcycleInternal, match="direct composition"):
+            exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
+                               [2])
+
+    @pytest.mark.parametrize("n", [8, 17])
+    def test_impossible_fixed_point_counts_raise(self, monkeypatch, n):
+        # every counted power comes back as one q-cycle, with no fixed
+        # point, so the 2 fixed points of x^(q-2) leave -2 points on 2-cycles
+        ctx = field(2, n)
+        q_cycle = PermMap(ctx, np.roll(ctx.varange(), 1))
+        monkeypatch.setattr(polyperm, "functional_power",
+                            lambda f, k: q_cycle)
+        with pytest.raises(NcycleInternal, match="-2 points on cycles"):
+            exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
+                               [2])
+
+    def test_walk_checks_the_counts_up_to_2_16(self, monkeypatch):
+        # x^8 over GF(2^12) has order 4; with every counted power the
+        # identity, the counts read order 2 and only the walk can tell
+        ctx = field(2, 12)
+        assert ctx.order <= oracle.WALK_CHECK_MAX
+        monkeypatch.setattr(polyperm, "functional_power",
+                            lambda f, k: identity_perm(f.ctx))
+        with pytest.raises(NcycleInternal, match="cycle walk"):
+            exhaustive_verdict(ctx, SparsePoly.monomial(ctx, 8), [4])
 
     def test_threaded_evaluation_matches_serial(self, monkeypatch):
         ctx = field(2, 12)

@@ -272,3 +272,95 @@ def test_perm_algebra_random(seed):
     for d in range(1, k):
         if k % d == 0:
             assert functional_power(f, d) != identity_perm(ctx)
+
+
+# --- cycle type from fixed-point counts --------------------------------------
+
+def _with_cycle_lengths(ctx, lengths, rng):
+    """A random permutation of the field with one cycle per given length,
+    as many as fit, and fixed points elsewhere."""
+    pts = rng.permutation(ctx.order)
+    images = np.arange(ctx.order, dtype=np.int64)
+    pos = 0
+    for length in lengths:
+        if pos + length > ctx.order:
+            break
+        cyc = pts[pos:pos + length]
+        images[cyc] = np.roll(cyc, -1)
+        pos += length
+    return PermMap(ctx, images)
+
+
+def _naive_report(images):
+    ctype = naive_cycle_type(images)
+    order = int(np.lcm.reduce([l for l, _ in ctype]))
+    return CycleReport(True, order, ctype, dict(ctype).get(1, 0))
+
+
+def _walk(pm):
+    return _naive_report(pm.images.tolist())
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 60, 64, 127])
+def test_counted_cycle_type_matches_naive_walk(period):
+    ctx = field(2, 10)
+    rng = np.random.default_rng(period)
+    divs = polyperm.divisors(period)
+    for _ in range(5):
+        lengths = rng.choice(divs, size=int(rng.integers(0, 40)))
+        pm = _with_cycle_lengths(ctx, lengths.tolist(), rng)
+        want = naive_cycle_type(pm.images.tolist())
+        got = polyperm._counted_cycles(pm, divs)
+        assert got is not None and tuple(sorted(got.items())) == want
+        assert cycle_structure(pm, period) == _walk(pm)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_counted_cycles_on_random_permutations(seed):
+    ctx = field(3, 4)
+    rng = np.random.default_rng(seed)
+    pm = PermMap(ctx, rng.permutation(ctx.order).astype(np.int64))
+    order = _walk(pm).order
+    for period in (order, 2 * order, 12):
+        assert cycle_structure(pm, period) == _walk(pm)
+
+
+@pytest.mark.parametrize("p,n,e,order", [
+    (2, 12, 1, 1), (2, 12, 64, 2), (2, 12, 16, 3), (2, 12, 8, 4),
+    (2, 12, 4, 6), (2, 12, 2, 12), (3, 6, 3, 6), (5, 4, 5, 4),
+    (7, 3, 7, 3), (2, 17, 4, 17)])
+def test_counted_cycles_of_power_maps(p, n, e, order):
+    ctx = field(p, n)
+    pm = require_perm(ctx, SparsePoly.monomial(ctx, e))
+    want = naive_cycle_type(pm.images.tolist())
+    for period in (order, 2 * order):
+        got = polyperm._counted_cycles(pm, polyperm.divisors(period))
+        assert got is not None and tuple(sorted(got.items())) == want
+        rep = cycle_structure(pm, period)
+        assert rep.cycle_type == want and rep.order == order
+
+
+def test_counted_cycles_fall_back_to_the_walk(monkeypatch):
+    ctx = field(2, 12)
+    pm = require_perm(ctx, SparsePoly.monomial(ctx, 4))   # order 6
+    walk = cycle_structure(pm)
+    # f^4 is not the identity: the counts give up and the walk answers
+    assert polyperm._counted_cycles(pm, polyperm.divisors(4)) is None
+    assert cycle_structure(pm, 4) == walk
+    # 720720 has 240 divisors, 17017 = 7*11*13*17 needs 67 compositions
+    for period in (720720, 17017 * 6):
+        assert polyperm._counted_cycles(pm, polyperm.divisors(period)) is None
+        assert cycle_structure(pm, period) == walk
+    # a period above q^2 is never factored
+    monkeypatch.setattr(polyperm, "divisors", lambda m: pytest.fail("tried"))
+    assert cycle_structure(pm, 6 * ctx.order ** 2) == walk
+
+
+def test_divisors():
+    assert polyperm.divisors(1) == [1]
+    assert polyperm.divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert polyperm.divisors(49) == [1, 7, 49]
+    assert len(polyperm.divisors(720720)) == 240
+    for m in range(1, 200):
+        assert polyperm.divisors(m) == [d for d in range(1, m + 1)
+                                        if m % d == 0]
