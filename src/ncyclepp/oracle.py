@@ -2,10 +2,12 @@
 
 exhaustive_verdict re-derives bijectivity and cycle structure from nothing
 but the evaluated image table, with two implementations that must agree:
-the cycle walk (polyperm.cycle_structure) gives the cycle type and order,
-and repeated-squaring composition (polyperm.functional_power) answers each
-n-cycle question again.  The algebraic criteria never enumerate the map's
-cycles, so agreement between a criterion and this module is a genuine
+polyperm.cycle_structure gives the cycle type and order from fixed-point
+counts of powers of f (the cycle walk when they do not apply, and as a
+cross-check up to WALK_CHECK_MAX points), and repeated-squaring
+composition (polyperm.functional_power) answers each n-cycle question
+again.  The algebraic criteria never enumerate the map's cycles, so
+agreement between a criterion and this module is a genuine
 two-implementation check.  cross_check runs both sides on one constructed
 instance; random_family_fuzz drives many seeded trials mixing valid,
 invalid and perturbed parameter tuples through the constructors and the
@@ -92,8 +94,8 @@ class OracleVerdict:
 def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
                        cap: Optional[int] = None) -> OracleVerdict:
     """Evaluate f on the whole field and answer, for each n in ns, whether
-    f is an n-cycle permutation.  Cycle lengths come from the cycle walk
-    over the image table; each answer is re-derived by repeated-squaring
+    f is an n-cycle permutation.  Cycle lengths come from cycle_structure
+    with period lcm(ns); each answer is re-derived by repeated-squaring
     n-fold composition and the two must agree."""
     t0 = perf_counter()
     limit = ctx.cap if cap is None else cap
