@@ -78,7 +78,7 @@ class TestExhaustiveVerdict:
                 assert v.is_ncycle_at[2] == (2 % order == 0)
                 assert v.is_ncycle_at[3] == (3 % order == 0)
 
-    @pytest.mark.parametrize("n", [8, 17])   # the walk cross-checks at 2^8
+    @pytest.mark.parametrize("n", [8, 17])   # 2^8 also walks, 2^17 only counts
     def test_wrong_composition_raises(self, monkeypatch, n):
         # the second opinion: f^n = id must agree with n % order == 0
         ctx = field(2, n)

@@ -291,14 +291,11 @@ def _with_cycle_lengths(ctx, lengths, rng):
     return PermMap(ctx, images)
 
 
-def _naive_report(images):
-    ctype = naive_cycle_type(images)
+def _walk(pm):
+    """The CycleReport of pm, from conftest.naive_cycle_type."""
+    ctype = naive_cycle_type(pm.images.tolist())
     order = int(np.lcm.reduce([l for l, _ in ctype]))
     return CycleReport(True, order, ctype, dict(ctype).get(1, 0))
-
-
-def _walk(pm):
-    return _naive_report(pm.images.tolist())
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 60, 64, 127])
