@@ -458,9 +458,9 @@ class CycleReport:
 
 # Above this many compositions, cycle_structure walks instead of counting.
 # One composition with its fixed-point count takes 20-35 ms on a random
-# permutation of 2^20 points, where the walk takes 0.6-0.9 s (70-130 ms
-# against 3.9 s at 2^22); so a false claim, counted and then walked, costs
-# at most about twice a walk.
+# permutation of 2^20 points, where the walk takes 0.6-0.9 s (0.43-0.55 s
+# against 11-13 s at 2^24); so a false claim, counted and then walked,
+# costs at most about twice a walk.
 MAX_COMPOSITIONS = 16
 
 
