@@ -2,10 +2,9 @@
 
 exhaustive_verdict re-derives bijectivity and cycle structure from nothing
 but the evaluated image table, with two implementations that must agree:
-polyperm.cycle_structure gives the cycle type and order from fixed-point
-counts of powers of f (the cycle walk when they do not apply, and as a
-cross-check up to WALK_CHECK_MAX points), and repeated-squaring
-composition (polyperm.functional_power) answers each n-cycle question
+fixed-point counts of powers of f give the cycle type and order (the cycle
+walk when they do not apply, and as a cross-check up to WALK_CHECK_MAX
+points), and repeated-squaring composition answers each n-cycle question
 again.  The algebraic criteria never enumerate the map's cycles, so
 agreement between a criterion and this module is a genuine
 two-implementation check.  cross_check runs both sides on one constructed
@@ -41,8 +40,8 @@ from .families import (
 )
 from .field import FieldCtx, NcycleInternal, divisors, make_field
 from .polyperm import (
-    NotBijective, SparsePoly, as_images, cycle_structure, functional_power,
-    identity_perm, perm_from_images,
+    NotBijective, SparsePoly, as_images, counted_cycles, cycle_structure,
+    functional_power, identity_perm, perm_from_images,
 )
 from .walsh import WALSH_CAP, walsh_involution_test
 
@@ -52,7 +51,7 @@ REJECTABLE = (BadParams, InvalidSpec, NotDivisor, NotPermutation,
 # errors a criterion raises when its statement does not apply to the input
 HYPOTHESIS_ERRORS = (HypothesisViolated, PrereqNotNcycle, NotPermutation,
                      NotSurjective, NotDivisor)
-# largest field on which exhaustive_verdict also walks the cycles (33 ms)
+# largest field whose cycles exhaustive_verdict walks to check the counts
 WALK_CHECK_MAX = 1 << 16
 
 
@@ -94,9 +93,10 @@ class OracleVerdict:
 def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
                        cap: Optional[int] = None) -> OracleVerdict:
     """Evaluate f on the whole field and answer, for each n in ns, whether
-    f is an n-cycle permutation.  Cycle lengths come from cycle_structure
-    with period lcm(ns); each answer is re-derived by repeated-squaring
-    n-fold composition and the two must agree."""
+    f is an n-cycle permutation.  Cycle lengths come from fixed-point counts
+    with period lcm(ns), walked instead up to WALK_CHECK_MAX points, where
+    the counts must agree with the walk; each answer is re-derived by
+    repeated-squaring n-fold composition and the two must agree."""
     t0 = perf_counter()
     limit = ctx.cap if cap is None else cap
     if ctx.order > limit:
@@ -108,22 +108,20 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
     if isinstance(pm, NotBijective):
         return OracleVerdict(False, None, {n: False for n in ns}, {},
                              ctx.order, perf_counter() - t0)
-    period = math.lcm(*ns)
-    report = cycle_structure(pm, period)
-    # re-derive counted cycles by the walk (a failed period already walked)
-    if (ctx.order <= WALK_CHECK_MAX and period % report.order == 0
-            and cycle_structure(pm) != report):
+    period, small = math.lcm(*ns), ctx.order <= WALK_CHECK_MAX
+    rep = cycle_structure(pm, None if small else period)
+    counts = small and counted_cycles(pm, period)
+    if counts and counts != dict(rep.cycle_type):
         raise NcycleInternal("fixed-point counts disagree with the cycle walk")
     answers: dict[int, bool] = {}
     ident = identity_perm(ctx)
     for n in ns:
         direct = functional_power(pm, n) == ident
-        if direct != (n % report.order == 0):
+        if direct != (n % rep.order == 0):
             raise NcycleInternal("cycle type disagrees with direct composition")
         answers[n] = direct
-    return OracleVerdict(True, report.order, answers,
-                         dict(report.cycle_type), ctx.order,
-                         perf_counter() - t0)
+    return OracleVerdict(True, rep.order, answers, dict(rep.cycle_type),
+                         ctx.order, perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +292,13 @@ def _run_build(kind: str, build: Callable[[], FamilyInstance]):
     return ("agree" if rep.criterion_holds else "agree_false"), ""
 
 
+def _trial(index: int, kind: str, ctx: FieldCtx, params: dict,
+           build: Callable[[], FamilyInstance]) -> FuzzTrial:
+    """Run one constructor attempt of the given kind and record it."""
+    return FuzzTrial(index, kind, f"GF({ctx.p}^{ctx.n})", params,
+                     *_run_build(kind, build))
+
+
 def _pick_kind(rng: random.Random, perturbed: bool = True) -> str:
     r = rng.random()
     if r < 0.2:
@@ -301,10 +306,6 @@ def _pick_kind(rng: random.Random, perturbed: bool = True) -> str:
     if perturbed and r < 0.5:
         return "perturbed"
     return "valid"
-
-
-def _gfname(ctx: FieldCtx) -> str:
-    return f"GF({ctx.p}^{ctx.n})"
 
 
 def _subfield_generator(ctx: FieldCtx, sub_degree: int) -> int:
@@ -357,9 +358,7 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
     kind = _pick_kind(rng)
     if kind == "perturbed":
         params, inst = _perturbed_xh(ctx, rng, sub)
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, params, lambda: inst)
     if kind == "invalid":
         if variant == "involution_cor":
             ctx2 = _field(2, 4)
@@ -386,9 +385,7 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
             params = {"variant": variant, "a": a, "b": b, "c": c}
             build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
                                             a=a, b=b, c=c)
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     lam = rng.choice(("lambda1", "lambda2"))
     if variant == "involution_cor":
         params = {"variant": variant, "lambda": lam, "sub_degree": sub}
@@ -407,8 +404,7 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
         params = {"variant": variant, "a": a, "b": b, "c": c}
         build = lambda: build_xh_lambda(ctx, variant, sub_degree=1,
                                         a=a, b=b, c=c)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 _ADDITIVE_POOL = [(3, 2, 1), (3, 4, 1), (3, 4, 2), (2, 6, 1), (2, 6, 2),
@@ -433,9 +429,7 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
                     "sub_degree": sub},
             claimed_n=n, poly=None, fn=fn, map_form="x + g(x^q - x)",
             check=lambda: additive_criterion(ctx, phi, psi, g, n))
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), inst.params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("psi_shape", "psi_kernel", "bad_s", "bad_c",
                           "bad_tower"))
@@ -469,9 +463,7 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
             else:
                 build = lambda: build_additive(ctx, "xq_g_trace",
                                                sub_degree=badsub, g="1*x^1")
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     variants = ["trace_g1", "power_g2"]
     if m == 2:
         variants.append("c_trace_q2")
@@ -502,8 +494,7 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
         g = SparsePoly.make(ctx, terms)
         params = {"variant": variant, "g": g.to_text(), "sub_degree": sub}
         build = lambda: build_additive(ctx, variant, sub_degree=sub, g=g)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 _SHIFT_POOL = [(3, 2, 1), (3, 4, 1), (2, 6, 1), (2, 6, 2), (5, 2, 1)]
@@ -535,9 +526,7 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
             map_form=f"x + g(x^{qi} - x + delta)",
             check=lambda: shift_criterion(ctx, g,
                                           ShiftParams(i, delta, sub), n))
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), inst.params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("i_zero", "i_full", "bad_s", "zero_h"))
         if bad == "i_zero":
@@ -560,9 +549,7 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
             s = (ctx.order - 1) // g
             build = lambda: build_shift(ctx, "power_g2", i=i, delta=delta,
                                         sub_degree=sub, s=s, H="0")
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     gcd = math.gcd(q ** i - 1, ctx.order - 1)
     s = rng.randrange(1, 4) * (ctx.order - 1) // gcd
     if p != 2 and m % i == 0 and rng.random() < 0.5:
@@ -575,8 +562,7 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
                   "sub_degree": sub}
         build = lambda: build_shift(ctx, "power_g2", i=i, delta=delta,
                                     sub_degree=sub, s=s)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 def _perturbed_rs(ctx: FieldCtx, rng: random.Random, r: int, s: int,
@@ -601,21 +587,16 @@ def _sample_rs2to3m(rng: random.Random, index: int) -> FuzzTrial:
     kind = _pick_kind(rng)
     if kind == "perturbed":
         inst = _perturbed_rs(ctx, rng, 1, 73, "rs2to3m", 1)
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), inst.params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         q, k = rng.choice(((64, 44), (16, 45), (8, 4), (8, 11)))
         params = {"q": q, "k": k}
         build = lambda: build_rs_2to3m(q, k, ctx=ctx if q == 8 else None)
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     k = rng.choice(search_k_2to3m(8))
     params = {"q": 8, "k": k}
     build = lambda: build_rs_2to3m(8, k, ctx=ctx)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 def _sample_jieguo(rng: random.Random, index: int) -> FuzzTrial:
@@ -623,9 +604,7 @@ def _sample_jieguo(rng: random.Random, index: int) -> FuzzTrial:
     kind = _pick_kind(rng)
     if kind == "perturbed":
         inst = _perturbed_rs(ctx, rng, 1, 63, "jieguo", 1)
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), inst.params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         pairs = set(solve_jieguo_congruences(64))
         while True:
@@ -634,14 +613,11 @@ def _sample_jieguo(rng: random.Random, index: int) -> FuzzTrial:
                 break
         params = {"q": 64, "t": t, "m": m}
         build = lambda: build_jieguo(64, t, m, ctx=ctx)
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     t, m = rng.choice(solve_jieguo_congruences(64))
     params = {"q": 64, "t": t, "m": m}
     build = lambda: build_jieguo(64, t, m, ctx=ctx)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 def _sample_xq_h_alpha(rng: random.Random, index: int) -> FuzzTrial:
@@ -650,9 +626,7 @@ def _sample_xq_h_alpha(rng: random.Random, index: int) -> FuzzTrial:
     kind = _pick_kind(rng)
     if kind == "perturbed":
         inst = _perturbed_rs(ctx, rng, q, q - 1, "xq_h_alpha", q)
-        outcome, detail = _run_build("valid-shape", lambda: inst)
-        return FuzzTrial(index, "perturbed", _gfname(ctx), inst.params,
-                         outcome, detail)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("odd_tower", "zero", "not_root"))
         if bad == "odd_tower":
@@ -666,16 +640,13 @@ def _sample_xq_h_alpha(rng: random.Random, index: int) -> FuzzTrial:
                            if ctx.pow_idx(i, 3) != 1)
             params = {"q": q, "alpha": notroot}
             build = lambda: build_xq_h_alpha(q, notroot, ctx=ctx)
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     subgen = ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // (q - 1))
     cube = ctx.pow_idx(subgen, (q - 1) // 3)
     alpha = rng.choice((1, cube, ctx.mul_idx(cube, cube)))
     params = {"q": q, "alpha": alpha}
     build = lambda: build_xq_h_alpha(q, alpha, ctx=ctx)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 def _sample_trace_theta(rng: random.Random, index: int) -> FuzzTrial:
@@ -689,15 +660,12 @@ def _sample_trace_theta(rng: random.Random, index: int) -> FuzzTrial:
         else:
             params = {"q": 4, "theta": 1}
             build = lambda: build_trace_theta(4, 1, ctx=ctx)
-        outcome, detail = _run_build("invalid", build)
-        return FuzzTrial(index, "invalid", _gfname(ctx), params,
-                         outcome, detail)
+        return _trial(index, "invalid", ctx, params, build)
     cube = ctx.pow_idx(ctx.generator.i, 21)
     theta = rng.choice((cube, ctx.mul_idx(cube, cube), None))
     params = {"q": 4, "theta": theta}
     build = lambda: build_trace_theta(4, theta, ctx=ctx)
-    outcome, detail = _run_build("valid", build)
-    return FuzzTrial(index, "valid", _gfname(ctx), params, outcome, detail)
+    return _trial(index, "valid", ctx, params, build)
 
 
 FUZZ_FAMILIES: dict[str, Callable[[random.Random, int], FuzzTrial]] = {

@@ -456,21 +456,16 @@ class CycleReport:
         }
 
 
-# Above this many compositions, cycle_structure walks instead of counting.
-# One composition with its fixed-point count takes 20-35 ms on a random
-# permutation of 2^20 points, where the walk takes 0.6-0.9 s (0.43-0.55 s
-# against 11-13 s at 2^24); so a false claim, counted and then walked,
-# costs at most about twice a walk.
+# Above this many compositions, cycle_structure walks instead: one takes
+# 20-35 ms with its fixed-point count on a random permutation of 2^20 points,
+# the walk 0.6-0.9 s (0.43-0.55 s against 11-13 s at 2^24).
 MAX_COMPOSITIONS = 16
 
 
 def cycle_structure(pm: PermMap, period: int | None = None) -> CycleReport:
     """Cycle decomposition of a permutation: from fixed-point counts when
-    pm^period is the identity (see _counted_cycles), else by walking each
-    cycle.  A period above q^2, whose divisors could take longer to find
-    than the walk, is not tried."""
-    counts = (period and 0 < period <= pm.images.size ** 2
-              and _counted_cycles(pm, divisors(period)))
+    pm^period is the identity (see counted_cycles), else by the walk."""
+    counts = period and counted_cycles(pm, period)
     if not counts:
         imgs = pm.images.tolist()
         seen = bytearray(len(imgs))
@@ -489,35 +484,24 @@ def cycle_structure(pm: PermMap, period: int | None = None) -> CycleReport:
     return CycleReport(True, lcm(*counts), ctype, counts.get(1, 0))
 
 
-def _counted_cycles(pm: PermMap, divs: list[int]) -> dict[int, int] | None:
-    """Cycle counts of f = pm over the divisors divs of N = divs[-1]: the
-    points on cycles of length d are peeled bottom-up from Fix(f^k), the
-    sum of d*c_d over d | k.  f^d is (f^a)^(d/a) for the largest proper
-    divisor a of d, dropped after its last use.  None when f^N is not the
-    identity or the powers would take over MAX_COMPOSITIONS compositions."""
-    if len(divs) > MAX_COMPOSITIONS + 1:
+def counted_cycles(pm: PermMap, period: int) -> dict[int, int] | None:
+    """Cycle counts {d: c_d} of f = pm, peeled bottom-up over the divisors
+    of period from Fix(f^k) = sum of d*c_d over d | k.  None unless f^period
+    is the identity, period <= q^2 (so its divisors cost less than the walk)
+    and the f^d take at most MAX_COMPOSITIONS compositions in all."""
+    divs = 0 < period <= pm.images.size ** 2 and divisors(period)
+    if not divs or sum(d.bit_length() + d.bit_count() - 2
+                       for d in divs) > MAX_COMPOSITIONS:
         return None
-    steps = [(d, max(a for a in divs if a < d and d % a == 0))
-             for d in divs[1:]]
-    if sum((d // a).bit_length() + (d // a).bit_count() - 2
-           for d, a in steps) > MAX_COMPOSITIONS:
-        return None
-    last = {a: d for d, a in steps}
-    ident = pm.ctx.varange()
-    powers, points = {1: pm}, {}
-    for d, a in [(1, 1), *steps]:
-        if d > 1:
-            powers[d] = functional_power(powers[a], d // a)
-        fixed = int(np.count_nonzero(powers[d].images == ident))
+    ident, points = pm.ctx.varange(), {}
+    for d in divs:
+        fixed = int(np.count_nonzero(functional_power(pm, d).images == ident))
         points[d] = fixed - sum(v for k, v in points.items() if d % k == 0)
         if points[d] < 0 or points[d] % d:
             raise NcycleInternal(f"{points[d]} points on cycles of length {d}")
-        for k in (a, d):
-            if last.get(k, d) == d:
-                powers.pop(k, None)
-    if sum(points.values()) != pm.images.size:
-        return None
-    return {d: v // d for d, v in points.items() if v}
+    if sum(points.values()) == pm.images.size:
+        return {d: v // d for d, v in points.items() if v}
+    return None
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:

@@ -89,12 +89,13 @@ class TestExhaustiveVerdict:
 
     @pytest.mark.parametrize("n", [8, 17])
     def test_impossible_fixed_point_counts_raise(self, monkeypatch, n):
-        # every counted power comes back as one q-cycle, with no fixed
-        # point, so the 2 fixed points of x^(q-2) leave -2 points on 2-cycles
+        # every counted power but f itself comes back as one q-cycle, with
+        # no fixed point, so the 2 fixed points of x^(q-2) leave -2 points
+        # on 2-cycles
         ctx = field(2, n)
         q_cycle = PermMap(ctx, np.roll(ctx.varange(), 1))
         monkeypatch.setattr(polyperm, "functional_power",
-                            lambda f, k: q_cycle)
+                            lambda f, k: f if k == 1 else q_cycle)
         with pytest.raises(NcycleInternal, match="-2 points on cycles"):
             exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
                                [2])
@@ -108,6 +109,19 @@ class TestExhaustiveVerdict:
                             lambda f, k: identity_perm(f.ctx))
         with pytest.raises(NcycleInternal, match="cycle walk"):
             exhaustive_verdict(ctx, SparsePoly.monomial(ctx, 8), [4])
+
+    @pytest.mark.parametrize("n,cycle,walked", [
+        (8, 720720, [None]), (8, 2, [None]), (17, 2, [2])])
+    def test_cycle_structure_runs_once(self, monkeypatch, n, cycle, walked):
+        # up to 2^16 points the oracle walks once, also when the counts
+        # decline (720720 takes too many compositions); above, it counts
+        ctx = field(2, n)
+        seen, real = [], oracle.cycle_structure
+        monkeypatch.setattr(oracle, "cycle_structure", lambda pm, period=None:
+                            seen.append(period) or real(pm, period))
+        v = exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
+                               [cycle])
+        assert seen == walked and v.order == 2 and v.is_ncycle_at[cycle]
 
     def test_threaded_evaluation_matches_serial(self, monkeypatch):
         ctx = field(2, 12)

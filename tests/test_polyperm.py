@@ -298,7 +298,8 @@ def _walk(pm):
     return CycleReport(True, order, ctype, dict(ctype).get(1, 0))
 
 
-@pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 60, 64, 127])
+# 46 = 2*23 takes exactly MAX_COMPOSITIONS compositions
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 16, 46, 127])
 def test_counted_cycle_type_matches_naive_walk(period):
     ctx = field(2, 10)
     rng = np.random.default_rng(period)
@@ -307,7 +308,7 @@ def test_counted_cycle_type_matches_naive_walk(period):
         lengths = rng.choice(divs, size=int(rng.integers(0, 40)))
         pm = _with_cycle_lengths(ctx, lengths.tolist(), rng)
         want = naive_cycle_type(pm.images.tolist())
-        got = polyperm._counted_cycles(pm, divs)
+        got = polyperm.counted_cycles(pm, period)
         assert got is not None and tuple(sorted(got.items())) == want
         assert cycle_structure(pm, period) == _walk(pm)
 
@@ -331,8 +332,11 @@ def test_counted_cycles_of_power_maps(p, n, e, order):
     pm = require_perm(ctx, SparsePoly.monomial(ctx, e))
     want = naive_cycle_type(pm.images.tolist())
     for period in (order, 2 * order):
-        got = polyperm._counted_cycles(pm, polyperm.divisors(period))
-        assert got is not None and tuple(sorted(got.items())) == want
+        got = polyperm.counted_cycles(pm, period)
+        if period == 24:   # 20 compositions: the walk answers
+            assert got is None
+        else:
+            assert got is not None and tuple(sorted(got.items())) == want
         rep = cycle_structure(pm, period)
         assert rep.cycle_type == want and rep.order == order
 
@@ -342,11 +346,13 @@ def test_counted_cycles_fall_back_to_the_walk(monkeypatch):
     pm = require_perm(ctx, SparsePoly.monomial(ctx, 4))   # order 6
     walk = cycle_structure(pm)
     # f^4 is not the identity: the counts give up and the walk answers
-    assert polyperm._counted_cycles(pm, polyperm.divisors(4)) is None
+    assert polyperm.counted_cycles(pm, 4) is None
     assert cycle_structure(pm, 4) == walk
-    # 720720 has 240 divisors, 17017 = 7*11*13*17 needs 67 compositions
-    for period in (720720, 17017 * 6):
-        assert polyperm._counted_cycles(pm, polyperm.divisors(period)) is None
+    # the powers f^d for d | 24 take 20 compositions, more than
+    # MAX_COMPOSITIONS; 720720 (240 divisors) and 17017*6 take far more
+    assert polyperm.MAX_COMPOSITIONS == 16
+    for period in (24, 720720, 17017 * 6):
+        assert polyperm.counted_cycles(pm, period) is None
         assert cycle_structure(pm, period) == walk
     # a period above q^2 is never factored
     monkeypatch.setattr(polyperm, "divisors", lambda m: pytest.fail("tried"))
