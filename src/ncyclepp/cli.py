@@ -62,8 +62,8 @@ def _tower_ctx(q: int, ext: int) -> Optional[FieldCtx]:
     return _ctx(2, e * ext)
 
 
-def _int(text, env: dict) -> int:
-    if isinstance(text, int):
+def _int(text, env: dict) -> Optional[int]:
+    if text is None or isinstance(text, int):
         return text
     return eval_int_expr(text, env)
 
@@ -136,47 +136,26 @@ def _build_trace_theta_cmd(args):
 def _build_xh_lambda_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
     env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
-    kwargs: dict = {"sub_degree": args.sub_degree, "lam": args.lam}
-    if args.cycle is not None:
-        kwargs["n"] = _int(args.cycle, env)
-    if args.theta is not None:
-        kwargs["theta"] = args.theta
-    for name in ("a", "b", "c"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = _int(value, env)
-    if args.h is not None:
-        kwargs["h"] = args.h
-    return build_xh_lambda(ctx, args.variant, **kwargs)
+    return build_xh_lambda(
+        ctx, args.variant, sub_degree=args.sub_degree, lam=args.lam,
+        n=_int(args.cycle, env), theta=args.theta, a=_int(args.a, env),
+        b=_int(args.b, env), c=_int(args.c, env), h=args.h)
 
 
 def _build_additive_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
     env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
-    kwargs: dict = {"sub_degree": args.sub_degree}
-    if args.H is not None:
-        kwargs["H"] = args.H
-    if args.psi is not None:
-        kwargs["psi"] = args.psi
-    if args.s is not None:
-        kwargs["s"] = _int(args.s, env)
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.g is not None:
-        kwargs["g"] = args.g
-    return build_additive(ctx, args.variant, **kwargs)
+    return build_additive(ctx, args.variant, sub_degree=args.sub_degree,
+                          H=args.H, psi=args.psi, s=_int(args.s, env),
+                          c=args.c, g=args.g)
 
 
 def _build_shift_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
     env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
-    kwargs: dict = {"i": _int(args.i, env), "delta": args.delta,
-                    "sub_degree": args.sub_degree}
-    if args.H is not None:
-        kwargs["H"] = args.H
-    if args.s is not None:
-        kwargs["s"] = _int(args.s, env)
-    return build_shift(ctx, args.variant, **kwargs)
+    return build_shift(ctx, args.variant, i=_int(args.i, env),
+                       delta=args.delta, sub_degree=args.sub_degree,
+                       H=args.H, s=_int(args.s, env))
 
 
 _FAMILY_BUILDERS = {

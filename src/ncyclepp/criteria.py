@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import (
-    BadParams, HypothesisViolated, NotDivisor, NotPermutation, NotSurjective,
+    BadParams, HypothesisViolated, NotPermutation, NotSurjective,
     PrereqNotNcycle,
 )
 from .field import FieldCtx, FieldElement, NcycleInternal, element_index
@@ -85,9 +85,7 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
     n-cycle whose coefficients live in the degree-sub_degree subfield, the
     twist is again an n-cycle whenever m divides n*i (m the extension
     degree over that subfield)."""
-    if ctx.n % sub_degree != 0:
-        raise BadParams(f"{sub_degree} does not divide {ctx.n}")
-    m = ctx.n // sub_degree
+    m = ctx.degree_over(sub_degree)
     if i < 0 or n < 1:
         raise BadParams("need i >= 0 and n >= 1")
     if not poly.coeffs_in_subfield(sub_degree):
@@ -220,9 +218,6 @@ class ShiftParams:
     delta: int
     sub_degree: int
 
-    def gcd_with(self, m: int) -> int:
-        return math.gcd(self.i, m)
-
 
 def shift_criterion(ctx: FieldCtx, g, params: ShiftParams,
                     n: int) -> CriterionVerdict:
@@ -233,9 +228,7 @@ def shift_criterion(ctx: FieldCtx, g, params: ShiftParams,
     h(y) = g(y)^(q^i) - g(y) + y vanishes on S."""
     if n < 1:
         raise BadParams("n must be positive")
-    if ctx.n % params.sub_degree != 0:
-        raise BadParams(f"{params.sub_degree} does not divide {ctx.n}")
-    m = ctx.n // params.sub_degree
+    m = ctx.degree_over(params.sub_degree)
     if not 1 <= params.i <= m - 1:
         raise BadParams(f"need 1 <= i <= {m - 1}")
     delta = element_index(ctx, params.delta)
@@ -273,11 +266,6 @@ class RsParams:
 
     r: int
     s: int
-
-    def subgroup_order(self, ctx: FieldCtx) -> int:
-        if self.s < 1 or (ctx.order - 1) % self.s != 0:
-            raise NotDivisor(f"{self.s} does not divide {ctx.order - 1}")
-        return (ctx.order - 1) // self.s
 
 
 def _rs_validate(ctx: FieldCtx, params: RsParams) -> int:

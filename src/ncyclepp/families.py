@@ -8,9 +8,11 @@ congruence-constrained exponents.  Every builder validates its parameter
 congruences up front, verifies value-level hypotheses by exhaustion, and
 returns a FamilyInstance carrying the map (sparse polynomial when the
 expansion stays small, always a vectorized evaluator), the cycle length the
-family certifies, and a bound check from the criteria module.  Whether the
-instance really has that cycle length is then a single call, cross-checkable
-against the exhaustive oracle.
+family certifies, and a bound check from the criteria module.  The map and
+its check come from one constructor per shape (xh_instance,
+additive_instance, shift_instance, rs_instance), which the oracle's fuzzer
+uses too.  Whether the instance really has that cycle length is then a
+single call, cross-checkable against the exhaustive oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .field import (
     FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
 )
 from .polyperm import (
-    POLY_TERM_CAP, PermMap, SparsePoly, compose, identity_perm,
+    POLY_TERM_CAP, SparsePoly, as_vector_fn, compose, identity_perm,
     map_exp, poly_add, poly_compose, poly_frob, poly_mul, poly_pow,
     require_perm,
 )
@@ -82,6 +84,12 @@ def _try_poly(build: Callable[[], SparsePoly]) -> Optional[SparsePoly]:
         return None
 
 
+def _power_g(H: SparsePoly, s: int):
+    """g = H^s: symbolic while it stays sparse, else evaluated as a power."""
+    g = _try_poly(lambda: poly_pow(H, s))
+    return g if g is not None else lambda v: H.ctx.vpow(H.eval_vec(v), s)
+
+
 def _ctx_for(q: int, ext: int, ctx: Optional[FieldCtx]) -> FieldCtx:
     e = _exact_log(q, 2)
     if ctx is None:
@@ -105,10 +113,10 @@ class FamilyInstance:
     ctx: FieldCtx
     params: dict
     claimed_n: int
-    poly: Optional[SparsePoly]
     fn: Callable[[np.ndarray], np.ndarray]
     map_form: str
     check: Callable[[], CriterionVerdict]
+    poly: Optional[SparsePoly] = None
     degenerate: bool = False
     notes: tuple[str, ...] = ()
     inverse_poly: Optional[SparsePoly] = None
@@ -131,6 +139,67 @@ class FamilyInstance:
         if self.inverse_poly is not None:
             out["inverse_poly"] = self.inverse_poly.to_text()
         return out
+
+
+# ---------------------------------------------------------------------------
+# one constructor per map shape: the map and the criterion that certifies it
+# ---------------------------------------------------------------------------
+# Each takes the shape's parts and passes the remaining FamilyInstance fields
+# (params, map_form, poly, degenerate, notes) through.  The criterion gets
+# the parts, never the instance's fn, so it stays independent of the oracle.
+
+def xh_instance(ctx: FieldCtx, h: SparsePoly, spec: LambdaSpec,
+                **fields) -> FamilyInstance:
+    """x * h(lam(x)) claimed as a spec.n-cycle, certified by
+    xh_lambda_criterion with k(y) = y^n."""
+    n = spec.n
+    lam_fn = lambda_vector_fn(spec, ctx)
+    k = SparsePoly.monomial(ctx, n)
+    return FamilyInstance(
+        family="xh_lambda", ctx=ctx, claimed_n=n,
+        fn=lambda xs: ctx.vmul(xs, h.eval_vec(lam_fn(xs))),
+        check=lambda: xh_lambda_criterion(ctx, h, lam_fn, k, n), **fields)
+
+
+def additive_instance(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
+                      n: int, **fields) -> FamilyInstance:
+    """phi(x) + g(psi(x)) claimed as an n-cycle, certified by
+    additive_criterion; g is a SparsePoly or a vectorized callable."""
+    g_fn = as_vector_fn(ctx, g)
+    return FamilyInstance(
+        family="additive", ctx=ctx, claimed_n=n,
+        fn=lambda xs: ctx.vadd(phi.eval_vec(xs), g_fn(psi.eval_vec(xs))),
+        check=lambda: additive_criterion(ctx, phi, psi, g, n), **fields)
+
+
+def shift_instance(ctx: FieldCtx, g, sp: ShiftParams, n: int,
+                   **fields) -> FamilyInstance:
+    """x + g(x^(q^i) - x + delta) claimed as an n-cycle, certified by
+    shift_criterion; g is a SparsePoly or a vectorized callable."""
+    g_fn = as_vector_fn(ctx, g)
+
+    def fn(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        inner = ctx.vadd(ctx.vsub(ctx.vfrob(xs, sp.sub_degree, sp.i), xs),
+                         np.int64(sp.delta))
+        return ctx.vadd(xs, g_fn(inner))
+
+    return FamilyInstance(
+        family="shift", ctx=ctx, claimed_n=n, fn=fn,
+        check=lambda: shift_criterion(ctx, g, sp, n), **fields)
+
+
+def rs_instance(ctx: FieldCtx, h: SparsePoly, rs: RsParams,
+                **fields) -> FamilyInstance:
+    """x^r * h(x^s) claimed as a 3-cycle, certified by rs_triple_criterion.
+    Three families share the shape, so family comes with the other fields.
+    The polynomial is always expanded: composing with a monomial keeps h's
+    term count."""
+    poly = poly_mul(SparsePoly.monomial(ctx, rs.r),
+                    poly_compose(h, SparsePoly.monomial(ctx, rs.s)))
+    return FamilyInstance(
+        ctx=ctx, claimed_n=3, poly=poly, fn=poly.eval_vec,
+        check=lambda: rs_triple_criterion(ctx, h, rs), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +387,12 @@ def build_xh_lambda(ctx: FieldCtx, variant: str, *, sub_degree: int,
         raise HValueNotRootOfUnity(
             f"h({w.literal()})^{n} != 1 on GF({q})", witness=w)
 
-    lam_fn = lambda_vector_fn(spec, ctx)
-    kp = SparsePoly.monomial(ctx, n)
-
-    def fn(xs: np.ndarray) -> np.ndarray:
-        return ctx.vmul(np.asarray(xs, dtype=np.int64), hp.eval_vec(lam_fn(xs)))
-
     poly = _try_poly(lambda: poly_mul(
         SparsePoly.monomial(ctx, 1), poly_compose(hp, lambda_poly(spec, ctx))))
-
-    def check() -> CriterionVerdict:
-        return xh_lambda_criterion(ctx, hp, lam_fn, kp, n)
-
-    return FamilyInstance(
-        family="xh_lambda", ctx=ctx, params=params, claimed_n=n, poly=poly,
-        fn=fn, map_form=f"x*h({lam}(x)) with h = {hp.to_text()}",
-        check=check, degenerate=bool((hv == 1).all()), notes=notes)
+    return xh_instance(
+        ctx, hp, spec, params=params, poly=poly,
+        map_form=f"x*h({lam}(x)) with h = {hp.to_text()}",
+        degenerate=bool((hv == 1).all()), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +455,17 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         if not Hp.terms:
             raise BadParams("H must be nonzero")
         if variant == "trace_g1":
-            g_poly: Optional[SparsePoly] = _trace_expand(Hp, sub_degree, m)
-            g_fn = g_poly.eval_vec
+            g_obj = _trace_expand(Hp, sub_degree, m)
         else:
             if s is None or s < 1:
                 raise BadParams("power variant needs a positive s")
             if (s * (q - 1)) % (ctx.order - 1) != 0:
                 raise BadParams(
                     f"s(q-1) = {s * (q - 1)} != 0 mod {ctx.order - 1}")
-            g_poly = _try_poly(lambda: poly_pow(Hp, s))
-            g_fn = (g_poly.eval_vec if g_poly is not None
-                    else lambda v: ctx.vpow(Hp.eval_vec(v), s))
+            g_obj = _power_g(Hp, s)
             params.update(s=s)
         params.update(H=Hp.to_text(), psi=psip.to_text())
+        g_fn = as_vector_fn(ctx, g_obj)
         # the cycle argument needs g's outputs inside ker(psi) on the whole
         # field, which the variant shapes guarantee; verify anyway
         gv = g_fn(allx)
@@ -420,14 +477,6 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         degenerate = bool((g_fn(psi_im) == 0).all())
         phi = x1
         claimed = p
-        g_obj = g_poly if g_poly is not None else g_fn
-        poly = (None if g_poly is None else
-                _try_poly(lambda: poly_add(x1, poly_compose(g_poly, psip))))
-
-        def fn(xs: np.ndarray) -> np.ndarray:
-            return ctx.vadd(np.asarray(xs, dtype=np.int64),
-                            g_fn(psip.eval_vec(xs)))
-
         form = "x + g(psi(x))"
 
     elif variant == "c_trace_q2":
@@ -443,26 +492,18 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         if s < 0:
             raise BadParams("s must be nonnegative")
         psip = SparsePoly.make(ctx, [(1, 1), (1, q)])
-        g_poly = SparsePoly.make(ctx, [(ci, s)])
+        g_obj = SparsePoly.make(ctx, [(ci, s)])
         # c + c^q = 0 makes psi(c*u^s) vanish for u in the trace image; off
         # that image the containment may fail, and it is not needed
         psi_im = np.unique(psip.eval_vec(allx))
-        bad = np.flatnonzero(psip.eval_vec(g_poly.eval_vec(psi_im)) != 0)
+        bad = np.flatnonzero(psip.eval_vec(g_obj.eval_vec(psi_im)) != 0)
         if bad.size:
             raise KernelViolation(
                 "psi(g(y)) != 0 on the psi image",
                 witness=ctx.element(int(psi_im[bad[0]])))
-        degenerate = bool((g_poly.eval_vec(psi_im) == 0).all())
+        degenerate = bool((g_obj.eval_vec(psi_im) == 0).all())
         phi = x1
         claimed = p
-        g_obj = g_poly
-        g_fn = g_poly.eval_vec
-        poly = _try_poly(lambda: poly_add(x1, poly_compose(g_poly, psip)))
-
-        def fn(xs: np.ndarray) -> np.ndarray:
-            return ctx.vadd(np.asarray(xs, dtype=np.int64),
-                            g_fn(psip.eval_vec(xs)))
-
         params.update(c=ci, s=s)
         notes = ("cycle length equals the characteristic, so the length-3 "
                  "claim holds exactly when p = 3",)
@@ -473,15 +514,16 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
             raise BadParams("field must be a cubic extension of GF(q)")
         if g is None:
             raise BadParams("needs the outer polynomial g")
-        gp = _as_poly(ctx, g, "g", env)
-        for coeff, _ in gp.terms:
+        g_obj = _as_poly(ctx, g, "g", env)
+        for coeff, _ in g_obj.terms:
             if ctx.trace_idx(coeff, sub_degree) != 0:
                 raise KernelViolation(
                     "coefficient of g has nonzero trace",
                     witness=ctx.element(coeff))
         psip = SparsePoly.make(ctx, [(1, 1), (1, q), (1, q * q)])
         psi_im = np.unique(psip.eval_vec(allx))
-        bad = np.flatnonzero(ctx.vtrace(gp.eval_vec(psi_im), sub_degree) != 0)
+        bad = np.flatnonzero(
+            ctx.vtrace(g_obj.eval_vec(psi_im), sub_degree) != 0)
         if bad.size:
             raise KernelViolation(
                 "trace of g(y) is nonzero on the trace image",
@@ -489,23 +531,14 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         phi = SparsePoly.monomial(ctx, q)
         claimed = 3
         degenerate = False
-        g_obj = gp
-        g_fn = gp.eval_vec
-        poly = _try_poly(lambda: poly_add(phi, poly_compose(gp, psip)))
-
-        def fn(xs: np.ndarray) -> np.ndarray:
-            return ctx.vadd(ctx.vpow(xs, q), g_fn(psip.eval_vec(xs)))
-
-        params.update(g=gp.to_text())
+        params.update(g=g_obj.to_text())
         form = "x^q + g(T(x)), T the trace to GF(q)"
 
-    def check() -> CriterionVerdict:
-        return additive_criterion(ctx, phi, psip, g_obj, claimed)
-
-    return FamilyInstance(
-        family="additive", ctx=ctx, params=params, claimed_n=claimed,
-        poly=poly, fn=fn, map_form=form, check=check, degenerate=degenerate,
-        notes=notes)
+    poly = (_try_poly(lambda: poly_add(phi, poly_compose(g_obj, psip)))
+            if isinstance(g_obj, SparsePoly) else None)
+    return additive_instance(ctx, phi, psip, g_obj, claimed, params=params,
+                             poly=poly, map_form=form, degenerate=degenerate,
+                             notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +578,8 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
             raise BadParams(f"trace target GF(q^{i}) needs {i} | {m}")
         Hp = (SparsePoly.monomial(ctx, 2) if H is None
               else _as_poly(ctx, H, "H", env))
-        g_poly: Optional[SparsePoly] = _trace_expand(
-            Hp, sub_degree * i, m // i)
-        g_fn = g_poly.eval_vec
-        if not np.any(g_fn(shifted)):
+        g_obj = _trace_expand(Hp, sub_degree * i, m // i)
+        if not np.any(g_obj.eval_vec(shifted)):
             raise DegenerateH("trace of H vanishes on the shifted set")
     else:
         if s is None or s < 1:
@@ -560,33 +591,18 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
               else _as_poly(ctx, H, "H", env))
         if not np.any(Hp.eval_vec(shifted)):
             raise DegenerateH("H vanishes on the shifted set")
-        g_poly = _try_poly(lambda: poly_pow(Hp, s))
-        g_fn = (g_poly.eval_vec if g_poly is not None
-                else lambda v: ctx.vpow(Hp.eval_vec(v), s))
+        g_obj = _power_g(Hp, s)
         params.update(s=s)
     params.update(H=Hp.to_text())
 
     shift_poly = SparsePoly.make(
         ctx, [(di, 0), (ctx.neg_idx(1), 1), (1, q ** i)])
-    poly = (None if g_poly is None else
-            _try_poly(lambda: poly_add(SparsePoly.monomial(ctx, 1),
-                                       poly_compose(g_poly, shift_poly))))
-
-    def fn(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        inner = ctx.vadd(ctx.vsub(ctx.vfrob(xs, sub_degree, i), xs),
-                         np.int64(di))
-        return ctx.vadd(xs, g_fn(inner))
-
-    sp = ShiftParams(i, di, sub_degree)
-    g_obj = g_poly if g_poly is not None else g_fn
-
-    def check() -> CriterionVerdict:
-        return shift_criterion(ctx, g_obj, sp, p)
-
-    return FamilyInstance(
-        family="shift", ctx=ctx, params=params, claimed_n=p, poly=poly,
-        fn=fn, map_form="x + g(x^(q^i) - x + delta)", check=check)
+    poly = (_try_poly(lambda: poly_add(SparsePoly.monomial(ctx, 1),
+                                       poly_compose(g_obj, shift_poly)))
+            if isinstance(g_obj, SparsePoly) else None)
+    return shift_instance(ctx, g_obj, ShiftParams(i, di, sub_degree), p,
+                          params=params, poly=poly,
+                          map_form="x + g(x^(q^i) - x + delta)")
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +632,12 @@ def build_rs_2to3m(q: int, k: int,
     ctx = _ctx_for(q, 3, ctx)
     M = q * q + q + 1
     h = SparsePoly.make(ctx, [(1, 0), (1, k), (1, 2 * k)])
-    poly = poly_mul(SparsePoly.monomial(ctx, 1),
-                    poly_compose(h, SparsePoly.monomial(ctx, M)))
     hv = h.eval_vec(ctx.mu_indices(q - 1))
-
-    def check() -> CriterionVerdict:
-        return rs_triple_criterion(ctx, h, RsParams(1, M))
-
-    return FamilyInstance(
-        family="rs2to3m", ctx=ctx,
-        params={"q": q, "k": k, "h": h.to_text()}, claimed_n=3,
-        poly=poly, fn=poly.eval_vec,
+    return rs_instance(
+        ctx, h, RsParams(1, M), family="rs2to3m",
+        params={"q": q, "k": k, "h": h.to_text()},
         map_form="x * (1 + x^(k*M) + x^(2k*M)), M = q^2+q+1, over GF(q^3)",
-        check=check, degenerate=bool((hv == 1).all()))
+        degenerate=bool((hv == 1).all()))
 
 
 def build_xq_h_alpha(q: int, alpha,
@@ -648,20 +657,13 @@ def build_xq_h_alpha(q: int, alpha,
     if ctx.frob_idx(ai, e, 1) != ai:
         raise BadParams("alpha must lie in GF(q)")
     h = SparsePoly.make(ctx, [(1, 0), (ai, M // 3), (1, 2 * (M // 3))])
-    poly = poly_mul(SparsePoly.monomial(ctx, q),
-                    poly_compose(h, SparsePoly.monomial(ctx, q - 1)))
     mu = ctx.mu_indices(M)
     unit = ctx.vmul(mu, h.eval_vec(mu))
-
-    def check() -> CriterionVerdict:
-        return rs_triple_criterion(ctx, h, RsParams(q, q - 1))
-
-    return FamilyInstance(
-        family="xq_h_alpha", ctx=ctx,
+    return rs_instance(
+        ctx, h, RsParams(q, q - 1), family="xq_h_alpha",
         params={"q": q, "alpha": ai, "h": h.to_text()},
-        claimed_n=3, poly=poly, fn=poly.eval_vec,
         map_form="x^q * h(x^(q-1)) over GF(q^3)",
-        check=check, degenerate=bool((unit == 1).all()))
+        degenerate=bool((unit == 1).all()))
 
 
 def solve_jieguo_congruences(q: int) -> list[tuple[int, int]]:
@@ -700,19 +702,12 @@ def build_jieguo(q: int, t: int, m: int,
     Q1 = q + 1
     h = SparsePoly.make(ctx, [(1, m % Q1), (1, (m * q - 2 * t * q) % Q1),
                               (1, t % Q1)])
-    poly = poly_mul(SparsePoly.monomial(ctx, 1),
-                    poly_compose(h, SparsePoly.monomial(ctx, q - 1)))
     hv = h.eval_vec(ctx.mu_indices(Q1))
-
-    def check() -> CriterionVerdict:
-        return rs_triple_criterion(ctx, h, RsParams(1, q - 1))
-
-    return FamilyInstance(
-        family="jieguo", ctx=ctx,
+    return rs_instance(
+        ctx, h, RsParams(1, q - 1), family="jieguo",
         params={"q": q, "t": t, "m": m, "h": h.to_text()},
-        claimed_n=3, poly=poly, fn=poly.eval_vec,
         map_form="x * h(x^(q-1)) over GF(q^2)",
-        check=check, degenerate=bool((hv == 1).all()),
+        degenerate=bool((hv == 1).all()),
         notes=("argument exponents reduced mod q+1, value-preserving on "
                "the (q+1)-th roots of unity h is evaluated at",))
 

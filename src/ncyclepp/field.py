@@ -362,22 +362,26 @@ class FieldCtx:
         q1 = self.order - 1
         return el[(ll[a] * (e % q1)) % q1]
 
+    def degree_over(self, sub_degree: int) -> int:
+        """m = n / sub_degree, the degree of this field over its
+        GF(p^sub_degree) subfield; InvalidSubfield unless sub_degree is a
+        positive divisor of n."""
+        if sub_degree < 1 or self.n % sub_degree != 0:
+            raise InvalidSubfield(
+                f"{sub_degree} is not a positive divisor of {self.n}")
+        return self.n // sub_degree
+
     def _frob_exponent(self, sub_degree: int, i: int) -> int:
         """p^(sub_degree*i), with i reduced mod n/sub_degree first: x^(p^n)
         is x, so the power map stays the same."""
-        if self.n % sub_degree != 0:
-            raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-        return self.p ** (sub_degree * (i % (self.n // sub_degree)))
+        return self.p ** (sub_degree * (i % self.degree_over(sub_degree)))
 
     def frob_idx(self, a: int, sub_degree: int, i: int = 1) -> int:
         return self.pow_idx(a, self._frob_exponent(sub_degree, i))
 
     def trace_idx(self, a: int, sub_degree: int) -> int:
-        if self.n % sub_degree != 0:
-            raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
-        m = self.n // sub_degree
         acc, t = a, a
-        for _ in range(m - 1):
+        for _ in range(self.degree_over(sub_degree) - 1):
             t = self.frob_idx(t, sub_degree, 1)
             acc = self.add_idx(acc, t)
         return acc
@@ -447,11 +451,9 @@ class FieldCtx:
         return self.vpow(a, self._frob_exponent(sub_degree, i))
 
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
-        if self.n % sub_degree != 0:
-            raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
         # basis images Tr(x^i) = sum over k of z^i, z = x^(p^(sub_degree*k))
         cols, z = [0] * self.n, self._cmul([0, 1], [1])
-        for _ in range(self.n // sub_degree):
+        for _ in range(self.degree_over(sub_degree)):
             cols = [self.add_idx(s, t) for s, t in zip(cols, self._power_cols([1], z))]
             z = self._cpow(z, self.p ** sub_degree)
         return self._linear_map(cols, a)
@@ -468,8 +470,7 @@ class FieldCtx:
         """Sorted indices of the GF(p^sub_degree) subfield: zero and the
         powers of g^((q-1)/(p^sub_degree-1))."""
         if sub_degree not in self._subfield_cache:
-            if self.n % sub_degree != 0:
-                raise InvalidSubfield(f"{sub_degree} does not divide {self.n}")
+            self.degree_over(sub_degree)
             nonzero = self.mu_indices(self.p ** sub_degree - 1)
             self._subfield_cache[sub_degree] = np.sort(np.append(np.int64(0), nonzero))
         return self._subfield_cache[sub_degree]

@@ -24,19 +24,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import (
-    RsParams, ShiftParams, additive_criterion, rs_triple_criterion,
-    shift_criterion, xh_lambda_criterion,
-)
+from .criteria import RsParams, ShiftParams
 from .errors import (
     BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity,
     HypothesisViolated, InvalidSpec, KernelViolation, NotDivisor,
     NotPermutation, NotSurjective, PrereqNotNcycle,
 )
 from .families import (
-    FamilyInstance, build_additive, build_jieguo, build_rs_2to3m, build_shift,
-    build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_spec,
-    lambda_vector_fn, search_k_2to3m, solve_jieguo_congruences,
+    FamilyInstance, additive_instance, build_additive, build_jieguo,
+    build_rs_2to3m, build_shift, build_trace_theta, build_xh_lambda,
+    build_xq_h_alpha, lambda_spec, rs_instance, search_k_2to3m, shift_instance,
+    solve_jieguo_congruences, xh_instance,
 )
 from .field import FieldCtx, NcycleInternal, divisors, make_field
 from .polyperm import (
@@ -324,7 +322,7 @@ def _random_poly(ctx: FieldCtx, rng: random.Random, max_terms: int,
 
 
 def _perturbed_xh(ctx: FieldCtx, rng: random.Random,
-                  sub_degree: int) -> tuple[dict, FamilyInstance]:
+                  sub_degree: int) -> FamilyInstance:
     """Root-of-unity twist shape with a random (not necessarily primitive,
     not necessarily order-n) scale factor; the bound criterion still applies
     whenever the twisted image map stays a bijection, and the verdict is an
@@ -334,19 +332,12 @@ def _perturbed_xh(ctx: FieldCtx, rng: random.Random,
     n = rng.choice(choices)
     subgen = _subfield_generator(ctx, sub_degree)
     theta = ctx.pow_idx(subgen, rng.randrange(0, q - 1))
-    spec = lambda_spec(ctx, "lambda1", n, sub_degree)
-    lam_fn = lambda_vector_fn(spec, ctx)
     h = SparsePoly.make(ctx, [(1, 0), (theta, (q - 1) // n),
                               (ctx.neg_idx(1), q - 1)])
-    k = SparsePoly.monomial(ctx, n)
-    fn = lambda xs: ctx.vmul(xs, h.eval_vec(lam_fn(xs)))
-    inst = FamilyInstance(
-        family="xh_lambda", ctx=ctx,
+    return xh_instance(
+        ctx, h, lambda_spec(ctx, "lambda1", n, sub_degree),
         params={"variant": "perturbed_theta", "theta": theta, "n": n,
-                "sub_degree": sub_degree},
-        claimed_n=n, poly=None, fn=fn, map_form="x*h(lambda(x))",
-        check=lambda: xh_lambda_criterion(ctx, h, lam_fn, k, n))
-    return inst.params, inst
+                "sub_degree": sub_degree}, map_form="x*h(lambda(x))")
 
 
 def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
@@ -357,8 +348,8 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
     q = p ** sub
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        params, inst = _perturbed_xh(ctx, rng, sub)
-        return _trial(index, "perturbed", ctx, params, lambda: inst)
+        inst = _perturbed_xh(ctx, rng, sub)
+        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         if variant == "involution_cor":
             ctx2 = _field(2, 4)
@@ -420,15 +411,11 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
     if kind == "perturbed":
         g = _random_poly(ctx, rng, max_terms=4, max_exp=ctx.order - 1)
         psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, q)])
-        phi = SparsePoly.monomial(ctx, 1)
         n = rng.choice((2, 3, p))
-        fn = lambda xs: ctx.vadd(xs, g.eval_vec(psi.eval_vec(xs)))
-        inst = FamilyInstance(
-            family="additive", ctx=ctx,
+        inst = additive_instance(
+            ctx, SparsePoly.monomial(ctx, 1), psi, g, n,
             params={"variant": "random_g", "g": g.to_text(), "n": n,
-                    "sub_degree": sub},
-            claimed_n=n, poly=None, fn=fn, map_form="x + g(x^q - x)",
-            check=lambda: additive_criterion(ctx, phi, psi, g, n))
+                    "sub_degree": sub}, map_form="x + g(x^q - x)")
         return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("psi_shape", "psi_kernel", "bad_s", "bad_c",
@@ -511,21 +498,11 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
     if kind == "perturbed":
         g = _random_poly(ctx, rng, max_terms=4, max_exp=ctx.order - 1)
         n = rng.choice((2, 3, p))
-        qi = q ** i
-
-        def fn(xs, g=g, qi_sub=sub, qi_i=i, d=delta):
-            shifted = ctx.vadd(ctx.vsub(ctx.vfrob(xs, qi_sub, qi_i), xs),
-                               np.int64(d))
-            return ctx.vadd(xs, g.eval_vec(shifted))
-
-        inst = FamilyInstance(
-            family="shift", ctx=ctx,
+        inst = shift_instance(
+            ctx, g, ShiftParams(i, delta, sub), n,
             params={"variant": "random_g", "g": g.to_text(), "i": i,
                     "delta": delta, "n": n, "sub_degree": sub},
-            claimed_n=n, poly=None, fn=fn,
-            map_form=f"x + g(x^{qi} - x + delta)",
-            check=lambda: shift_criterion(ctx, g,
-                                          ShiftParams(i, delta, sub), n))
+            map_form=f"x + g(x^{q ** i} - x + delta)")
         return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("i_zero", "i_full", "bad_s", "zero_h"))
@@ -566,27 +543,24 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
 
 
 def _perturbed_rs(ctx: FieldCtx, rng: random.Random, r: int, s: int,
-                  family: str, outer_exp: int) -> FamilyInstance:
+                  family: str) -> FamilyInstance:
     """Random trinomial h in the x^r * h(x^s) shape; the total criterion
     applies to any h, so every draw yields a genuine verdict."""
     ell = (ctx.order - 1) // s
     e1, e2 = rng.randrange(1, ell), rng.randrange(1, ell)
     c1, c2 = rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)
     h = SparsePoly.make(ctx, [(1, 0), (c1, e1), (c2, e2)])
-    fn = lambda xs: ctx.vmul(ctx.vpow(xs, outer_exp),
-                             h.eval_vec(ctx.vpow(xs, s)))
-    return FamilyInstance(
-        family=family, ctx=ctx,
+    return rs_instance(
+        ctx, h, RsParams(r, s), family=family,
         params={"variant": "random_h", "h": h.to_text(), "r": r, "s": s},
-        claimed_n=3, poly=None, fn=fn, map_form=f"x^{outer_exp}*h(x^{s})",
-        check=lambda: rs_triple_criterion(ctx, h, RsParams(r, s)))
+        map_form=f"x^{r}*h(x^{s})")
 
 
 def _sample_rs2to3m(rng: random.Random, index: int) -> FuzzTrial:
     ctx = _field(2, 9)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, 1, 73, "rs2to3m", 1)
+        inst = _perturbed_rs(ctx, rng, 1, 73, "rs2to3m")
         return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         q, k = rng.choice(((64, 44), (16, 45), (8, 4), (8, 11)))
@@ -603,7 +577,7 @@ def _sample_jieguo(rng: random.Random, index: int) -> FuzzTrial:
     ctx = _field(2, 12)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, 1, 63, "jieguo", 1)
+        inst = _perturbed_rs(ctx, rng, 1, 63, "jieguo")
         return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         pairs = set(solve_jieguo_congruences(64))
@@ -625,7 +599,7 @@ def _sample_xq_h_alpha(rng: random.Random, index: int) -> FuzzTrial:
     ctx = _field(2, 6)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, q, q - 1, "xq_h_alpha", q)
+        inst = _perturbed_rs(ctx, rng, q, q - 1, "xq_h_alpha")
         return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
     if kind == "invalid":
         bad = rng.choice(("odd_tower", "zero", "not_root"))

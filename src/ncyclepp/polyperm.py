@@ -172,7 +172,7 @@ class SparsePoly:
         xs = np.asarray(xs, dtype=np.int64)
         acc = np.zeros(xs.shape, dtype=np.int64)
         for c, e in self.terms:
-            t = self.ctx.vpow(xs, e)
+            t = xs if e == 1 else self.ctx.vpow(xs, e)   # x^1 = x, 0 included
             if c != 1:
                 t = self.ctx.vmul(np.int64(c), t)
             acc = self.ctx.vadd(acc, t)
@@ -182,11 +182,6 @@ class SparsePoly:
         if a.ctx.key != self.ctx.key:
             raise CtxMismatch("element from a different field")
         return self.ctx.element(self.eval_idx(a.i))
-
-    def coefficient_conjugate(self, sub_degree: int, i: int = 1) -> "SparsePoly":
-        """Apply x -> x^(q^i), q = p^sub_degree, to every coefficient."""
-        return SparsePoly(self.ctx, tuple(
-            (self.ctx.frob_idx(c, sub_degree, i), e) for c, e in self.terms))
 
     def is_additive(self) -> bool:
         """True when every exponent is a power of the characteristic, which

@@ -189,6 +189,17 @@ class TestCriterion:
                              "--cycle", "3")
         assert code == 0 and doc["holds"] is True
 
+    @pytest.mark.parametrize("sub_degree", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["frobenius_twist", "--poly", "x^3", "--i", "1", "--cycle", "2"],
+        ["shift", "--g", "1*x^4", "--i", "1", "--delta", "0", "--cycle", "3"],
+    ], ids=["frobenius_twist", "shift"])
+    def test_nonpositive_sub_degree_is_a_usage_error(self, capsys, argv,
+                                                     sub_degree):
+        code, out = run(capsys, "criterion", *argv, "--p", "3", "--n", "2",
+                        "--sub-degree", sub_degree)
+        assert code == 2 and out == ""
+
     def test_xh_lambda_with_named_inner_map(self, capsys):
         code, doc = run_json(capsys, "criterion", "xh_lambda", "--p", "5",
                              "--n", "2", "--h", "1+3*x^4",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ncyclepp.criteria import RsParams
 from ncyclepp.errors import (
     BadParams, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
     KernelViolation,
@@ -16,7 +17,7 @@ from ncyclepp.errors import (
 from ncyclepp.families import (
     FamilyInstance, LambdaSpec, build_additive, build_jieguo, build_rs_2to3m,
     build_shift, build_trace_theta, build_xh_lambda, build_xq_h_alpha,
-    eval_lambda, lambda_poly, lambda_spec, lambda_vector_fn,
+    eval_lambda, lambda_poly, lambda_spec, lambda_vector_fn, rs_instance,
     search_k_2to3m, solve_jieguo_congruences,
 )
 from ncyclepp.polyperm import (
@@ -358,6 +359,17 @@ class TestShift:
 # ---------------------------------------------------------------------------
 
 class TestRsFamilies:
+    @pytest.mark.parametrize("n,r,s", [(9, 1, 73), (12, 1, 63), (6, 4, 3)])
+    def test_expanded_map_is_the_shape(self, n, r, s):
+        # x^r * h(x^s) evaluated factor by factor, h with a constant term
+        ctx = field(2, n)
+        h = SparsePoly.make(ctx, [(1, 0), (5, 2), (ctx.order - 1, 6)])
+        inst = rs_instance(ctx, h, RsParams(r, s), family="test", params={},
+                           map_form="")
+        xs = ctx.varange()
+        want = ctx.vmul(ctx.vpow(xs, r), h.eval_vec(ctx.vpow(xs, s)))
+        assert np.array_equal(inst.fn(xs), want)
+
     def test_search_k_frozen_lists(self):
         assert search_k_2to3m(64) == [45, 108, 171, 234, 297, 360, 423]
         assert search_k_2to3m(8) == [3, 10, 17, 24, 31, 38, 45]

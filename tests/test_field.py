@@ -139,6 +139,18 @@ def test_trace_and_frobenius():
         trace(f64.one, 4)
 
 
+@pytest.mark.parametrize("sub_degree", [0, -1])
+def test_nonpositive_sub_degree_is_an_invalid_subfield(sub_degree):
+    ctx = field(3, 2)
+    xs = ctx.varange()
+    for call in (lambda: ctx.vfrob(xs, sub_degree),
+                 lambda: ctx.vtrace(xs, sub_degree),
+                 lambda: ctx.trace_idx(1, sub_degree),
+                 lambda: ctx.subfield_indices(sub_degree)):
+        with pytest.raises(InvalidSubfield):
+            call()
+
+
 def test_trace_additive():
     f27 = field(3, 3)
     for i in range(0, f27.order, 5):

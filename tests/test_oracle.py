@@ -7,7 +7,7 @@ import pytest
 
 import ncyclepp.oracle as oracle
 import ncyclepp.polyperm as polyperm
-from ncyclepp.criteria import CriterionVerdict
+from ncyclepp.criteria import CriterionVerdict, additive_criterion
 from ncyclepp.errors import BadParams, CapExceeded, HypothesisViolated
 from ncyclepp.families import (
     FamilyInstance, build_jieguo, build_xh_lambda, build_xq_h_alpha,
@@ -169,7 +169,7 @@ class TestCrossCheck:
         inst = FamilyInstance(
             family="additive", ctx=ctx, params={}, claimed_n=3,
             poly=None, fn=lambda xs: xs, map_form="x",
-            check=lambda: oracle.additive_criterion(
+            check=lambda: additive_criterion(
                 ctx, SparsePoly.monomial(ctx, 2), psi,
                 SparsePoly.make(ctx, []), 3))
         rep = cross_check(inst)
