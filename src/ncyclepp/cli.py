@@ -133,9 +133,16 @@ def _build_trace_theta_cmd(args):
     return build_trace_theta(args.q, args.theta, ctx=_tower_ctx(args.q, 3))
 
 
+def _sub_env(ctx: FieldCtx, sub_degree: int) -> dict:
+    """Expression names for a subfield family, q = p^sub_degree; a bad
+    sub_degree is refused before that power is built."""
+    ctx.degree_over(sub_degree)
+    return {"p": ctx.p, "n": ctx.n, "q": ctx.p ** sub_degree}
+
+
 def _build_xh_lambda_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
-    env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
+    env = _sub_env(ctx, args.sub_degree)
     return build_xh_lambda(
         ctx, args.variant, sub_degree=args.sub_degree, lam=args.lam,
         n=_int(args.cycle, env), theta=args.theta, a=_int(args.a, env),
@@ -144,7 +151,7 @@ def _build_xh_lambda_cmd(args):
 
 def _build_additive_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
-    env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
+    env = _sub_env(ctx, args.sub_degree)
     return build_additive(ctx, args.variant, sub_degree=args.sub_degree,
                           H=args.H, psi=args.psi, s=_int(args.s, env),
                           c=args.c, g=args.g)
@@ -152,7 +159,7 @@ def _build_additive_cmd(args):
 
 def _build_shift_cmd(args):
     ctx = _ctx(args.p, args.n, args.modulus)
-    env = {"p": args.p, "n": args.n, "q": args.p ** args.sub_degree}
+    env = _sub_env(ctx, args.sub_degree)
     return build_shift(ctx, args.variant, i=_int(args.i, env),
                        delta=args.delta, sub_degree=args.sub_degree,
                        H=args.H, s=_int(args.s, env))

@@ -317,6 +317,20 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["xh_lambda", "--variant", "involution_cor"],
+    ["additive", "--variant", "trace_g1"],
+    ["shift", "--variant", "trace_g1", "--i", "1", "--delta", "0"],
+], ids=["xh_lambda", "additive", "shift"])
+def test_huge_sub_degree_is_refused_before_q_is_built(argv):
+    # q = 3^(10^8) would take minutes to build: run in a child with a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncyclepp.cli", "construct", *argv, "--p", "3",
+         "--n", "2", "--sub-degree", "100000000"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
 def test_frobenius_exponent_is_reduced_before_powering(capsys):
     argv = ["criterion", "frobenius_twist", "--p", "2", "--n", "4", "--poly",
             "x^2", "--cycle", "4", "--sub-degree", "1", "--i"]
