@@ -22,8 +22,6 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Callable, Optional
 
-import numpy as np
-
 from .criteria import RsParams, ShiftParams
 from .errors import (
     BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity,
