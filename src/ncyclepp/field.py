@@ -198,8 +198,11 @@ class FieldCtx:
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
-        # base-p digits per chunk of _linear_map: p^chunk <= 4096 lookup entries
+        # base-p digits per chunk of _linear_map: p^chunk <= 4096 lookup entries,
+        # and the entries of all the chunk tables of one map
         self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > 4096))
+        self._table_size = sum(p ** len(self._p_pows[lo:lo + self._chunk])
+                               for lo in range(0, n, self._chunk))
         self._gen_idx = self._find_generator()
         self._zech: Optional[np.ndarray] = None
         self._build_tables()
@@ -254,22 +257,26 @@ class FieldCtx:
             cols.append(self._index(a))
         return cols
 
-    def _linear_map(self, cols: Sequence[int], x) -> np.ndarray:
-        """Image of every index in x under the GF(p)-linear map sending the
-        i-th basis vector (index p^i) to the index cols[i]: each chunk of
-        self._chunk digits of x is looked up in a table of its p^chunk
-        images, and the partial images are added."""
-        x = np.asarray(x, dtype=np.int64)
-        if self.n == 1:   # GF(p): the map is multiplication by cols[0]
-            return x * cols[0] % self.p
+    def _linear_tables(self, cols: Sequence[int]) -> list[np.ndarray]:
+        """Per chunk of self._chunk digits, the p^chunk images of the
+        GF(p)-linear map sending basis vector i (index p^i) to cols[i]."""
         scalars = np.arange(self.p, dtype=np.int64)[:, None]
         pows = np.array(self._p_pows, dtype=np.int64)
-        out, digits = None, np.empty_like(x)
+        tabs = []
         for lo in range(0, self.n, self._chunk):
             tab = np.zeros(1, dtype=np.int64)
             for col in cols[lo:lo + self._chunk]:   # one more digit per pass
                 multiples = ((scalars * self._decode(col)) % self.p) @ pows
                 tab = self.vadd(multiples[:, None], tab).ravel()
+            tabs.append(tab)
+        return tabs
+
+    def _linear_apply(self, tabs: Sequence[np.ndarray], x) -> np.ndarray:
+        """Images of the indices x: each chunk of digits is looked up in its
+        table of _linear_tables, and the partial images are added."""
+        x = np.asarray(x, dtype=np.int64)
+        out, digits = None, np.empty_like(x)
+        for lo, tab in zip(range(0, self.n, self._chunk), tabs):
             np.floor_divide(x, self._p_pows[lo], out=digits)
             digits %= tab.shape[0]
             if out is None:
@@ -279,6 +286,11 @@ class FieldCtx:
             else:
                 out = self.vadd(out, np.take(tab, digits, mode="clip", out=digits))
         return out
+
+    def _linear_map(self, cols: Sequence[int], x) -> np.ndarray:
+        if self.n == 1:   # GF(p): the map is multiplication by cols[0]
+            return np.asarray(x, dtype=np.int64) * cols[0] % self.p
+        return self._linear_apply(self._linear_tables(cols), x)
 
     def _build_tables(self) -> None:
         q1 = self.order - 1

@@ -12,6 +12,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import lcm
 from typing import Callable, Iterable, Mapping
 
@@ -101,7 +102,7 @@ class SparsePoly:
                 raise BadParams(f"coefficient index {c} out of range")
             if e < 0:
                 raise BadParams(f"negative exponent {e}")
-            merged[e] = ctx.add_idx(merged.get(e, 0), c)
+            merged[e] = ctx.add_idx(merged[e], c) if e in merged else c
         out = tuple((c, e) for e, c in sorted(merged.items()) if c != 0)
         return SparsePoly(ctx, out)
 
@@ -168,15 +169,46 @@ class SparsePoly:
             acc = self.ctx.add_idx(acc, self.ctx.mul_idx(c, self.ctx.pow_idx(i, e)))
         return acc
 
-    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        acc = np.zeros(xs.shape, dtype=np.int64)
+    def _term(self, c: int, e: int, xs: np.ndarray) -> np.ndarray:
+        t = xs if e == 1 else self.ctx.vpow(xs, e)   # x^1 = x, 0 included
+        return t if c == 1 else self.ctx.vmul(np.int64(c), t)
+
+    @cached_property
+    def _plan(self) -> list[tuple[int, list[tuple[int, int]], list | None]]:
+        """The terms as (e0, terms, tables), one entry per Frobenius orbit of
+        exponents mod q - 1; e0 is the orbit's least member in [1, q - 1], or
+        0 for the constant, so x^(q-1) stays apart from it.  The terms
+        c*x^(e0*p^k) sum to L(x^e0), L the GF(p)-linear y -> sum of
+        c*y^(p^k); an orbit of two or more terms carries L's lookup tables."""
+        ctx, groups = self.ctx, {}
         for c, e in self.terms:
-            t = xs if e == 1 else self.ctx.vpow(xs, e)   # x^1 = x, 0 included
-            if c != 1:
-                t = self.ctx.vmul(np.int64(c), t)
-            acc = self.ctx.vadd(acc, t)
-        return acc
+            e0 = min(map_exp(ctx, map_exp(ctx, e) * ctx.p ** k) for k in range(ctx.n))
+            groups.setdefault(e0, []).append((c, e))
+        basis, plan = np.array(ctx._p_pows, dtype=np.int64), []
+        for e0, group in groups.items():
+            tabs = None
+            if len(group) > 1:   # L's images of the basis give its tables
+                frob = {map_exp(ctx, e0 * ctx.p ** k): ctx.p ** k for k in range(ctx.n)}
+                cols = reduce(ctx.vadd, (self._term(c, frob[map_exp(ctx, e)], basis)
+                                         for c, e in group))
+                tabs = ctx._linear_tables(cols.tolist())
+            plan.append((e0, group, tabs))
+        return plan
+
+    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+        """Image of every index in xs, never xs itself.  An orbit group of
+        _plan is one table lookup of x^e0 once xs is as large as the tables."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if not self.terms:
+            return np.zeros(xs.shape, dtype=np.int64)
+        if xs.size < self.ctx._table_size:   # too small to pay for tables
+            parts = (self._term(c, e, xs) for c, e in self.terms)
+        else:
+            parts = (self._term(*group[0], xs) if tabs is None else
+                     self.ctx._linear_apply(tabs, self._term(1, e0, xs))
+                     for e0, group, tabs in self._plan)
+        acc = reduce(self.ctx.vadd, parts)
+        return acc.copy() if acc is xs else acc
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.ctx.key != self.ctx.key:
@@ -234,6 +266,8 @@ def poly_add(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 def poly_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.ctx.key != g.ctx.key:
         raise CtxMismatch("polynomials over different fields")
+    if len(f.terms) * len(g.terms) > POLY_TERM_CAP:   # refuse before multiplying
+        raise CapExceeded(f"symbolic expansion grew past {POLY_TERM_CAP} terms")
     ctx = f.ctx
     raw = [(ctx.mul_idx(c1, c2), e1 + e2)
            for c1, e1 in f.terms for c2, e2 in g.terms]

@@ -97,14 +97,18 @@ def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
 
 def _involution_char2(ctx: FieldCtx, imgs: np.ndarray):
     q = ctx.order
-    tr1 = ctx.tr1_table()
+    sign = (1 - 2 * ctx.tr1_table()[ctx._exp]).astype(np.int32)   # (-1)^tr(g^k)
+    log_f, zero_cols = ctx._log[imgs], imgs == 0
     M = np.empty((q, q), dtype=np.int32)
-    vs = ctx.varange()
+    t = np.empty((_ROW_BLOCK, q), dtype=np.int64)   # log v + log F(x), reused
     for lo in range(0, q, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, q)
-        prod = ctx.vmul(vs[lo:hi, None], imgs[None, :])
-        block = (1 - 2 * tr1[prod]).astype(np.int32)
-        M[lo:hi] = _fwht_rows(block)
+        np.add(ctx._log[lo:hi, None], log_f[None, :], out=t[:hi - lo])
+        np.take(sign, t[:hi - lo], mode="wrap", out=M[lo:hi])
+        M[lo:hi, zero_cols] = 1   # tr(0) = 0: F(x) = 0 here, v = 0 in row 0
+        if lo == 0:
+            M[0] = 1
+        _fwht_rows(M[lo:hi])
     sigma = _digit_dot_relabel(ctx)
     A = M[:, sigma].T          # A[u, v] = W(u, v)
     bad = np.argwhere(A != A.T)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ncyclepp.polyperm as polyperm
-from ncyclepp.errors import BadParams, CtxMismatch, NotPermutation
+from ncyclepp.errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
@@ -88,6 +88,69 @@ def test_eval_against_elementwise_oracle():
         assert poly.eval_idx(i) == want.i
     vec = poly.eval_vec(ctx.varange())
     assert vec.tolist() == [poly.eval_idx(i) for i in range(ctx.order)]
+
+
+def _orbit_poly(ctx, rng):
+    """Random polynomial mixing Frobenius-orbit groups with lone terms:
+    each group has terms c*x^(e0*p^k), some with exponents past q; plus
+    x^(q-1) and x^(2(q-1)), which are 0 at 0, a constant, x and x^q."""
+    p, q = ctx.p, ctx.order
+    terms = [(int(rng.integers(1, q)), 0), (1, 1), (int(rng.integers(1, q)), q),
+             (1, q - 1), (int(rng.integers(1, q)), 2 * (q - 1))]
+    for e0 in rng.integers(2, q - 1, size=3):
+        for k in rng.choice(ctx.n, size=min(ctx.n, 3), replace=False):
+            e = int(e0) * p ** int(k) + int(rng.integers(0, 2)) * (q - 1)
+            terms.append((int(rng.integers(1, q)), e))
+    terms.append((int(rng.integers(1, q)), int(rng.integers(2, q))))
+    return SparsePoly.make(ctx, terms)
+
+
+@pytest.mark.parametrize("pn", [(2, 6), (2, 13), (3, 4), (3, 8), (5, 3), (7, 2)])
+def test_eval_vec_matches_scalar_eval_on_whole_fields(pn):
+    # the oracle and the criteria share eval_vec: check it against the
+    # scalar path, with arrays above, at and below the table-size threshold
+    ctx = field(*pn)
+    rng = np.random.default_rng(sum(pn))
+    whole = ctx.varange()
+    below = np.concatenate(([0], rng.integers(0, ctx.order, ctx._table_size - 2)))
+    for poly in [_orbit_poly(ctx, rng) for _ in range(2)] + [
+            SparsePoly.from_text(ctx, "x"), SparsePoly.monomial(ctx, ctx.order - 1, 2),
+            SparsePoly(ctx, ())]:
+        want = np.array([poly.eval_idx(i) for i in range(ctx.order)])
+        for xs in (whole, np.tile(whole[::-1], 2), below):
+            before = xs.copy()
+            got = poly.eval_vec(xs)
+            assert got.tolist() == want[xs].tolist()
+            assert not np.shares_memory(got, xs)
+            assert np.array_equal(xs, before)
+
+
+@pytest.mark.parametrize("pn", [(2, 6), (3, 8), (7, 2)])
+def test_eval_vec_takes_the_linear_path_only_on_large_arrays(monkeypatch, pn):
+    # Tr(x^(p+1)) is one orbit group: one vpow on a whole field, n below
+    ctx = field(*pn)
+    trace = SparsePoly.make(ctx, [(1, (ctx.p + 1) * ctx.p ** k) for k in range(ctx.n)])
+    calls = []
+    vpow = ctx.vpow
+    monkeypatch.setattr(ctx, "vpow", lambda a, e: calls.append(np.size(a)) or vpow(a, e))
+    trace.eval_vec(ctx.varange())
+    assert calls.count(ctx.order) == 1
+    calls.clear()
+    trace.eval_vec(ctx.varange()[:ctx._table_size - 1])
+    assert len(calls) == ctx.n
+
+
+def test_poly_mul_refuses_past_the_term_cap_before_multiplying(monkeypatch):
+    ctx = field(2, 8)
+    f = SparsePoly.make(ctx, [(1, e) for e in range(1, 66)])
+    g = SparsePoly.make(ctx, [(1, e) for e in range(1, 65)])   # 65 * 64 > 4096
+
+    def mul_idx(a, b):
+        raise AssertionError("multiplied before refusing")
+
+    monkeypatch.setattr(ctx, "mul_idx", mul_idx)
+    with pytest.raises(CapExceeded, match="symbolic expansion grew past 4096 terms"):
+        polyperm.poly_mul(f, g)
 
 
 def test_call_and_ctx_guard():

@@ -113,6 +113,24 @@ def test_involution_test_forced_involutions(pn, seed):
     assert flag
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_involution_test_over_several_row_blocks(seed):
+    # GF(2^9) spans two row blocks of the char-2 spectrum: the second
+    # holds F's zero column but not the zero row
+    ctx = field(2, 9)
+    rng = np.random.default_rng(seed)
+    imgs = rng.permutation(ctx.order).astype(np.int64)
+    swaps = np.empty_like(imgs)   # pairs imgs[2i], imgs[2i+1] swapped
+    swaps[imgs[0::2]], swaps[imgs[1::2]] = imgs[1::2], imgs[0::2]
+    for f, truth in ((PermMap(ctx, imgs), False), (PermMap(ctx, swaps), True)):
+        assert (compose(f, f) == identity_perm(ctx)) == truth
+        flag, witness = walsh_involution_test(ctx, f)
+        assert flag == truth
+        if not flag:
+            u, v = witness
+            assert walsh_coefficient(ctx, f, u.i, v.i) != walsh_coefficient(ctx, f, v.i, u.i)
+
+
 def test_cap_enforced():
     ctx = field(2, 13)
     with pytest.raises(CapExceeded):
