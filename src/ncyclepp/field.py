@@ -198,8 +198,7 @@ class FieldCtx:
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
-        # base-p digits per chunk of _linear_map: p^chunk <= 4096 lookup entries,
-        # and the entries of all the chunk tables of one map
+        # digits per chunk of _linear_map (p^chunk <= 4096), and entries of all chunks
         self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > 4096))
         self._table_size = sum(p ** len(self._p_pows[lo:lo + self._chunk])
                                for lo in range(0, n, self._chunk))

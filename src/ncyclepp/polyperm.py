@@ -197,17 +197,19 @@ class SparsePoly:
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
         """Image of every index in xs, never xs itself.  An orbit group of
-        _plan is one table lookup of x^e0 once xs is as large as the tables."""
-        xs = np.asarray(xs, dtype=np.int64)
+        _plan is one table lookup of x^e0 when xs is as large as the tables
+        and the field spans more than one chunk: the table of a one-chunk
+        field lists L at every point, so it costs what the group's terms do."""
+        xs, ctx = np.asarray(xs, dtype=np.int64), self.ctx
         if not self.terms:
             return np.zeros(xs.shape, dtype=np.int64)
-        if xs.size < self.ctx._table_size:   # too small to pay for tables
+        if ctx.n <= ctx._chunk or xs.size < ctx._table_size:
             parts = (self._term(c, e, xs) for c, e in self.terms)
         else:
             parts = (self._term(*group[0], xs) if tabs is None else
-                     self.ctx._linear_apply(tabs, self._term(1, e0, xs))
+                     ctx._linear_apply(tabs, self._term(1, e0, xs))
                      for e0, group, tabs in self._plan)
-        acc = reduce(self.ctx.vadd, parts)
+        acc = reduce(ctx.vadd, parts)
         return acc.copy() if acc is xs else acc
 
     def __call__(self, a: FieldElement) -> FieldElement:

@@ -105,9 +105,8 @@ def _involution_char2(ctx: FieldCtx, imgs: np.ndarray):
         hi = min(lo + _ROW_BLOCK, q)
         np.add(ctx._log[lo:hi, None], log_f[None, :], out=t[:hi - lo])
         np.take(sign, t[:hi - lo], mode="wrap", out=M[lo:hi])
-        M[lo:hi, zero_cols] = 1   # tr(0) = 0: F(x) = 0 here, v = 0 in row 0
-        if lo == 0:
-            M[0] = 1
+        M[lo:hi, zero_cols] = 1   # tr(0) = 0 where F(x) = 0 and where v = 0
+        M[lo:hi][np.arange(lo, hi) == 0] = 1
         _fwht_rows(M[lo:hi])
     sigma = _digit_dot_relabel(ctx)
     A = M[:, sigma].T          # A[u, v] = W(u, v)

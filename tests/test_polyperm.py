@@ -105,10 +105,11 @@ def _orbit_poly(ctx, rng):
     return SparsePoly.make(ctx, terms)
 
 
-@pytest.mark.parametrize("pn", [(2, 6), (2, 13), (3, 4), (3, 8), (5, 3), (7, 2)])
+@pytest.mark.parametrize("pn", [(2, 6), (2, 13), (3, 4), (3, 8), (5, 6), (7, 5)])
 def test_eval_vec_matches_scalar_eval_on_whole_fields(pn):
     # the oracle and the criteria share eval_vec: check it against the
-    # scalar path, with arrays above, at and below the table-size threshold
+    # scalar path, with arrays above, at and below the table-size threshold,
+    # on one-chunk fields (no tables) and on fields of two chunks
     ctx = field(*pn)
     rng = np.random.default_rng(sum(pn))
     whole = ctx.varange()
@@ -125,16 +126,18 @@ def test_eval_vec_matches_scalar_eval_on_whole_fields(pn):
             assert np.array_equal(xs, before)
 
 
-@pytest.mark.parametrize("pn", [(2, 6), (3, 8), (7, 2)])
-def test_eval_vec_takes_the_linear_path_only_on_large_arrays(monkeypatch, pn):
-    # Tr(x^(p+1)) is one orbit group: one vpow on a whole field, n below
+@pytest.mark.parametrize("pn,chunks", [((2, 6), 1), ((2, 13), 2), ((3, 8), 2), ((7, 5), 2)])
+def test_eval_vec_takes_the_linear_path_only_on_large_arrays(monkeypatch, pn, chunks):
+    # Tr(x^(p+1)) is one orbit group: one vpow on a whole field of two
+    # chunks, n below the table size or on a field of one chunk
     ctx = field(*pn)
+    assert -(-ctx.n // ctx._chunk) == chunks
     trace = SparsePoly.make(ctx, [(1, (ctx.p + 1) * ctx.p ** k) for k in range(ctx.n)])
     calls = []
     vpow = ctx.vpow
     monkeypatch.setattr(ctx, "vpow", lambda a, e: calls.append(np.size(a)) or vpow(a, e))
     trace.eval_vec(ctx.varange())
-    assert calls.count(ctx.order) == 1
+    assert calls.count(ctx.order) == (1 if chunks > 1 else ctx.n)
     calls.clear()
     trace.eval_vec(ctx.varange()[:ctx._table_size - 1])
     assert len(calls) == ctx.n
