@@ -7,9 +7,11 @@ tr the absolute trace.  Values are kept exact as length-p count vectors
 vector, which is the kernel of the count-to-value evaluation.
 
 A permutation equals its own inverse exactly when its Walsh coefficient
-matrix is symmetric in (u, v); that is what walsh_involution_test checks,
-with a fast Hadamard transform in characteristic 2 and exact integer
-matrix products for odd characteristic.
+matrix is symmetric in (u, v); that is what walsh_involution_test checks.
+Characteristic 2 multiplies the signs (-1)^tr(v*F(x)), with x in dual-basis
+order so that W(u, v) lands in column u, by the Hadamard matrix as a
+Kronecker product of two small ones; odd characteristic uses exact
+residue-count matrix products.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .polyperm import PermMap, as_images
 
 WALSH_CAP = 1 << 12
 
-_ROW_BLOCK = 256
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,12 @@ def walsh_coefficient(ctx: FieldCtx, fn, u, v) -> WalshValue:
     return WalshValue.from_counts(ctx.p, np.bincount(residues, minlength=ctx.p))
 
 
-def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform along the last axis."""
-    rows, n = mat.shape
-    h = 1
-    while h < n:
-        m = mat.reshape(rows, n // (2 * h), 2, h)
-        a = m[:, :, 0, :].copy()
-        b = m[:, :, 1, :]
-        m[:, :, 0, :] = a + b
-        m[:, :, 1, :] = a - b
-        h *= 2
-    return mat
+def _hadamard(k: int) -> np.ndarray:
+    """Sylvester's H_{2^k} in float32: entry (i, j) is (-1)^popcount(i & j)."""
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
@@ -96,25 +92,38 @@ def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
 
 
 def _involution_char2(ctx: FieldCtx, imgs: np.ndarray):
-    q = ctx.order
-    sign = (1 - 2 * ctx.tr1_table()[ctx._exp]).astype(np.int32)   # (-1)^tr(g^k)
+    q, a = ctx.order, ctx.n // 2
+    # tr(u*x) = <u, sigma(x)> as sigma's Gram matrix is symmetric, so on the
+    # columns y = sigma(x) the transform lands W(u, v) at M[v, u].
+    imgs = imgs[np.argsort(_digit_dot_relabel(ctx))]
+    # (-1)^tr(g^k) for k in [0, 2q - 3]: log v + log F(x) needs no reduction
+    sign = np.tile(1 - 2 * ctx.tr1_table()[ctx._exp], 2).astype(np.float32)
     log_f, zero_cols = ctx._log[imgs], imgs == 0
-    M = np.empty((q, q), dtype=np.int32)
+    # H_{2^n} = H_{2^a} (x) H_{2^(n-a)}, two products per row block; float32
+    # is exact, as every partial sum is an integer of size at most q < 2^24.
+    Ha, Hb = _hadamard(a), _hadamard(ctx.n - a)
+    M = np.empty((q, q), dtype=np.float32)
     t = np.empty((_ROW_BLOCK, q), dtype=np.int64)   # log v + log F(x), reused
+    s = np.empty((_ROW_BLOCK, q), dtype=np.float32)   # signs, reused
     for lo in range(0, q, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, q)
-        np.add(ctx._log[lo:hi, None], log_f[None, :], out=t[:hi - lo])
-        np.take(sign, t[:hi - lo], mode="wrap", out=M[lo:hi])
-        M[lo:hi, zero_cols] = 1   # tr(0) = 0 where F(x) = 0 and where v = 0
-        M[lo:hi][np.arange(lo, hi) == 0] = 1
-        _fwht_rows(M[lo:hi])
-    sigma = _digit_dot_relabel(ctx)
-    A = M[:, sigma].T          # A[u, v] = W(u, v)
-    bad = np.argwhere(A != A.T)
-    if bad.size == 0:
-        return True, None
-    u, v = int(bad[0][0]), int(bad[0][1])
-    return False, (ctx.element(u), ctx.element(v))
+        r = hi - lo
+        np.add(ctx._log[lo:hi, None], log_f[None, :], out=t[:r])
+        np.take(sign, t[:r], mode="clip", out=s[:r])   # log 0 = -1: junk, fixed below
+        s[:r, zero_cols] = 1   # tr(0) = 0 where F(x) = 0 and where v = 0
+        s[:r][np.arange(lo, hi) == 0] = 1
+        x = (s[:r].reshape(r << a, -1) @ Hb).reshape(r, 1 << a, -1)
+        np.matmul(Ha, x, out=M[lo:hi].reshape(x.shape))
+    # The mismatch set is symmetric, so its first row-major cell lies in the
+    # upper triangle of the first band of rows that holds one.
+    for lo in range(0, q, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, q)
+        bad = np.concatenate([M[lo:hi, c:c + _ROW_BLOCK] != M[c:c + _ROW_BLOCK, lo:hi].T
+                              for c in range(lo, q, _ROW_BLOCK)], axis=1)
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            return False, (ctx.element(lo + i), ctx.element(lo + int(bad[i].argmax())))
+    return True, None
 
 
 def _involution_oddp(ctx: FieldCtx, imgs: np.ndarray):
@@ -128,12 +137,12 @@ def _involution_oddp(ctx: FieldCtx, imgs: np.ndarray):
         R[lo:hi] = tr1[ctx.vmul(xs[lo:hi, None], imgs[None, :])]
         S[lo:hi] = tr1[ctx.vmul(xs[lo:hi, None], xs[None, :])]
     # C[c][v, u] = #{x : tr(v F(x)) + tr(u x) = c};  counts are exact in
-    # float64 since they never exceed the field size.
-    C = [np.zeros((q, q)) for _ in range(p)]
+    # float32 since they never exceed the field size q <= 2^12 < 2^24.
+    C = [np.zeros((q, q), dtype=np.float32) for _ in range(p)]
     for a in range(p):
-        Pa = (R == a).astype(np.float64)
+        Pa = (R == a).astype(np.float32)
         for b in range(p):
-            Qb = (S == b).astype(np.float64)
+            Qb = (S == b).astype(np.float32)
             C[(a + b) % p] += Pa @ Qb.T
     # W(u, v) = W(v, u) for all pairs iff the count difference between the
     # (u, v) and (v, u) cells is the same in every residue class.

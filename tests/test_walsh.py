@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -115,8 +117,8 @@ def test_involution_test_forced_involutions(pn, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_involution_test_over_several_row_blocks(seed):
-    # GF(2^9) spans two row blocks of the char-2 spectrum: the second
-    # holds F's zero column but not the zero row
+    # GF(2^9) spans several row blocks of the char-2 spectrum: only the
+    # first holds the zero row
     ctx = field(2, 9)
     rng = np.random.default_rng(seed)
     imgs = rng.permutation(ctx.order).astype(np.int64)
@@ -129,6 +131,69 @@ def test_involution_test_over_several_row_blocks(seed):
         if not flag:
             u, v = witness
             assert walsh_coefficient(ctx, f, u.i, v.i) != walsh_coefficient(ctx, f, v.i, u.i)
+
+
+def _involution_variants(q, rng):
+    """A random permutation, a forced involution, and that involution with
+    one 2-cycle and a fixed point merged into a 3-cycle."""
+    swaps = np.arange(q, dtype=np.int64)
+    pairs = rng.permutation(q)[: 2 * (q // 4)].reshape(-1, 2)
+    swaps[pairs[:, 0]], swaps[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    maps = [rng.permutation(q).astype(np.int64), swaps]
+    if q >= 4:
+        (a, b), c = pairs[-1], np.setdiff1d(np.arange(q), pairs)[0]
+        three = swaps.copy()
+        three[[a, b, c]] = b, c, a
+        maps.append(three)
+    return maps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
+def test_char2_involution_test_matches_dense_spectrum(n):
+    # W(u, v) = sum_x (-1)^(tr(u x) + tr(v F(x))) = (T @ S.T)[u, v], built
+    # from the trace table and scalar products with no library Walsh code
+    ctx = field(2, n)
+    q, tr1 = ctx.order, ctx.tr1_table()
+    mul = np.array([[ctx.mul_idx(a, b) for b in range(q)] for a in range(q)])
+    T = 1 - 2 * tr1[mul].astype(np.int64)   # T[u, x] = (-1)^tr(u x)
+    rng = np.random.default_rng(n)
+    maps = [m for _ in range(3) for m in _involution_variants(q, rng)]
+    if q >= 4:
+        # a 4-cycle 0 -> b -> w -> b+w, with w != 0 orthogonal to every
+        # u < q/2 under the trace form: W is symmetric in all rows u < q/2,
+        # so the witness comes from the second half of the rows
+        w = int(np.flatnonzero((T[: q // 2] == 1).all(axis=0))[1])
+        b = 1 if w != 1 else 2
+        cycle = np.arange(q)
+        cycle[[0, b, w, b ^ w]] = b, w, b ^ w, 0
+        maps.append(cycle)
+    for imgs in maps:
+        W = T @ T[:, imgs].T
+        bad = np.argwhere(W != W.T)
+        f = PermMap(ctx, imgs)
+        flag, witness = walsh_involution_test(ctx, f)
+        assert flag == (bad.size == 0) == (compose(f, f) == identity_perm(ctx))
+        if not flag:
+            assert (witness[0].i, witness[1].i) == tuple(bad[0])
+    if q >= 4:   # the last map was the 4-cycle
+        assert bad[0][0] >= q // 2
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_char2_involution_test_memory_at_cap(which):
+    # the spectrum matrix is 4 q^2 bytes; the test may hold little beyond
+    # it on the witness path (random permutation) and the pass path alike
+    ctx = field(2, 12)
+    q = ctx.order
+    ctx.tr1_table()   # cached field tables, not part of the test's memory
+    f = PermMap(ctx, _involution_variants(q, np.random.default_rng(12))[which])
+    tracemalloc.start()
+    try:
+        walsh_involution_test(ctx, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * q * q
 
 
 def test_cap_enforced():
