@@ -516,16 +516,14 @@ class FieldCtx:
     def from_literal(self, text: str) -> "FieldElement":
         """Parse an element literal: a plain index or 'g^k'."""
         t = text.strip()
-        if t.startswith("g^"):
-            k = int(t[2:])
-            q1 = self.order - 1
-            return FieldElement(self, int(self._exp[k % q1]))
         if t == "g":
             return self.generator
         try:
-            v = int(t)
+            v = int(t[2:] if t.startswith("g^") else t)
         except ValueError:
             raise BadParams(f"bad element literal {text!r}") from None
+        if t.startswith("g^"):
+            return FieldElement(self, int(self._exp[v % (self.order - 1)]))
         if not 0 <= v < self.order:
             raise BadParams(f"element literal {v} out of range [0, {self.order})")
         return FieldElement(self, v)

@@ -39,7 +39,7 @@ from .polyperm import (
     NotBijective, SparsePoly, as_images, counted_cycles, cycle_structure,
     functional_power, identity_perm, perm_from_images,
 )
-from .walsh import WALSH_CAP, walsh_involution_test
+from .walsh import walsh_involution_test, within_walsh_cap
 
 # errors a constructor may legitimately raise on a bad parameter tuple
 REJECTABLE = (BadParams, InvalidSpec, NotDivisor, NotPermutation,
@@ -161,8 +161,8 @@ def cross_check(instance: FamilyInstance,
                 threads: Optional[int] = None,
                 walsh: bool = True) -> CrossCheckReport:
     """Run the instance's bound criterion and the exhaustive verdict and
-    compare.  For involution claims on fields within the Walsh cap the
-    spectral test runs as a third opinion (skipped above the cap); a
+    compare.  For involution claims on fields within the Walsh caps the
+    spectral test runs as a third opinion (skipped above them); a
     contradiction from any side is a DISAGREE."""
     ver = exhaustive_verdict(instance.ctx, instance.fn, [instance.claimed_n],
                              threads=threads)
@@ -177,7 +177,7 @@ def cross_check(instance: FamilyInstance,
     detail = "" if status == "AGREE" else "criterion contradicts brute force"
     walsh_checked = False
     if (walsh and instance.claimed_n == 2 and ver.bijective
-            and instance.ctx.order <= WALSH_CAP):
+            and within_walsh_cap(instance.ctx)):
         flag, _ = walsh_involution_test(instance.ctx, instance.fn)
         walsh_checked = True
         if flag != (2 % ver.order == 0):

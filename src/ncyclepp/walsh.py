@@ -1,17 +1,18 @@
 """Walsh transform utilities for full-field maps.
 
 A Walsh coefficient W(u, v) of a map F is the character sum over x of
-omega^(tr(u*x) + tr(v*F(x))) with omega a primitive p-th root of unity and
-tr the absolute trace.  Values are kept exact as length-p count vectors
-(how often each trace residue occurs), canonicalized modulo the all-ones
-vector, which is the kernel of the count-to-value evaluation.
+w^(tr(u*x) + tr(v*F(x))) with w a primitive p-th root of unity and tr the
+absolute trace.  A single value is kept exact as a length-p count vector (how
+often each trace residue occurs), canonicalized modulo the all-ones vector,
+the kernel of the count-to-value evaluation.
 
-A permutation equals its own inverse exactly when its Walsh coefficient
-matrix is symmetric in (u, v); that is what walsh_involution_test checks.
-Characteristic 2 multiplies the signs (-1)^tr(v*F(x)), with x in dual-basis
-order so that W(u, v) lands in column u, by the Hadamard matrix as a
-Kronecker product of two small ones; odd characteristic uses exact
-residue-count matrix products.
+A permutation equals its own inverse exactly when its Walsh matrix is
+symmetric in (u, v); walsh_involution_test checks that on the whole spectrum,
+held exactly as p - 1 float32 coordinates in Z[w] (basis 1, w, ..., w^(p-2)).
+One engine serves every p: x in dual-basis order puts W(u, v) in column u of
+F_(p^n)[u, y] = w^<u, y>, a Kronecker product of two small factors, each
+applied as p - 1 products with 0/+-1 matrices and shifts of the coordinates;
+for p = 2 that is one Hadamard product per factor.
 """
 from __future__ import annotations
 
@@ -22,11 +23,12 @@ import numpy as np
 
 from .errors import CapExceeded
 from .field import FieldCtx, element_index
-from .polyperm import PermMap, as_images
+from .polyperm import as_images
 
 WALSH_CAP = 1 << 12
 
 _ROW_BLOCK = 128
+_SPECTRUM_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,6 @@ def walsh_coefficient(ctx: FieldCtx, fn, u, v) -> WalshValue:
     return WalshValue.from_counts(ctx.p, np.bincount(residues, minlength=ctx.p))
 
 
-def _hadamard(k: int) -> np.ndarray:
-    """Sylvester's H_{2^k} in float32: entry (i, j) is (-1)^popcount(i & j)."""
-    h = np.ones((1, 1), dtype=np.float32)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
 def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
     """Permutation sigma with tr(u*x) = <digits(sigma[u]), digits(x)> mod p.
 
@@ -91,79 +85,84 @@ def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
     return ctx._linear_map(rows, ctx.varange())
 
 
-def _involution_char2(ctx: FieldCtx, imgs: np.ndarray):
-    q, a = ctx.order, ctx.n // 2
+def _factor(p: int, k: int) -> np.ndarray:
+    """F_(p^k)[u, y] = w^<u, y> on base-p digits as the p - 1 matrices
+    B_j = A_j - A_(p-1), A_j[u, y] = [<u, y> = j mod p]: the powers of w sum
+    to 0, so F_(p^k) = sum_j B_j w^j.  For p = 2, B_0 is Sylvester's H_(2^k)."""
+    digits = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    dot = digits @ digits.T % p
+    return np.stack([(dot == j).astype(np.float32) - (dot == p - 1)
+                     for j in range(p - 1)])
+
+
+def _times_factor(B: np.ndarray, product, out: np.ndarray, tmp: np.ndarray):
+    """out = sum_j w^j product(B_j), coordinates on axis 1: w^j moves
+    coordinate m to m + j, and w^(p-1) = -(1 + w + ... + w^(p-2))."""
+    c = len(B)
+    product(B[0], out)
+    for j in range(1, c):
+        product(B[j], tmp)
+        out[:, j:] += tmp[:, :c - j]
+        out[:, :j - 1] += tmp[:, c + 1 - j:]
+        out -= tmp[:, c - j:c + 1 - j]
+
+
+def _involution(ctx: FieldCtx, imgs: np.ndarray):
+    p, q, a = ctx.p, ctx.order, ctx.n // 2
+    c, pa, pb = p - 1, p ** a, p ** (ctx.n - a)
     # tr(u*x) = <u, sigma(x)> as sigma's Gram matrix is symmetric, so on the
-    # columns y = sigma(x) the transform lands W(u, v) at M[v, u].
+    # columns y = sigma(x) the transform lands W(u, v) at M[v, :, u].
     imgs = imgs[np.argsort(_digit_dot_relabel(ctx))]
-    # (-1)^tr(g^k) for k in [0, 2q - 3]: log v + log F(x) needs no reduction
-    sign = np.tile(1 - 2 * ctx.tr1_table()[ctx._exp], 2).astype(np.float32)
-    log_f, zero_cols = ctx._log[imgs], imgs == 0
-    # H_{2^n} = H_{2^a} (x) H_{2^(n-a)}, two products per row block; float32
-    # is exact, as every partial sum is an integer of size at most q < 2^24.
-    Ha, Hb = _hadamard(a), _hadamard(ctx.n - a)
-    M = np.empty((q, q), dtype=np.float32)
-    t = np.empty((_ROW_BLOCK, q), dtype=np.int64)   # log v + log F(x), reused
-    s = np.empty((_ROW_BLOCK, q), dtype=np.float32)   # signs, reused
-    for lo in range(0, q, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, q)
-        r = hi - lo
-        np.add(ctx._log[lo:hi, None], log_f[None, :], out=t[:r])
-        np.take(sign, t[:r], mode="clip", out=s[:r])   # log 0 = -1: junk, fixed below
-        s[:r, zero_cols] = 1   # tr(0) = 0 where F(x) = 0 and where v = 0
-        s[:r][np.arange(lo, hi) == 0] = 1
-        x = (s[:r].reshape(r << a, -1) @ Hb).reshape(r, 1 << a, -1)
-        np.matmul(Ha, x, out=M[lo:hi].reshape(x.shape))
+    # Coordinates of w^tr(g^k) for k in [0, 2q - 3], so log v + log F(x) needs
+    # no reduction, then of w^0: e_t, or all -1 for t = p - 1.  With log 0 set
+    # to 2q - 2, every sum with a zero term clips to that last entry.
+    tr = np.append(np.tile(ctx.tr1_table()[ctx._exp], 2), 0)
+    enc = (tr == np.arange(c)[:, None]).astype(np.float32) - (tr == c)
+    log = np.concatenate(([2 * q - 2], ctx._log[1:]))
+    log_f = log[imgs]
+    # F_(p^n) = F_(p^a) (x) F_(p^(n-a)) (Good, 1958); for n = 1 the first
+    # factor is empty.  Blocks of r rows keep each buffer near 128 q coordinates.
+    Ba, Bb = _factor(p, a), _factor(p, ctx.n - a)
+    r = max(1, _ROW_BLOCK // c)
+    M = np.empty((q, c, q), dtype=np.float32)
+    t = np.empty((r, q), dtype=np.int64)   # log v + log F(x), reused
+    X, Y, Z = (np.empty((r, c, q), dtype=np.float32) for _ in range(3))
+    for lo in range(0, q, r):
+        k = min(r, q - lo)
+        np.add(log[lo:lo + k, None], log_f[None, :], out=t[:k])
+        for m in range(c):
+            np.take(enc[m], t[:k], mode="clip", out=X[:k, m])
+        low = Z[:k] if a else M[lo:lo + k]
+        _times_factor(Bb, lambda B, o: np.matmul(X[:k].reshape(-1, pb), B,
+                                                 out=o.reshape(-1, pb)), low, Y[:k])
+        if a:
+            _times_factor(Ba, lambda B, o: np.matmul(B, Z[:k].reshape(k, c, pa, pb),
+                                                     out=o.reshape(k, c, pa, pb)),
+                          M[lo:lo + k], Y[:k])
     # The mismatch set is symmetric, so its first row-major cell lies in the
     # upper triangle of the first band of rows that holds one.
     for lo in range(0, q, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, q)
-        bad = np.concatenate([M[lo:hi, c:c + _ROW_BLOCK] != M[c:c + _ROW_BLOCK, lo:hi].T
-                              for c in range(lo, q, _ROW_BLOCK)], axis=1)
+        bad = np.concatenate([(M[lo:hi, :, b:b + _ROW_BLOCK]
+                               != M[b:b + _ROW_BLOCK, :, lo:hi].T).any(axis=1)
+                              for b in range(lo, q, _ROW_BLOCK)], axis=1)
         if bad.any():
             i = int(bad.any(axis=1).argmax())
             return False, (ctx.element(lo + i), ctx.element(lo + int(bad[i].argmax())))
     return True, None
 
 
-def _involution_oddp(ctx: FieldCtx, imgs: np.ndarray):
-    p, q = ctx.p, ctx.order
-    tr1 = ctx.tr1_table()
-    xs = ctx.varange()
-    R = np.empty((q, q), dtype=np.int8)   # R[v, x] = tr(v * F(x))
-    S = np.empty((q, q), dtype=np.int8)   # S[u, x] = tr(u * x)
-    for lo in range(0, q, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, q)
-        R[lo:hi] = tr1[ctx.vmul(xs[lo:hi, None], imgs[None, :])]
-        S[lo:hi] = tr1[ctx.vmul(xs[lo:hi, None], xs[None, :])]
-    # C[c][v, u] = #{x : tr(v F(x)) + tr(u x) = c};  counts are exact in
-    # float32 since they never exceed the field size q <= 2^12 < 2^24.
-    C = [np.zeros((q, q), dtype=np.float32) for _ in range(p)]
-    for a in range(p):
-        Pa = (R == a).astype(np.float32)
-        for b in range(p):
-            Qb = (S == b).astype(np.float32)
-            C[(a + b) % p] += Pa @ Qb.T
-    # W(u, v) = W(v, u) for all pairs iff the count difference between the
-    # (u, v) and (v, u) cells is the same in every residue class.
-    D0 = C[0].T - C[0]
-    mismatch = np.zeros((q, q), dtype=bool)
-    for c in range(1, p):
-        mismatch |= (C[c].T - C[c]) != D0
-    bad = np.argwhere(mismatch)
-    if bad.size == 0:
-        return True, None
-    u, v = int(bad[0][0]), int(bad[0][1])
-    return False, (ctx.element(u), ctx.element(v))
+def within_walsh_cap(ctx: FieldCtx) -> bool:
+    """q <= WALSH_CAP and at most 2^28 spectrum coordinates (1 GiB), which keeps
+    every partial sum, at most 2 (p - 1) q <= min(2 q^2, 2^29 / q) < 2^20, exact."""
+    return ctx.order <= WALSH_CAP and (ctx.p - 1) * ctx.order ** 2 <= _SPECTRUM_CAP
 
 
 def walsh_involution_test(ctx: FieldCtx, fn):
     """Decide whether a permutation is its own inverse from its Walsh
     spectrum alone.  Returns (flag, witness); the witness is a pair (u, v)
     with W(u, v) != W(v, u) when the answer is no."""
-    if ctx.order > WALSH_CAP:
-        raise CapExceeded(f"field size {ctx.order} above Walsh cap {WALSH_CAP}")
-    imgs = as_images(ctx, fn)
-    if ctx.p == 2:
-        return _involution_char2(ctx, imgs)
-    return _involution_oddp(ctx, imgs)
+    if not within_walsh_cap(ctx):
+        raise CapExceeded(f"Walsh spectrum of GF({ctx.p}^{ctx.n}) above cap: it needs "
+                          f"q <= {WALSH_CAP} and (p - 1) q^2 <= 2^28")
+    return _involution(ctx, as_images(ctx, fn))

@@ -277,6 +277,28 @@ def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     assert "power too large" in capsys.readouterr().err
 
 
+def test_walsh_spectrum_cap_exits_three_before_allocating():
+    # GF(4093) passes the field-size cap, but its spectrum would be
+    # (p - 1) q^2 = 2^36 float32: refused in a child process under a 2 GB
+    # address-space limit, and skipped as the cross-check's third opinion
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    gf = ["--p", "4093", "--n", "1"]
+
+    def child(argv):
+        return subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit)
+
+    proc = child(["walsh"] + gf + ["--poly", "x^(q-2)", "--check-involution"])
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Walsh spectrum of GF(4093^1) above cap" in proc.stderr
+    proc = child(["construct", "xh_lambda"] + gf + ["--variant", "involution_cor",
+                                                   "--sub-degree", "1", "--verify"])
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)["cross_check"]
+    assert report["status"] == "AGREE" and report["walsh_checked"] is False
+
+
 @pytest.mark.parametrize("poly,cycle", [("x^(2^-1)", "2"), ("x^2", "2^-1")])
 def test_negative_power_exits_two(capsys, poly, cycle):
     # 2^-1 is no integer: it must not be truncated to x^0 or a 0-cycle

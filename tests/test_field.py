@@ -205,6 +205,12 @@ def test_literals():
         ctx.from_literal("bogus")
 
 
+@pytest.mark.parametrize("text", ["g^x", "g^", "g^1.5"])
+def test_bad_generator_power_literal_is_bad_params(text):
+    with pytest.raises(BadParams):
+        field(2, 3).from_literal(text)
+
+
 SMALL_FIELDS = [(2, 4), (3, 2), (5, 1), (5, 2), (7, 1), (2, 6), (3, 3)]
 
 

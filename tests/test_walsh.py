@@ -9,8 +9,9 @@ from ncyclepp.polyperm import (
     PermMap, SparsePoly, compose, functional_power, identity_perm, invert,
     perm_order, require_perm,
 )
+from ncyclepp.field import make_field
 from ncyclepp.walsh import (
-    WalshValue, walsh_coefficient, walsh_involution_test,
+    WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
 )
 from conftest import field
 
@@ -194,6 +195,79 @@ def test_char2_involution_test_memory_at_cap(which):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 4 * q * q
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2),
+                                (5, 3), (7, 1), (7, 2), (7, 3)])
+def test_oddp_involution_test_matches_dense_spectrum(pn):
+    # W(u, v) = W(v, u) iff the residue counts C[j][u, v] = #{x : tr(u x) +
+    # tr(v F(x)) = j} differ from C[j][v, u] by the same amount for every j
+    # (the powers of w sum to 0); counted from the trace table and scalar
+    # products with no library Walsh code
+    ctx = field(*pn)
+    p, q, tr1 = ctx.p, ctx.order, ctx.tr1_table()
+    mul = np.array([[ctx.mul_idx(a, b) for b in range(q)] for a in range(q)])
+    T = tr1[mul]   # T[u, x] = tr(u x)
+    ind = [(T == j).astype(np.float32) for j in range(p)]
+    rng = np.random.default_rng(q)
+    maps = [m for _ in range(1 if q > 500 else 2) for m in _involution_variants(q, rng)]
+    # a 3-cycle 0 -> w -> 2w on the line of a w != 0 with tr(u w) = 0 for
+    # every u < q/p: W is symmetric in those rows, so the witness lies past
+    # the first row block (and past the first band of 128 rows at 3^6)
+    w = int(np.flatnonzero((T[: q // p] == 0).all(axis=0))[1])
+    cycle = np.arange(q)
+    cycle[[0, w, ctx.add_idx(w, w)]] = w, ctx.add_idx(w, w), 0
+    maps.append(cycle)
+    for imgs in maps:
+        C = np.stack([sum(ind[i] @ (T[:, imgs] == (j - i) % p).T.astype(np.float32)
+                          for i in range(p)) for j in range(p)])
+        D = C - C.transpose(0, 2, 1)
+        bad = np.argwhere((D != D[0]).any(axis=0))
+        f = PermMap(ctx, imgs)
+        flag, witness = walsh_involution_test(ctx, f)
+        assert flag == (bad.size == 0) == (compose(f, f) == identity_perm(ctx))
+        if not flag:
+            assert (witness[0].i, witness[1].i) == tuple(bad[0])
+    assert bad[0][0] >= q // p   # the last map was the 3-cycle
+
+
+def test_involution_test_residues_past_127():
+    # x + 1 over GF(131): W(u, v) = q w^v [u + v = 0], so the first pair with
+    # W(u, v) != W(v, u) is (1, 130); residues above 127 must not wrap
+    ctx = field(131, 1)
+    f = SparsePoly.from_text(ctx, "x + 1")
+    flag, (u, v) = walsh_involution_test(ctx, f)
+    assert not flag and (u.i, v.i) == (1, 130)
+    assert walsh_coefficient(ctx, f, 1, 2) == walsh_coefficient(ctx, f, 2, 1)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_oddp_involution_test_memory_at_cap(which):
+    # the spectrum is p - 1 float32 coordinates per cell, 4 (p - 1) q^2
+    # bytes; the test may hold little beyond it on either path
+    ctx = field(3, 7)
+    q = ctx.order
+    ctx.tr1_table()   # cached field tables, not part of the test's memory
+    f = PermMap(ctx, _involution_variants(q, np.random.default_rng(37))[which])
+    tracemalloc.start()
+    try:
+        walsh_involution_test(ctx, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * (ctx.p - 1) * q * q
+
+
+@pytest.mark.parametrize("pn,fits", [((643, 1), True), ((647, 1), False),
+                                     ((47, 2), True), ((53, 2), False),
+                                     ((2, 12), True), ((2, 13), False)])
+def test_spectrum_cap(pn, fits):
+    # (p - 1) q^2 spectrum coordinates may not pass 2^28 (1 GiB of float32)
+    ctx = make_field(*pn)
+    assert within_walsh_cap(ctx) == fits
+    if not fits:
+        with pytest.raises(CapExceeded):
+            walsh_involution_test(ctx, identity_perm(ctx))
 
 
 def test_cap_enforced():
