@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncyclepp.errors import BadParams, CapExceeded
+from ncyclepp.field import make_field
 from ncyclepp.polyperm import (
     PermMap, SparsePoly, compose, functional_power, identity_perm, invert,
     perm_order, require_perm,
 )
-from ncyclepp.field import make_field
 from ncyclepp.walsh import (
     WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
 )
