@@ -17,6 +17,7 @@ single call, cross-checkable against the exhaustive oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Union
@@ -99,15 +100,44 @@ def _ctx_for(q: int, ext: int, ctx: Optional[FieldCtx]) -> FieldCtx:
     return ctx
 
 
+class Deferred:
+    """A symbolic expansion to run on the first read of FamilyInstance.poly
+    (a SparsePoly is callable too, so a bare function could not be told
+    apart from one)."""
+
+    def __init__(self, build: Callable[[], SparsePoly]):
+        self.build = build
+
+
+class _ExpandedOnRead:
+    """The FamilyInstance.poly field: holds a SparsePoly, None or a
+    Deferred, and replaces a Deferred by _try_poly(build) when first read."""
+
+    slot = "_poly"
+
+    def __get__(self, obj, owner=None) -> Optional[SparsePoly]:
+        if obj is None:   # the field's default
+            return None
+        value = obj.__dict__[self.slot]
+        if isinstance(value, Deferred):
+            value = obj.__dict__[self.slot] = _try_poly(value.build)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class FamilyInstance:
     """One constructed map plus its certificate hooks.
 
-    poly is the sparse-polynomial form when the symbolic expansion stayed
-    under the term cap (None otherwise); fn always evaluates the map on
-    arrays of element indices.  check() runs the algebraic criterion the
-    family is certified by; the oracle module re-derives the same verdict by
-    brute force."""
+    poly is the sparse-polynomial form when the symbolic expansion stays
+    under the term cap (None otherwise).  A builder may pass it as a
+    Deferred, which is expanded on the first read of poly, so an instance
+    nobody prints never pays for the expansion.  fn always evaluates the
+    map on arrays of element indices.  check() runs the algebraic criterion
+    the family is certified by; the oracle module re-derives the same
+    verdict by brute force."""
 
     family: str
     ctx: FieldCtx
@@ -116,7 +146,7 @@ class FamilyInstance:
     fn: Callable[[np.ndarray], np.ndarray]
     map_form: str
     check: Callable[[], CriterionVerdict]
-    poly: Optional[SparsePoly] = None
+    poly: Union[SparsePoly, Deferred, None] = _ExpandedOnRead()
     degenerate: bool = False
     notes: tuple[str, ...] = ()
     inverse_poly: Optional[SparsePoly] = None
@@ -387,7 +417,7 @@ def build_xh_lambda(ctx: FieldCtx, variant: str, *, sub_degree: int,
         raise HValueNotRootOfUnity(
             f"h({w.literal()})^{n} != 1 on GF({q})", witness=w)
 
-    poly = _try_poly(lambda: poly_mul(
+    poly = Deferred(lambda: poly_mul(
         SparsePoly.monomial(ctx, 1), poly_compose(hp, lambda_poly(spec, ctx))))
     return xh_instance(
         ctx, hp, spec, params=params, poly=poly,
@@ -534,7 +564,7 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         params.update(g=g_obj.to_text())
         form = "x^q + g(T(x)), T the trace to GF(q)"
 
-    poly = (_try_poly(lambda: poly_add(phi, poly_compose(g_obj, psip)))
+    poly = (Deferred(lambda: poly_add(phi, poly_compose(g_obj, psip)))
             if isinstance(g_obj, SparsePoly) else None)
     return additive_instance(ctx, phi, psip, g_obj, claimed, params=params,
                              poly=poly, map_form=form, degenerate=degenerate,
@@ -597,8 +627,8 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
 
     shift_poly = SparsePoly.make(
         ctx, [(di, 0), (ctx.neg_idx(1), 1), (1, q ** i)])
-    poly = (_try_poly(lambda: poly_add(SparsePoly.monomial(ctx, 1),
-                                       poly_compose(g_obj, shift_poly)))
+    poly = (Deferred(lambda: poly_add(SparsePoly.monomial(ctx, 1),
+                                      poly_compose(g_obj, shift_poly)))
             if isinstance(g_obj, SparsePoly) else None)
     return shift_instance(ctx, g_obj, ShiftParams(i, di, sub_degree), p,
                           params=params, poly=poly,
@@ -669,7 +699,13 @@ def build_xq_h_alpha(q: int, alpha,
 def solve_jieguo_congruences(q: int) -> list[tuple[int, int]]:
     """Exhaustive scan for (t, m) in [0, q+1)^2 satisfying the defining
     congruences mod q+1: the cubic precondition in t alone plus the three
-    coupled conditions.  q must be 2^(12k'-6) so that 13 | q+1."""
+    coupled conditions.  q must be 2^(12k'-6) so that 13 | q+1.  The scan
+    runs once per q; the fuzzer asks for it on every trial."""
+    return list(_jieguo_pairs(q))
+
+
+@lru_cache(maxsize=16)
+def _jieguo_pairs(q: int) -> tuple[tuple[int, int], ...]:
     e = _exact_log(q, 2)
     if e % 12 != 6:
         raise BadParams("q must be 2^(12k'-6) so that 13 divides q+1")
@@ -683,7 +719,7 @@ def solve_jieguo_congruences(q: int) -> list[tuple[int, int]]:
                     and (-m - m * t + t + t * t) % Q1 == 0
                     and (13 * m - 13 * t) % Q1 == 0):
                 out.append((t, m))
-    return out
+    return tuple(out)
 
 
 def build_jieguo(q: int, t: int, m: int,

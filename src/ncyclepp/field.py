@@ -40,6 +40,9 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 24
+# most points a chunk of digits spans: the size of a lookup table of
+# _linear_tables, and of the whole-field image tables of SparsePoly.eval_vec
+CHUNK_POINTS = 4096
 
 
 def _is_prime(m: int) -> bool:
@@ -198,8 +201,8 @@ class FieldCtx:
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
-        # digits per chunk of _linear_map (p^chunk <= 4096), and entries of all chunks
-        self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > 4096))
+        # digits per chunk of _linear_map (p^chunk <= CHUNK_POINTS), and entries of all chunks
+        self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > CHUNK_POINTS))
         self._table_size = sum(p ** len(self._p_pows[lo:lo + self._chunk])
                                for lo in range(0, n, self._chunk))
         self._gen_idx = self._find_generator()

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import FieldCtx, FieldElement, NcycleInternal, divisors
+from .field import CHUNK_POINTS, FieldCtx, FieldElement, NcycleInternal, divisors
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
     for exponentiation.  Only names present in ``variables`` may appear.
     A power whose base bit length times exponent exceeds _POW_BITS, or
     whose exponent is negative, is refused with BadParams before it is
-    computed.
+    computed, and so is an expression nested past Python's recursion limit.
     """
     env = dict(variables or {})
     src = text.replace("^", "**")
@@ -54,7 +54,7 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
     def walk(node: ast.AST) -> int:
         if isinstance(node, ast.Expression):
             return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is int:   # not bool
             return node.value
         if isinstance(node, ast.Name):
             if node.id in env:
@@ -73,11 +73,11 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
         raise BadParams(f"unsupported syntax in expression {text!r}")
 
     try:
-        tree = ast.parse(src, mode="eval")
+        return walk(ast.parse(src, mode="eval"))
     except SyntaxError as exc:
         raise BadParams(f"cannot parse expression {text!r}") from exc
-    try:
-        return walk(tree)
+    except RecursionError:   # from ast.parse or from walk
+        raise BadParams(f"expression nested too deeply: {text[:40]!r}...") from None
     except (ZeroDivisionError, ValueError) as exc:
         raise BadParams(f"cannot evaluate expression {text!r}: {exc}") from exc
 
@@ -141,11 +141,11 @@ class SparsePoly:
             elif chunk.startswith("x"):
                 cpart, xpart = "1", chunk
             else:
-                cpart, xpart = chunk, ""
+                cpart, xpart = chunk, None
             coeff = ctx.from_literal(cpart).i
             if negate:
                 coeff = ctx.neg_idx(coeff)
-            if xpart == "":
+            if xpart is None:   # a bare constant; "c*" has no x to follow
                 exp = 0
             elif xpart == "x":
                 exp = 1
@@ -195,14 +195,39 @@ class SparsePoly:
             plan.append((e0, group, tabs))
         return plan
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The image of every point of the field: a reduced polynomial is
+        exactly one map of the field, so this table is the polynomial.  It
+        is built term by term in log order, where the term c*x^e at x = g^k
+        is g^(log c + k*e), then scattered to index order.  Read-only:
+        eval_vec hands out gathers of it."""
+        ctx, q1 = self.ctx, self.ctx.order - 1
+        k = np.arange(q1, dtype=np.int64)
+
+        def term(c: int, e: int) -> np.ndarray:
+            t = k * (e % q1) + ctx._log[c]
+            return ctx._exp[t - t // q1 * q1]   # t % q1, in half the time
+
+        table = np.empty(ctx.order, dtype=np.int64)
+        table[ctx._exp] = reduce(ctx.vadd, (term(c, e) for c, e in self.terms))
+        c0, e0 = self.terms[0]   # exponents ascend: a constant comes first
+        table[0] = c0 if e0 == 0 else 0
+        table.flags.writeable = False
+        return table
+
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Image of every index in xs, never xs itself.  An orbit group of
+        """Image of every index in xs, a fresh array of xs's shape.  On a
+        field of at most CHUNK_POINTS points it is one gather from _table,
+        which the first call builds.  On larger fields an orbit group of
         _plan is one table lookup of x^e0 when xs is as large as the tables
-        and the field spans more than one chunk: the table of a one-chunk
-        field lists L at every point, so it costs what the group's terms do."""
+        and the field spans more than one chunk; otherwise, as on GF(p)
+        with p > CHUNK_POINTS, each term is evaluated on xs."""
         xs, ctx = np.asarray(xs, dtype=np.int64), self.ctx
         if not self.terms:
             return np.zeros(xs.shape, dtype=np.int64)
+        if ctx.order <= CHUNK_POINTS:
+            return self._table[xs.ravel()].reshape(xs.shape)
         if ctx.n <= ctx._chunk or xs.size < ctx._table_size:
             parts = (self._term(c, e, xs) for c, e in self.terms)
         else:

@@ -5,6 +5,10 @@ from ncyclepp.field import make_field
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
+# for parser fuzzing: the same examples on every run, none stored between
+# runs, and a deadline so that a parse that hangs fails instead
+settings.register_profile("deterministic", max_examples=200, derandomize=True,
+                          database=None, deadline=1000)
 
 _CACHE = {}
 

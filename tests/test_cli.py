@@ -1,4 +1,5 @@
 """Command line interface: output documents, exit codes, determinism."""
+import hashlib
 import json
 import os
 import resource
@@ -54,6 +55,29 @@ class TestConstruct:
         assert rep["status"] == "AGREE"
         assert rep["oracle"]["bijective"] is True
         assert rep["oracle"]["order"] == 3
+
+    @pytest.mark.parametrize("argv,poly", [
+        ("xh_lambda --p 5 --n 2 --variant involution_cor --sub-degree 1",
+         "4*x^1"),
+        ("xh_lambda --p 3 --n 6 --variant involution_cor --sub-degree 1 "
+         "--lam lambda2",
+         "f02a5d9cf42bdb683ee37f74c749623c90a1e2a4fb1248e2be78b6f0e83da0a7"),
+        ("xh_lambda --p 5 --n 6 --variant involution_cor --sub-degree 1 "
+         "--lam lambda2", None),
+        ("additive --p 3 --n 2 --variant trace_g1 --sub-degree 1",
+         "1*x^1+2*x^2+2*x^4+2*x^6"),
+        ("shift --p 7 --n 2 --variant trace_g1 --sub-degree 1 --i 1 "
+         "--delta 1", "2+1*x^1+2*x^2+3*x^8+2*x^14"),
+    ])
+    def test_deferred_poly_is_printed(self, capsys, argv, poly):
+        # the builders defer the expansion and construct reads it: the
+        # text (a digest when long) as expanded eagerly, null past the cap
+        code, doc = run_json(capsys, "construct", *argv.split())
+        assert code == 0
+        got = doc["poly"]
+        if got is not None and len(got) > 100:
+            got = hashlib.sha256(got.encode()).hexdigest()
+        assert got == poly
 
     def test_congruence_trinomial_rejects_bad_pair(self, capsys):
         code, _ = run(capsys, "construct", "jieguo", "--q", "64",
@@ -306,6 +330,16 @@ def test_negative_power_exits_two(capsys, poly, cycle):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "negative power" in captured.err and captured.out == ""
+
+
+def test_deeply_nested_exponent_exits_two(capsys):
+    # ast.parse would raise a raw RecursionError and exit 1 with a traceback
+    argv = ["verify", "--p", "3", "--n", "2", "--poly", "x^(" + "-" * 5000 + "1)",
+            "--cycle", "2"]
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "nested too deeply" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():

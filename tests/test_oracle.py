@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ncyclepp.families as families
 import ncyclepp.oracle as oracle
 import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import CriterionVerdict, additive_criterion
@@ -223,6 +224,24 @@ class TestFuzz:
         assert s.failures == ()
         assert s.disagreements == ()
         assert s.comparisons > 0
+
+    @pytest.mark.parametrize("fam", ["additive", "shift", "involution_cor"])
+    def test_fuzz_never_expands_the_poly(self, monkeypatch, fam):
+        # the builders defer poly and no fuzz trial reads it
+        deferred, expanded = [], []
+        compose = families.poly_compose
+
+        class Spy(families.Deferred):
+            def __init__(self, build):
+                deferred.append(1)
+                super().__init__(build)
+
+        monkeypatch.setattr(families, "Deferred", Spy)
+        monkeypatch.setattr(families, "poly_compose",
+                            lambda f, g: expanded.append(1) or compose(f, g))
+        s = random_family_fuzz(fam, 1, 60)
+        assert s.failures == () and s.comparisons > 0
+        assert deferred and not expanded
 
     def test_seed_determinism(self):
         a = random_family_fuzz("shift", 9, 20).to_json_lines()

@@ -46,6 +46,20 @@ def test_eval_int_expr_refuses_negative_powers(text):
     assert eval_int_expr("(-2)^3") == -8
 
 
+@pytest.mark.parametrize("text", ["-" * 5000 + "1", "+".join(["1"] * 100_000)])
+def test_eval_int_expr_refuses_deep_nesting(text):
+    # ast.parse and walk would raise a raw RecursionError
+    with pytest.raises(BadParams, match="nested too deeply"):
+        eval_int_expr(text)
+
+
+@pytest.mark.parametrize("text", ["x^True", "x^(False+1)", "3*", "x^2+3*", "g*"])
+def test_from_text_refuses_lenient_forms(text):
+    # a bool is no exponent, and "c*" has no x to follow it
+    with pytest.raises(BadParams):
+        SparsePoly.from_text(field(3, 2), text)
+
+
 # --- sparse polynomial canonical form ---------------------------------------
 
 def test_make_merges_and_drops():
@@ -126,21 +140,86 @@ def test_eval_vec_matches_scalar_eval_on_whole_fields(pn):
             assert np.array_equal(xs, before)
 
 
+def _spy(monkeypatch, ctx, name):
+    """Record the operand size of every call of ctx's vector op name."""
+    calls, op = [], getattr(ctx, name)
+    monkeypatch.setattr(ctx, name, lambda a, b: calls.append(np.size(a)) or op(a, b))
+    return calls
+
+
 @pytest.mark.parametrize("pn,chunks", [((2, 6), 1), ((2, 13), 2), ((3, 8), 2), ((7, 5), 2)])
 def test_eval_vec_takes_the_linear_path_only_on_large_arrays(monkeypatch, pn, chunks):
     # Tr(x^(p+1)) is one orbit group: one vpow on a whole field of two
-    # chunks, n below the table size or on a field of one chunk
+    # chunks, n below the table size.  A field of one chunk sums its n
+    # terms once into a whole-field table, with no vpow, and gathers after
     ctx = field(*pn)
     assert -(-ctx.n // ctx._chunk) == chunks
     trace = SparsePoly.make(ctx, [(1, (ctx.p + 1) * ctx.p ** k) for k in range(ctx.n)])
-    calls = []
-    vpow = ctx.vpow
-    monkeypatch.setattr(ctx, "vpow", lambda a, e: calls.append(np.size(a)) or vpow(a, e))
+    pows, sums = _spy(monkeypatch, ctx, "vpow"), _spy(monkeypatch, ctx, "vadd")
     trace.eval_vec(ctx.varange())
-    assert calls.count(ctx.order) == (1 if chunks > 1 else ctx.n)
-    calls.clear()
+    if chunks > 1:
+        assert pows.count(ctx.order) == 1
+    else:
+        assert pows == [] and sums == [ctx.order - 1] * (ctx.n - 1)
+    pows.clear(), sums.clear()
     trace.eval_vec(ctx.varange()[:ctx._table_size - 1])
-    assert len(calls) == ctx.n
+    assert len(pows) == (ctx.n if chunks > 1 else 0)
+    assert chunks > 1 or sums == []
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 12), (3, 7), (4093, 1)])
+def test_eval_vec_table_matches_scalar_eval(pn):
+    # the whole-field table on the edges of the table rule: GF(2), prime
+    # fields, 2^12 and 3^7 at the CHUNK_POINTS bound, and GF(4093) below it
+    ctx = field(*pn)
+    q = ctx.order
+    rng = np.random.default_rng(q)
+    polys = [_orbit_poly(ctx, rng) if q > 3 else SparsePoly.make(ctx, [(1, 0), (1, 1)]),
+             SparsePoly.make(ctx, [(1, q - 1), (q - 1, 3 * (q - 1))]),
+             SparsePoly.monomial(ctx, 0, q - 1)]
+    for poly in polys:
+        want = [poly.eval_idx(i) for i in range(q)]
+        assert poly.eval_vec(ctx.varange()).tolist() == want
+
+
+@pytest.mark.parametrize("xs", [np.array(5), np.array([[0, 1, 2], [3, 4, 5]]),
+                                np.arange(9)[::-2], [7, 0], 3, np.zeros(0, dtype=np.int64)])
+def test_eval_vec_table_keeps_the_shape_and_shares_no_memory(xs):
+    ctx = field(3, 2)
+    poly = SparsePoly.from_text(ctx, "2*x^4 + x^2 + 2*x + 1")
+    got = poly.eval_vec(xs)
+    assert type(got) is np.ndarray and got.shape == np.shape(xs)   # 0-d stays 0-d
+    assert got.tolist() == np.vectorize(poly.eval_idx, otypes=[int])(xs).tolist()
+    assert not np.shares_memory(got, xs) and not np.shares_memory(got, poly._table)
+    got[...] = 0   # the caller owns the result; the table stays as it was
+    assert poly.eval_vec(xs).tolist() == np.vectorize(poly.eval_idx, otypes=[int])(xs).tolist()
+
+
+def test_eval_vec_builds_its_table_once(monkeypatch):
+    ctx = field(2, 9)
+    poly = SparsePoly.make(ctx, [(3, 0), (1, 5), (7, 40), (1, 511)])
+    sums = _spy(monkeypatch, ctx, "vadd")
+    first = poly.eval_vec(ctx.varange())
+    table = poly._table
+    assert sums == [ctx.order - 1] * 3   # four terms, summed once
+    second = poly.eval_vec(ctx.mu_indices(7))
+    assert sums == [ctx.order - 1] * 3 and poly._table is table
+    assert second.tolist() == first[ctx.mu_indices(7)].tolist()
+
+
+def test_eval_vec_on_a_large_prime_field_caches_nothing_of_its_size(monkeypatch):
+    # GF(4099) is one chunk of one digit, but above CHUNK_POINTS: each term
+    # is evaluated on the given points, and no q-sized table is kept
+    ctx = field(4099, 1)
+    poly = SparsePoly.make(ctx, [(5, 0), (2, 3), (1, 4098)])
+    pows = _spy(monkeypatch, ctx, "vpow")
+    xs = np.array([0, 1, 2, 4098, 77])
+    for _ in range(2):
+        assert poly.eval_vec(xs).tolist() == [poly.eval_idx(int(i)) for i in xs]
+    assert pows == [xs.size] * 6   # three terms, on each call
+    assert not any(np.size(v) >= ctx.order for v in vars(poly).values()
+                   if isinstance(v, np.ndarray))
+    assert "_table" not in vars(poly)
 
 
 def test_poly_mul_refuses_past_the_term_cap_before_multiplying(monkeypatch):
