@@ -30,8 +30,8 @@ from .criteria import (
 from .errors import CapExceeded, NcycleError, NotPermutation
 from .families import (
     build_additive, build_jieguo, build_rs_2to3m, build_shift,
-    build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_spec,
-    lambda_vector_fn, search_k_2to3m, solve_jieguo_congruences,
+    build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_map,
+    lambda_spec, search_k_2to3m, solve_jieguo_congruences,
 )
 from .field import FieldCtx, make_field
 from .oracle import cross_check, exhaustive_verdict, random_family_fuzz
@@ -213,7 +213,7 @@ def _lambda_fn(ctx: FieldCtx, spec_text: str, sub_degree: int):
     if spec_text.startswith(("lambda1:", "lambda2:")):
         variant, _, power = spec_text.partition(":")
         spec = lambda_spec(ctx, variant, int(power), sub_degree)
-        return lambda_vector_fn(spec, ctx)
+        return lambda_map(spec, ctx)
     return SparsePoly.from_text(ctx, spec_text, {"q": ctx.order})
 
 

@@ -6,25 +6,36 @@ conditions quantify over small derived domains (a subfield image, a shifted
 kernel, a root-of-unity coset) rather than the whole field, which is the
 point: they stay cheap while full cycle enumeration grows with the field.
 
-Hypotheses of the underlying statements are checked first by exhaustion and
-raise HypothesisViolated (or a more specific error) when broken, so a verdict
-is only issued when the statement actually applies.
+Hypotheses of the underlying statements are checked first and raise
+HypothesisViolated (or a more specific error) when broken, so a verdict is
+only issued when the statement actually applies.  The subfield-domain
+criteria (x*h(lambda(x)), phi(x) + g(psi(x)), g(x^(q^i) - x + delta) + x)
+decide them without whole-field arrays: a reduced polynomial is exactly one
+map of the field (Lidl & Niederreiter, Thm 7.1), so a map identity is a
+comparison of coefficients, and an additive polynomial is an n x n matrix
+over GF(p), whose rank, powers and products give bijectivity, the n-cycle
+property and commutation, and whose column space is the image.  Only a
+failed identity, for its witness, or a part given as a callable takes the
+whole field.  The others check by exhaustion.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import (
-    BadParams, HypothesisViolated, NotPermutation, NotSurjective,
-    PrereqNotNcycle,
+    BadParams, CapExceeded, HypothesisViolated, NotPermutation,
+    NotSurjective, PrereqNotNcycle,
 )
-from .field import FieldCtx, FieldElement, NcycleInternal, element_index
+from .field import (
+    FieldCtx, FieldElement, NcycleInternal, divisors, element_index,
+)
 from .polyperm import (
     PermMap, SparsePoly, as_images, as_vector_fn, functional_power, is_ncycle,
-    perm_from_images, require_perm,
+    perm_from_images, poly_add, poly_frob, require_perm,
 )
 
 
@@ -107,35 +118,84 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
 
 
 # ---------------------------------------------------------------------------
+# orbits over a small domain
+# ---------------------------------------------------------------------------
+
+def _positions(ys: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Position of each value of v in the sorted array ys, or None when
+    some value is not in ys."""
+    pos = np.searchsorted(ys, v)
+    inside = pos < ys.size
+    if not (inside.all() and np.array_equal(ys[pos], v)):
+        return None
+    return pos
+
+
+def _orbit_fold(succ: np.ndarray, vals: np.ndarray, n: int, combine):
+    """For each position j of a domain, the fold of vals along the first n
+    points j, succ(j), succ(succ(j)), ... of its orbit; succ maps positions
+    to positions and vals holds one value per position in its last axis.
+    combine(a, b, m) joins the fold a of a run with the fold b of the m
+    steps that follow it.  Runs of 2^k steps are doubled from runs of
+    2^(k-1) (binary lifting), so the cost is O(len(succ) log n), not
+    O(len(succ) n)."""
+    out, pos = None, np.arange(succ.size)
+    block, step, m = vals, succ, 1
+    while n:
+        if n & 1:
+            tail = block[..., pos]
+            out = tail if out is None else combine(out, tail, m)
+            pos = step[pos]
+        n >>= 1
+        if n:
+            block = combine(block, block[..., step], m)
+            step = step[step]
+            m *= 2
+    return out
+
+
+# ---------------------------------------------------------------------------
 # x * h(lambda(x))
 # ---------------------------------------------------------------------------
 
-def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
-                        n: int) -> CriterionVerdict:
-    """n-cycle test for f(x) = x * h(lambda(x)).
+# sample points per element of GF(q) that _subfield_image draws to find a
+# preimage of each: a value taken on at least 1/(2q) of the field is missed
+# with probability below e^-16
+IMAGE_SAMPLES = 32
 
-    Requires h(0) != 0, k(0) = 0, that y * k(h(y)) permutes the image of
-    lambda, and the scaling law lambda(a*x) = k(a) * lambda(x) for every a
-    in h(image) together with 1.  Under those, f is an n-cycle iff the
-    orbit product of h along y * k(h(y)) is 1 at every nonzero image point."""
-    if n < 1:
-        raise BadParams("n must be positive")
-    if h.eval_idx(0) == 0:
-        raise HypothesisViolated("h(0) = 0")
-    if k.eval_idx(0) != 0:
-        raise HypothesisViolated("k(0) != 0")
+
+def _subfield_image(ctx: FieldCtx, lam: SparsePoly) -> np.ndarray | None:
+    """The sorted image of the reduced polynomial lam when it is a whole
+    subfield GF(p^d), found without evaluating lam on the field; else None.
+
+    lam^(p^d) = lam as reduced polynomials puts the image inside GF(p^d),
+    for the least such d whose IMAGE_SAMPLES * p^d seeded sample points,
+    0 among them, stay fewer than the field; a preimage of every value of
+    GF(p^d) among those points makes the image all of it.  None when no
+    such d exists or when the sample misses a value."""
+    for d in divisors(ctx.n):
+        size = ctx.p ** d
+        if IMAGE_SAMPLES * size >= ctx.order:
+            return None
+        if poly_frob(lam, d).terms == lam.terms:
+            break
+    sample = random.Random(0).sample(range(1, ctx.order), IMAGE_SAMPLES * size)
+    values = np.sort(lam.eval_vec(np.array([0, *sample], dtype=np.int64)))
+    if np.count_nonzero(values[1:] != values[:-1]) + 1 < size:
+        return None
+    return ctx.subfield_indices(d)
+
+
+def _check_scaling(ctx: FieldCtx, lam, k: SparsePoly, scalars,
+                   lam_images: np.ndarray | None) -> None:
+    """The scaling law on the whole field, for each scalar in turn; raises
+    at the first scalar that breaks it, with a point where it does.
+    lam_images is lam over the field, when already evaluated."""
     lam_fn = as_vector_fn(ctx, lam)
     allx = ctx.varange()
-    lam_images = lam_fn(allx)
-    image = np.unique(lam_images)
-
-    hv_image = h.eval_vec(image)
-    gv = ctx.vmul(image, k.eval_vec(hv_image))
-    if not np.array_equal(np.unique(gv), image):
-        raise HypothesisViolated("y*k(h(y)) does not permute the lambda image")
-
-    scalars = set(hv_image.tolist()) | {1}
-    for a in sorted(scalars):
+    if lam_images is None:
+        lam_images = lam_fn(allx)
+    for a in scalars:
         lhs = lam_fn(ctx.vmul(np.int64(a), allx))
         rhs = ctx.vmul(np.int64(k.eval_idx(a)), lam_images)
         bad = np.flatnonzero(lhs != rhs)
@@ -144,16 +204,57 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
                 "scaling law fails",
                 witness=(_element(ctx, a), _element(ctx, bad[0])))
 
-    ys = image[image != 0]
-    prod = np.ones(len(ys), dtype=np.int64)
-    aux = np.ones(len(ys), dtype=np.int64)
-    cur = ys.copy()
-    for _ in range(n):
-        hv = h.eval_vec(cur)
-        kv = k.eval_vec(hv)
-        prod = ctx.vmul(prod, hv)
-        aux = ctx.vmul(aux, kv)
-        cur = ctx.vmul(cur, kv)
+
+def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
+                        n: int) -> CriterionVerdict:
+    """n-cycle test for f(x) = x * h(lambda(x)).
+
+    Requires h(0) != 0, k(0) = 0, that y * k(h(y)) permutes the image of
+    lambda, and the scaling law lambda(a*x) = k(a) * lambda(x) for every a
+    in h(image) together with 1.  Under those, f is an n-cycle iff the
+    orbit product of h along y * k(h(y)) is 1 at every nonzero image point.
+
+    When lambda is a SparsePoly its image is found by _subfield_image and
+    the scaling law is compared term by term, so nothing runs over the
+    whole field; a callable lambda (or one past the term cap), an image
+    that is no certified subfield, and a failed law (for its witness) take
+    the whole field.  The orbit products are folded by doubling,
+    O(|image| log n)."""
+    if n < 1:
+        raise BadParams("n must be positive")
+    if h.eval_idx(0) == 0:
+        raise HypothesisViolated("h(0) = 0")
+    if k.eval_idx(0) != 0:
+        raise HypothesisViolated("k(0) != 0")
+    try:   # exponents reduced and merged: the one polynomial of lam's map
+        reduced = (poly_add(lam, SparsePoly(ctx, ()))
+                   if isinstance(lam, SparsePoly) else None)
+    except CapExceeded:
+        reduced = None
+    image = None if reduced is None else _subfield_image(ctx, reduced)
+    lam_images = None
+    if image is None:
+        lam_images = as_vector_fn(ctx, lam)(ctx.varange())
+        image = np.unique(lam_images)
+
+    hv = h.eval_vec(image)
+    kv = k.eval_vec(hv)
+    moved = ctx.vmul(image, kv)
+    if not np.array_equal(np.sort(moved), image):
+        raise HypothesisViolated("y*k(h(y)) does not permute the lambda image")
+
+    # lam(a*x) and k(a)*lam(x) are reduced polynomials over lam's exponents,
+    # so they agree iff c*a^e = k(a)*c, that is a^e = k(a), for each term
+    scalars = sorted(set(hv.tolist()) | {1})
+    if reduced is None or not all(ctx.pow_idx(a, e) == k.eval_idx(a)
+                                  for a in scalars for _, e in reduced.terms):
+        _check_scaling(ctx, lam, k, scalars, lam_images)
+
+    nonzero = image != 0
+    ys = image[nonzero]
+    succ = np.searchsorted(ys, moved[nonzero])   # y*k(h(y)) permutes ys
+    prod, aux = _orbit_fold(succ, np.stack([hv[nonzero], kv[nonzero]]), n,
+                            lambda a, b, m: ctx.vmul(a, b))
     bad = np.flatnonzero(prod != 1)
     holds = bad.size == 0
     witness = None if holds else _element(ctx, ys[bad[0]])
@@ -174,30 +275,48 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
     phi and psi must be additive (every exponent a power of the
     characteristic), phi itself an n-cycle, and phi and psi must commute.
     Under those, f is an n-cycle iff the telescoped sum of g along
-    fbar(x) = phi(x) + psi(g(x)) vanishes on the image of psi."""
+    fbar(x) = phi(x) + psi(g(x)) vanishes on the image of psi.
+
+    Additive maps are GF(p)-linear, so the hypotheses are decided on their
+    n x n matrices M over GF(p): phi is a bijection iff rank M_phi = n, an
+    n-cycle iff M_phi^n = I, and commutes with psi iff the matrices do.
+    The image of psi is the span of M_psi's columns.  A failed bijection
+    or commutation takes its witness from whole-field arrays.  The sums
+    are folded by doubling, O(|image| log n)."""
     if n < 1:
         raise BadParams("n must be positive")
     for name, poly in (("phi", phi), ("psi", psi)):
         if not poly.is_additive():
             raise HypothesisViolated(f"{name} is not additive")
-    phi_pm = require_perm(ctx, phi)
-    if not is_ncycle(phi_pm, n):
+    phi_fn, psi_fn = as_vector_fn(ctx, phi), as_vector_fn(ctx, psi)
+    m_phi, m_psi = ctx.linear_matrix(phi_fn), ctx.linear_matrix(psi_fn)
+    if not np.array_equal(ctx.matpow(m_phi, n), np.eye(ctx.n, dtype=np.int64)):
+        if len(ctx.image_basis(m_phi)) < ctx.n:
+            require_perm(ctx, phi)   # raises, naming a collision
         raise PrereqNotNcycle(f"phi is not an n-cycle for n={n}")
-    allx = ctx.varange()
-    phi_im = phi.eval_vec(allx)
-    psi_im = psi.eval_vec(allx)
-    bad = np.flatnonzero(phi.eval_vec(psi_im) != psi.eval_vec(phi_im))
-    if bad.size:
+    if np.any((m_phi @ m_psi - m_psi @ m_phi) % ctx.p):
+        allx = ctx.varange()
+        bad = np.flatnonzero(phi_fn(psi_fn(allx)) != psi_fn(phi_fn(allx)))
         raise HypothesisViolated("phi and psi do not commute",
                                  witness=_element(ctx, bad[0]))
-    g_fn = as_vector_fn(ctx, g)
-    ys = np.unique(psi_im)
-    # Horner form of sum_k phi^(n-1-k)(g(fbar^(k)(y))) using additivity of phi
-    acc = np.zeros(len(ys), dtype=np.int64)
-    cur = ys.copy()
-    for _ in range(n):
-        acc = ctx.vadd(phi.eval_vec(acc), g_fn(cur))
-        cur = ctx.vadd(phi.eval_vec(cur), psi.eval_vec(g_fn(cur)))
+    ys = ctx.linear_image(psi_fn)
+    gv = as_vector_fn(ctx, g)(ys)
+    succ = _positions(ys, ctx.vadd(phi_fn(ys), psi_fn(gv)))
+    if succ is None:   # phi and psi commute, so fbar maps im(psi) into itself
+        raise NcycleInternal("phi(y) + psi(g(y)) left the image of psi")
+    pows, powers = np.array(ctx._p_pows, dtype=np.int64), {1: m_phi}
+
+    def then(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+        # a run followed by m more steps sums to phi^m(a) + b, phi additive;
+        # m doubles from 1, so phi^m is the square of the last one
+        if m not in powers:
+            powers[m] = powers[m // 2] @ powers[m // 2] % ctx.p
+        cols = (pows @ powers[m]).tolist()
+        if cols != ctx._p_pows:   # phi^m is not the identity
+            a = ctx._linear_map(cols, a)
+        return ctx.vadd(a, b)
+
+    acc = _orbit_fold(succ, gv, n, then)
     nz = np.flatnonzero(acc)
     holds = nz.size == 0
     witness = None if holds else _element(ctx, ys[nz[0]])
@@ -219,36 +338,35 @@ class ShiftParams:
     sub_degree: int
 
 
+def shift_domain(ctx: FieldCtx, sub_degree: int, i: int,
+                 delta: int) -> np.ndarray:
+    """S = {x^(q^i) - x + delta}, q = p^sub_degree, sorted: delta plus the
+    image of the additive x^(q^i) - x, an affine subspace."""
+    image = ctx.linear_image(lambda v: ctx.vsub(ctx.vfrob(v, sub_degree, i), v))
+    return np.sort(ctx.vadd(image, np.int64(delta)))
+
+
 def shift_criterion(ctx: FieldCtx, g, params: ShiftParams,
                     n: int) -> CriterionVerdict:
     """n-cycle test for f(x) = g(x^(q^i) - x + delta) + x.
 
     The additive map x^(q^i) - x translates the quantified domain to
     S = {x^(q^i) - x + delta}; f is an n-cycle iff the n-step sum of g along
-    h(y) = g(y)^(q^i) - g(y) + y vanishes on S."""
+    h(y) = g(y)^(q^i) - g(y) + y vanishes on S.  S comes from shift_domain,
+    g is evaluated on S once, and the sums are folded by doubling."""
     if n < 1:
         raise BadParams("n must be positive")
     m = ctx.degree_over(params.sub_degree)
     if not 1 <= params.i <= m - 1:
         raise BadParams(f"need 1 <= i <= {m - 1}")
     delta = element_index(ctx, params.delta)
-    allx = ctx.varange()
-    frob = lambda v: ctx.vfrob(v, params.sub_degree, params.i)
-    shifted = ctx.vadd(ctx.vsub(frob(allx), allx), np.int64(delta))
-    ys = np.unique(shifted)
-    g_fn = as_vector_fn(ctx, g)
-
-    def step(v: np.ndarray) -> np.ndarray:
-        gv = g_fn(v)
-        return ctx.vadd(ctx.vsub(frob(gv), gv), v)
-
-    if not np.isin(step(ys), ys).all():
+    ys = shift_domain(ctx, params.sub_degree, params.i, delta)
+    gv = as_vector_fn(ctx, g)(ys)
+    step = ctx.vadd(ctx.vsub(ctx.vfrob(gv, params.sub_degree, params.i), gv), ys)
+    succ = _positions(ys, step)
+    if succ is None:
         raise HypothesisViolated("g(y)^(q^i) - g(y) + y must stabilize the domain")
-    acc = np.zeros(len(ys), dtype=np.int64)
-    cur = ys.copy()
-    for _ in range(n):
-        acc = ctx.vadd(acc, g_fn(cur))
-        cur = step(cur)
+    acc = _orbit_fold(succ, gv, n, lambda a, b, m: ctx.vadd(a, b))
     nz = np.flatnonzero(acc)
     holds = nz.size == 0
     witness = None if holds else _element(ctx, ys[nz[0]])

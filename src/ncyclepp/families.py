@@ -5,10 +5,11 @@ lam collapses the field onto a subfield, additive translations
 phi(x) + g(psi(x)) including their shifted-argument form
 g(x^(q^i) - x + delta) + x, and root-of-unity coset maps x^r * h(x^s) with
 congruence-constrained exponents.  Every builder validates its parameter
-congruences up front, verifies value-level hypotheses by exhaustion, and
-returns a FamilyInstance carrying the map (sparse polynomial when the
-expansion stays small, always a vectorized evaluator), the cycle length the
-family certifies, and a bound check from the criteria module.  The map and
+congruences up front, verifies value-level hypotheses (over small sets, or
+as identities of reduced polynomials and GF(p)-matrices), and returns a
+FamilyInstance carrying the map (sparse polynomial when the expansion stays
+small, always a vectorized evaluator), the cycle length the family
+certifies, and a bound check from the criteria module.  The map and
 its check come from one constructor per shape (xh_instance,
 additive_instance, shift_instance, rs_instance), which the oracle's fuzzer
 uses too.  Whether the instance really has that cycle length is then a
@@ -26,7 +27,7 @@ import numpy as np
 
 from .criteria import (
     CriterionVerdict, RsParams, ShiftParams, additive_criterion,
-    rs_triple_criterion, shift_criterion, xh_lambda_criterion,
+    rs_triple_criterion, shift_criterion, shift_domain, xh_lambda_criterion,
 )
 from .errors import (
     BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
@@ -181,14 +182,16 @@ class FamilyInstance:
 def xh_instance(ctx: FieldCtx, h: SparsePoly, spec: LambdaSpec,
                 **fields) -> FamilyInstance:
     """x * h(lam(x)) claimed as a spec.n-cycle, certified by
-    xh_lambda_criterion with k(y) = y^n."""
+    xh_lambda_criterion with k(y) = y^n; the criterion gets lam as a
+    SparsePoly unless it passes the term cap."""
     n = spec.n
-    lam_fn = lambda_vector_fn(spec, ctx)
+    lam = lambda_map(spec, ctx)
+    lam_fn = as_vector_fn(ctx, lam)
     k = SparsePoly.monomial(ctx, n)
     return FamilyInstance(
         family="xh_lambda", ctx=ctx, claimed_n=n,
         fn=lambda xs: ctx.vmul(xs, h.eval_vec(lam_fn(xs))),
-        check=lambda: xh_lambda_criterion(ctx, h, lam_fn, k, n), **fields)
+        check=lambda: xh_lambda_criterion(ctx, h, lam, k, n), **fields)
 
 
 def additive_instance(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
@@ -306,10 +309,11 @@ def lambda_poly(spec: LambdaSpec, ctx: FieldCtx) -> SparsePoly:
     return SparsePoly.make(ctx, terms)
 
 
-def lambda_vector_fn(spec: LambdaSpec,
-                     ctx: FieldCtx) -> Callable[[np.ndarray], np.ndarray]:
+def lambda_map(spec: LambdaSpec, ctx: FieldCtx):
+    """lam as a SparsePoly, or as an evaluator on index arrays when the
+    polynomial passes the term cap."""
     try:
-        return lambda_poly(spec, ctx).eval_vec
+        return lambda_poly(spec, ctx)
     except CapExceeded:
         q = ctx.p ** spec.sub_degree
 
@@ -320,6 +324,11 @@ def lambda_vector_fn(spec: LambdaSpec,
             return acc
 
         return fn
+
+
+def lambda_vector_fn(spec: LambdaSpec,
+                     ctx: FieldCtx) -> Callable[[np.ndarray], np.ndarray]:
+    return as_vector_fn(ctx, lambda_map(spec, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +478,6 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
     p = ctx.p
     env = {"q": q, "p": p}
     x1 = SparsePoly.monomial(ctx, 1)
-    allx = ctx.varange()
     params: dict = {"variant": variant, "sub_degree": sub_degree}
     notes: tuple[str, ...] = ()
 
@@ -497,13 +505,17 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         params.update(H=Hp.to_text(), psi=psip.to_text())
         g_fn = as_vector_fn(ctx, g_obj)
         # the cycle argument needs g's outputs inside ker(psi) on the whole
-        # field, which the variant shapes guarantee; verify anyway
-        gv = g_fn(allx)
-        bad = np.flatnonzero(psip.eval_vec(gv) != 0)
-        if bad.size:
-            raise KernelViolation(
-                "psi(g(x)) != 0", witness=ctx.element(int(bad[0])))
-        psi_im = np.unique(psip.eval_vec(allx))
+        # field, which the variant shapes guarantee; verify anyway.  g^q = g
+        # as reduced polynomials (one map each, L&N Thm 7.1) puts them in
+        # GF(q), where psi vanishes; failing that, psi(g(x)) = 0 is checked
+        # on the field
+        if not (isinstance(g_obj, SparsePoly)
+                and poly_frob(g_obj, sub_degree) == g_obj):
+            bad = np.flatnonzero(psip.eval_vec(g_fn(ctx.varange())) != 0)
+            if bad.size:
+                raise KernelViolation(
+                    "psi(g(x)) != 0", witness=ctx.element(int(bad[0])))
+        psi_im = ctx.linear_image(psip.eval_vec)
         degenerate = bool((g_fn(psi_im) == 0).all())
         phi = x1
         claimed = p
@@ -525,7 +537,7 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         g_obj = SparsePoly.make(ctx, [(ci, s)])
         # c + c^q = 0 makes psi(c*u^s) vanish for u in the trace image; off
         # that image the containment may fail, and it is not needed
-        psi_im = np.unique(psip.eval_vec(allx))
+        psi_im = ctx.linear_image(psip.eval_vec)
         bad = np.flatnonzero(psip.eval_vec(g_obj.eval_vec(psi_im)) != 0)
         if bad.size:
             raise KernelViolation(
@@ -551,7 +563,7 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
                     "coefficient of g has nonzero trace",
                     witness=ctx.element(coeff))
         psip = SparsePoly.make(ctx, [(1, 1), (1, q), (1, q * q)])
-        psi_im = np.unique(psip.eval_vec(allx))
+        psi_im = ctx.linear_image(psip.eval_vec)
         bad = np.flatnonzero(
             ctx.vtrace(g_obj.eval_vec(psi_im), sub_degree) != 0)
         if bad.size:
@@ -597,9 +609,7 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
     p = ctx.p
     env = {"q": q, "p": p}
     di = element_index(ctx, delta)
-    allx = ctx.varange()
-    shifted = np.unique(ctx.vadd(
-        ctx.vsub(ctx.vfrob(allx, sub_degree, i), allx), np.int64(di)))
+    shifted = shift_domain(ctx, sub_degree, i, di)
     params: dict = {"variant": variant, "sub_degree": sub_degree,
                     "i": i, "delta": di}
 

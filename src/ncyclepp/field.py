@@ -43,6 +43,8 @@ DEFAULT_CAP = 1 << 24
 # most points a chunk of digits spans: the size of a lookup table of
 # _linear_tables, and of the whole-field image tables of SparsePoly.eval_vec
 CHUNK_POINTS = 4096
+# most entries of the odd-p bootstrap's table of digit-chunk sums (512 KB)
+SUM_TABLE_ENTRIES = 1 << 16
 
 
 def _is_prime(m: int) -> bool:
@@ -207,10 +209,13 @@ class FieldCtx:
                                for lo in range(0, n, self._chunk))
         self._gen_idx = self._find_generator()
         self._zech: Optional[np.ndarray] = None
+        if p != 2 and n > 1:
+            self._sums = self._sum_table()
         self._build_tables()
         self._exp_list: Optional[list[int]] = None
         self._log_list: Optional[list[int]] = None
         self._subfield_cache: dict[int, np.ndarray] = {}
+        self._image_cache: dict[bytes, np.ndarray] = {}
         self._tr1: Optional[np.ndarray] = None
 
     # -- construction helpers ------------------------------------------------
@@ -293,6 +298,68 @@ class FieldCtx:
         if self.n == 1:   # GF(p): the map is multiplication by cols[0]
             return np.asarray(x, dtype=np.int64) * cols[0] % self.p
         return self._linear_apply(self._linear_tables(cols), x)
+
+    # -- GF(p)-linear maps as n x n matrices over GF(p) (L&N section 3.4) ------
+    # A product of two such matrices is m1 @ m2 % p, the matrix of the
+    # composed map; entries stay below p, so no int64 sum overflows.
+
+    def linear_matrix(self, fn) -> np.ndarray:
+        """Matrix of the GF(p)-linear map fn, an evaluator on index arrays
+        (the eval_vec of a q-polynomial, say): column j holds the digits
+        of fn(p^j), the image of basis vector j."""
+        pows = np.array(self._p_pows, dtype=np.int64)
+        return np.asarray(fn(pows), dtype=np.int64) // pows[:, None] % self.p
+
+    def matpow(self, m: np.ndarray, e: int) -> np.ndarray:
+        """m^e mod p, by repeated squaring: about 2 log2(e) products."""
+        out = np.eye(self.n, dtype=np.int64)
+        while e:
+            if e & 1:
+                out = out @ m % self.p
+            e >>= 1
+            if e:
+                m = m @ m % self.p
+        return out
+
+    def image_basis(self, m: np.ndarray) -> list[int]:
+        """Indices of a basis of m's column space, the image of its map, by
+        row reduction over GF(p) of m's columns, one at a time against the
+        pivots so far.  The basis has rank m elements, so the map is a
+        bijection iff there are n."""
+        p, pivots = self.p, []   # (pivot position, vector that is 1 there)
+        for v in m.T.tolist():
+            for c, piv in pivots:
+                if v[c]:
+                    f = v[c]
+                    v = [(x - f * y) % p for x, y in zip(v, piv)]
+            c = next((c for c, x in enumerate(v) if x), None)
+            if c is not None:
+                inv = pow(v[c], -1, p)
+                pivots.append((c, [x * inv % p for x in v]))
+        return [self._index(v) for _, v in pivots]
+
+    def linear_image(self, fn) -> np.ndarray:
+        """Sorted image of the GF(p)-linear map fn: the span of its
+        matrix's column space, p^rank points, from fn's values at the n
+        basis points only.  It is the set np.unique gives of fn over the
+        field, in the same order.  Read-only and cached per map, since a
+        builder and its criterion ask for the same one, and the fuzzer for
+        a few again and again."""
+        m = self.linear_matrix(fn)
+        key = m.tobytes()
+        if key not in self._image_cache:
+            image = np.sort(self.span(self.image_basis(m)))
+            image.flags.writeable = False
+            self._image_cache[key] = image
+        return self._image_cache[key]
+
+    def span(self, cols: Sequence[int]) -> np.ndarray:
+        """Every GF(p)-combination of the independent indices cols,
+        unsorted: the images of the p^len(cols) coefficient vectors under
+        _linear_map."""
+        if not cols:
+            return np.zeros(1, dtype=np.int64)
+        return self._linear_map(cols, np.arange(self.p ** len(cols), dtype=np.int64))
 
     def _build_tables(self) -> None:
         q1 = self.order - 1
@@ -428,13 +495,44 @@ class FieldCtx:
         return t
 
     def _digit_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Odd-p digit-wise sum: only _linear_map's bootstrap before _zech exists."""
+        """Odd-p digit-wise sum: only _linear_map's bootstrap before _zech
+        exists.  Each chunk of c digits of a and b is one lookup in the
+        table of digit-wise sums of two c-digit numbers (digit by digit,
+        c = 1, when p^2 passes SUM_TABLE_ENTRIES)."""
+        c, tab = self._sums
+        size = self.p ** c
         out, s, t = (np.zeros(np.broadcast(a, b).shape, dtype=np.int64) for _ in range(3))
-        for pw in self._p_pows:   # reuse s and t: fresh big temporaries fault in pages
-            np.add(np.floor_divide(a, pw, out=s), np.floor_divide(b, pw, out=t), out=s)
-            s %= self.p
+        for pw in self._p_pows[::c]:   # reuse s and t: fresh big temporaries fault in pages
+            np.floor_divide(a, pw, out=s)
+            s %= size
+            np.floor_divide(b, pw, out=t)
+            t %= size
+            if tab is None:
+                s += t
+                s %= self.p
+            else:
+                s *= size
+                s += t
+                np.take(tab, s, mode="clip", out=s)
             out += np.multiply(s, pw, out=s)
         return out
+
+    def _sum_table(self) -> tuple[int, Optional[np.ndarray]]:
+        """(c, T) for _digit_add: T[x*p^c + y] is the digit-wise sum mod p of
+        the c-digit numbers x and y.  c is the fewest digits that take as
+        few chunks of the n digits as the widest table within
+        SUM_TABLE_ENTRIES (a smaller table is a faster lookup); T is None
+        when not even one digit fits."""
+        widest = next(c for c in range(17) if self.p ** (2 * c + 2) > SUM_TABLE_ENTRIES)
+        if widest == 0:
+            return 1, None
+        c = -(-self.n // -(-self.n // widest))
+        xs = np.arange(self.p ** c, dtype=np.int64)
+        tab = np.zeros((xs.size, xs.size), dtype=np.int64)
+        for pw in self._p_pows[:c]:
+            d = xs // pw % self.p
+            tab += (d[:, None] + d) % self.p * pw
+        return c, tab.ravel()
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:

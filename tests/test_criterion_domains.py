@@ -1,0 +1,132 @@
+"""The subfield-domain criteria stay on their domains.
+
+With SparsePoly parts, the x*h(lambda(x)), additive and shift criteria and
+their builders decide every hypothesis on coefficients and GF(p)-matrices,
+so ctx.varange and SparsePoly.eval_vec over the whole field never run inside
+them.  (On fields of at most CHUNK_POINTS points the evaluator still keeps
+each polynomial's image table; past that it keeps no q-sized array.)
+Their orbit sums are folded by doubling, which must give the old n-step
+loop's values for every n, and a claimed length like 10^40 must not hang
+the command line.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ncyclepp.criteria import (
+    ShiftParams, additive_criterion, shift_criterion, xh_lambda_criterion,
+)
+from ncyclepp.errors import HypothesisViolated
+from ncyclepp.families import (
+    build_additive, build_shift, build_xh_lambda, lambda_poly, lambda_spec,
+)
+from ncyclepp.field import FieldCtx
+from ncyclepp.polyperm import SparsePoly
+
+from conftest import field
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def no_whole_field(monkeypatch):
+    """Make ctx.varange, and eval_vec on as many points as the field,
+    raise."""
+    def varange(self):
+        raise AssertionError(f"whole-field array over {self}")
+
+    plain = SparsePoly.eval_vec
+
+    def eval_vec(self, xs):
+        if np.asarray(xs).size >= self.ctx.order:
+            raise AssertionError(f"whole-field evaluation over {self.ctx}")
+        return plain(self, xs)
+
+    monkeypatch.setattr(FieldCtx, "varange", varange)
+    monkeypatch.setattr(SparsePoly, "eval_vec", eval_vec)
+
+
+def trace_of_square(ctx):
+    return SparsePoly.make(ctx, [(1, 2 * ctx.p ** k) for k in range(ctx.n)])
+
+
+@pytest.mark.parametrize("pn", [(3, 7), (5, 5), (7, 4), (3, 9), (5, 6), (7, 5)])
+def test_criteria_and_builders_build_no_whole_field_array(pn, no_whole_field):
+    ctx = field(*pn)
+    p = ctx.p
+    x = SparsePoly.monomial(ctx, 1)
+    psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, p)])
+    lam = lambda_poly(lambda_spec(ctx, "lambda1", 2, 1), ctx)
+    h = SparsePoly.make(ctx, [(1, 0), (ctx.neg_idx(2), p - 1)])
+    verdicts = [
+        xh_lambda_criterion(ctx, h, lam, SparsePoly.monomial(ctx, 2), 2),
+        additive_criterion(ctx, x, psi, trace_of_square(ctx), p),
+        shift_criterion(ctx, trace_of_square(ctx), ShiftParams(1, 1, 1), p),
+        build_xh_lambda(ctx, "involution_cor", sub_degree=1,
+                        lam="lambda2").check(),
+        build_additive(ctx, "trace_g1", sub_degree=1).check(),
+        build_shift(ctx, "trace_g1", i=1, delta=1, sub_degree=1).check(),
+    ]
+    assert all(v.holds for v in verdicts)
+    assert all(v.domain_size < ctx.order for v in verdicts)
+
+
+def loop_verdict(ctx, h, lam, k, n):
+    """The criterion's orbit products by the n-step loop, on the image
+    np.unique gives: (holds, witness index, aux product is one)."""
+    image = np.unique(lam.eval_vec(ctx.varange()))
+    ys = image[image != 0]
+    prod = np.ones(len(ys), dtype=np.int64)
+    aux = np.ones(len(ys), dtype=np.int64)
+    cur = ys.copy()
+    for _ in range(n):
+        hv = h.eval_vec(cur)
+        kv = k.eval_vec(hv)
+        prod = ctx.vmul(prod, hv)
+        aux = ctx.vmul(aux, kv)
+        cur = ctx.vmul(cur, kv)
+    bad = np.flatnonzero(prod != 1)
+    return (bad.size == 0, None if bad.size == 0 else int(ys[bad[0]]),
+            bool(np.all(aux == 1)))
+
+
+@pytest.mark.parametrize("pn", [(3, 4), (5, 2), (7, 2)])
+def test_xh_orbit_doubling_equals_the_loop(pn):
+    ctx = field(*pn)
+    p, compared = ctx.p, 0
+    sub = ctx.subfield_indices(1)[1:].tolist()   # GF(p)*
+    hs = [SparsePoly.make(ctx, [(c, 0)]) for c in sub]
+    hs += [SparsePoly.make(ctx, [(1, 0), (c, (p - 1) // d), (ctx.neg_idx(1), p - 1)])
+           for c in sub for d in (1, 2) if (p - 1) % d == 0]
+    for d in (1, 2):
+        lam = lambda_poly(lambda_spec(ctx, "lambda1", d, 1), ctx)
+        k = SparsePoly.monomial(ctx, d)
+        for h in hs:
+            for n in range(1, 13):
+                try:
+                    v = xh_lambda_criterion(ctx, h, lam, k, n)
+                except HypothesisViolated:
+                    continue
+                holds, witness, aux_one = loop_verdict(ctx, h, lam, k, n)
+                assert v.holds == holds
+                assert (None if v.witness is None else v.witness.i) == witness
+                assert v.extras["aux_scaling_product_one"] == aux_one
+                compared += 1
+    assert compared > 100
+
+
+def test_huge_claimed_cycle_length_returns_at_once():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    argv = [sys.executable, "-m", "ncyclepp.cli", "construct", "xh_lambda",
+            "--p", "3", "--n", "4", "--variant", "custom_h", "--sub-degree",
+            "1", "--h", "2", "--cycle", "10^40", "--verify"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert '"criterion_holds": true' in done.stdout
+    assert '"status": "AGREE"' in done.stdout
