@@ -12,6 +12,7 @@ import json
 import sys
 from time import perf_counter
 
+from ncyclepp.errors import CapExceeded, NcycleError
 from ncyclepp.families import build_jieguo, solve_jieguo_congruences
 from ncyclepp.field import make_field
 from ncyclepp.oracle import cross_check
@@ -28,13 +29,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = perf_counter()
-    pairs = solve_jieguo_congruences(args.q)
-    p = 2 if args.q % 2 == 0 else None
-    if p is None:
-        print(f"error: q = {args.q} is not a power of 2", file=sys.stderr)
-        return 2
-    ext = 2 * (args.q.bit_length() - 1)
-    ctx = make_field(2, ext)
+    try:   # exit codes as in the CLI
+        pairs = solve_jieguo_congruences(args.q)
+        ctx = make_field(2, 2 * (args.q.bit_length() - 1))
+    except NcycleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, CapExceeded) else 2
 
     if not args.json:
         print(f"{len(pairs)} congruence solutions for q = {args.q} "

@@ -212,8 +212,6 @@ class FieldCtx:
         if p != 2 and n > 1:
             self._sums = self._sum_table()
         self._build_tables()
-        self._exp_list: Optional[list[int]] = None
-        self._log_list: Optional[list[int]] = None
         self._subfield_cache: dict[int, np.ndarray] = {}
         self._image_cache: dict[bytes, np.ndarray] = {}
         self._tr1: Optional[np.ndarray] = None
@@ -385,12 +383,6 @@ class FieldCtx:
 
     # -- scalar index arithmetic ----------------------------------------------
 
-    def _lists(self) -> tuple[list[int], list[int]]:
-        if self._exp_list is None:
-            self._exp_list = self._exp.tolist()
-            self._log_list = self._log.tolist()
-        return self._exp_list, self._log_list
-
     def add_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -422,14 +414,13 @@ class FieldCtx:
     def mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        el, ll = self._lists()
-        return el[(ll[a] + ll[b]) % (self.order - 1)]
+        log = self._log
+        return self._exp.item((log.item(a) + log.item(b)) % (self.order - 1))
 
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        el, ll = self._lists()
-        return el[(-ll[a]) % (self.order - 1)]
+        return self._exp.item(-self._log.item(a) % (self.order - 1))
 
     def pow_idx(self, a: int, e: int) -> int:
         """a^e with pow(0, 0) = 1; negative e inverts a nonzero base."""
@@ -439,9 +430,8 @@ class FieldCtx:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0
-        el, ll = self._lists()
         q1 = self.order - 1
-        return el[(ll[a] * (e % q1)) % q1]
+        return self._exp.item(self._log.item(a) * (e % q1) % q1)
 
     def degree_over(self, sub_degree: int) -> int:
         """m = n / sub_degree, the degree of this field over its
@@ -563,11 +553,7 @@ class FieldCtx:
         return self.vpow(a, self._frob_exponent(sub_degree, i))
 
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
-        # basis images Tr(x^i) = sum over k of z^i, z = x^(p^(sub_degree*k))
-        cols, z = [0] * self.n, self._cmul([0, 1], [1])
-        for _ in range(self.degree_over(sub_degree)):
-            cols = [self.add_idx(s, t) for s, t in zip(cols, self._power_cols([1], z))]
-            z = self._cpow(z, self.p ** sub_degree)
+        cols = [self.trace_idx(pw, sub_degree) for pw in self._p_pows]   # Tr(x^i)
         return self._linear_map(cols, a)
 
     # -- cached structure ------------------------------------------------------

@@ -2,15 +2,14 @@
 
 exhaustive_verdict re-derives bijectivity and cycle structure from nothing
 but the evaluated image table, with two implementations that must agree:
-fixed-point counts of powers of f give the cycle type and order (the cycle
-walk when they do not apply, and as a cross-check up to WALK_CHECK_MAX
-points), and repeated-squaring composition answers each n-cycle question
-again.  The algebraic criteria never enumerate the map's cycles, so
-agreement between a criterion and this module is a genuine
-two-implementation check.  cross_check runs both sides on one constructed
-instance; random_family_fuzz drives many seeded trials mixing valid,
-invalid and perturbed parameter tuples through the constructors and the
-criteria.
+the pointer-jumping cycle engine gives the cycle type and order (checked
+against a plain cycle walk up to WALK_CHECK_MAX points), and
+repeated-squaring composition answers each n-cycle question again.  The
+algebraic criteria never enumerate the map's cycles, so agreement between
+a criterion and this module is a genuine two-implementation check.
+cross_check runs both sides on one constructed instance;
+random_family_fuzz drives many seeded trials mixing valid, invalid and
+perturbed parameter tuples through the constructors and the criteria.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ from .families import (
 )
 from .field import FieldCtx, NcycleInternal, divisors, make_field
 from .polyperm import (
-    NotBijective, SparsePoly, as_images, counted_cycles, cycle_structure,
-    functional_power, identity_perm, perm_from_images,
+    NotBijective, SparsePoly, as_images, cycle_structure, functional_power,
+    identity_perm, perm_from_images,
 )
 from .walsh import walsh_involution_test, within_walsh_cap
 
@@ -47,7 +46,7 @@ REJECTABLE = (BadParams, InvalidSpec, NotDivisor, NotPermutation,
 # errors a criterion raises when its statement does not apply to the input
 HYPOTHESIS_ERRORS = (HypothesisViolated, PrereqNotNcycle, NotPermutation,
                      NotSurjective, NotDivisor)
-# largest field whose cycles exhaustive_verdict walks to check the counts
+# largest field whose cycles exhaustive_verdict walks to check the engine
 WALK_CHECK_MAX = 1 << 16
 
 
@@ -89,10 +88,10 @@ class OracleVerdict:
 def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
                        cap: Optional[int] = None) -> OracleVerdict:
     """Evaluate f on the whole field and answer, for each n in ns, whether
-    f is an n-cycle permutation.  Cycle lengths come from fixed-point counts
-    with period lcm(ns), walked instead up to WALK_CHECK_MAX points, where
-    the counts must agree with the walk; each answer is re-derived by
-    repeated-squaring n-fold composition and the two must agree."""
+    f is an n-cycle permutation.  Cycle lengths come from cycle_structure,
+    which up to WALK_CHECK_MAX points must agree with the cycle walk; each
+    answer is re-derived by repeated-squaring n-fold composition and the
+    two must agree."""
     t0 = perf_counter()
     limit = ctx.cap if cap is None else cap
     if ctx.order > limit:
@@ -104,11 +103,10 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
     if isinstance(pm, NotBijective):
         return OracleVerdict(False, None, {n: False for n in ns}, {},
                              ctx.order, perf_counter() - t0)
-    period, small = math.lcm(*ns), ctx.order <= WALK_CHECK_MAX
-    rep = cycle_structure(pm, None if small else period)
-    counts = small and counted_cycles(pm, period)
-    if counts and counts != dict(rep.cycle_type):
-        raise NcycleInternal("fixed-point counts disagree with the cycle walk")
+    rep = cycle_structure(pm)
+    if (ctx.order <= WALK_CHECK_MAX
+            and _walked_cycles(pm.images.tolist()) != dict(rep.cycle_type)):
+        raise NcycleInternal("the cycle engine disagrees with the cycle walk")
     answers: dict[int, bool] = {}
     ident = identity_perm(ctx)
     for n in ns:
@@ -118,6 +116,24 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
         answers[n] = direct
     return OracleVerdict(True, rep.order, answers, dict(rep.cycle_type),
                          ctx.order, perf_counter() - t0)
+
+
+def _walked_cycles(imgs: list[int]) -> dict[int, int]:
+    """{length: count} of the cycles of an image table, by following each
+    point not yet seen round its cycle: the reference for cycle_structure,
+    sharing no code with it."""
+    seen = bytearray(len(imgs))
+    counts: dict[int, int] = {}
+    for start in range(len(imgs)):
+        if seen[start]:
+            continue
+        length, t = 0, start
+        while not seen[t]:
+            seen[t] = 1
+            t = imgs[t]
+            length += 1
+        counts[length] = counts.get(length, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import CHUNK_POINTS, FieldCtx, FieldElement, NcycleInternal, divisors
+from .field import CHUNK_POINTS, FieldCtx, FieldElement
 
 
 # ---------------------------------------------------------------------------
@@ -512,52 +512,28 @@ class CycleReport:
         }
 
 
-# Above this many compositions, cycle_structure walks instead: one takes
-# 20-35 ms with its fixed-point count on a random permutation of 2^20 points,
-# the walk 0.6-0.9 s (0.43-0.55 s against 11-13 s at 2^24).
-MAX_COMPOSITIONS = 16
-
-
-def cycle_structure(pm: PermMap, period: int | None = None) -> CycleReport:
-    """Cycle decomposition of a permutation: from fixed-point counts when
-    pm^period is the identity (see counted_cycles), else by the walk."""
-    counts = period and counted_cycles(pm, period)
-    if not counts:
-        imgs = pm.images.tolist()
-        seen = bytearray(len(imgs))
-        counts = {}
-        for start in range(len(imgs)):
-            if seen[start]:
-                continue
-            length = 0
-            t = start
-            while not seen[t]:
-                seen[t] = 1
-                t = imgs[t]
-                length += 1
-            counts[length] = counts.get(length, 0) + 1
-    ctype = tuple(sorted(counts.items()))
-    return CycleReport(True, lcm(*counts), ctype, counts.get(1, 0))
-
-
-def counted_cycles(pm: PermMap, period: int) -> dict[int, int] | None:
-    """Cycle counts {d: c_d} of f = pm, peeled bottom-up over the divisors
-    of period from Fix(f^k) = sum of d*c_d over d | k.  None unless f^period
-    is the identity, period <= q^2 (so its divisors cost less than the walk)
-    and the f^d take at most MAX_COMPOSITIONS compositions in all."""
-    divs = 0 < period <= pm.images.size ** 2 and divisors(period)
-    if not divs or sum(d.bit_length() + d.bit_count() - 2
-                       for d in divs) > MAX_COMPOSITIONS:
-        return None
-    ident, points = pm.ctx.varange(), {}
-    for d in divs:
-        fixed = int(np.count_nonzero(functional_power(pm, d).images == ident))
-        points[d] = fixed - sum(v for k, v in points.items() if d % k == 0)
-        if points[d] < 0 or points[d] % d:
-            raise NcycleInternal(f"{points[d]} points on cycles of length {d}")
-    if sum(points.values()) == pm.images.size:
-        return {d: v // d for d, v in points.items() if v}
-    return None
+def cycle_structure(pm: PermMap) -> CycleReport:
+    """Cycle decomposition of a permutation by pointer jumping (Wyllie,
+    1979).  label[x] is the least of the w points x, f(x), ..., f^(w-1)(x),
+    first for w = 2; each round doubles w through jump = f^w, so about
+    log2 of the longest cycle rounds are made.  The labels are final, each
+    the least point of its cycle, once label is constant along f^s for an
+    s dividing w (s = 1 first, then s = w): on a cycle of more than w
+    points, the w points labelled with its least point form an arc that no
+    such shift maps into itself.  The labels' counts are the cycle sizes."""
+    f, label = pm.images, pm.ctx.varange()
+    np.minimum(label, f, out=label)
+    if not np.array_equal(label[f], label):
+        jump = f[f]
+        while not np.array_equal(shifted := label[jump], label):
+            np.minimum(label, shifted, out=label)
+            del shifted   # f, label, jump and jump^2: four tables at most
+            jump = jump[jump]
+        del jump, shifted
+    counts = np.bincount(np.bincount(label))   # counts[L]: cycles of size L
+    sizes = np.flatnonzero(counts[1:]) + 1
+    ctype = tuple(zip(sizes.tolist(), counts[sizes].tolist()))
+    return CycleReport(True, lcm(*sizes.tolist()), ctype, dict(ctype).get(1, 0))
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:

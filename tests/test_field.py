@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -264,6 +266,21 @@ def test_vtrace_matches_scalar():
     vt = ctx.vtrace(allv, 2)
     for i in range(0, ctx.order, 7):
         assert vt[i] == ctx.trace_idx(i, 2)
+
+
+def test_scalar_ops_copy_no_table():
+    # mul_idx, inv_idx and pow_idx read the exp and log tables in place; a
+    # Python-list copy of both would take about 4.7 MB on GF(2^16)
+    ctx = make_field(2, 16)
+    tracemalloc.start()
+    try:
+        got = (ctx.mul_idx(3, 5), ctx.inv_idx(7), ctx.pow_idx(11, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == (15, ctx.pow_idx(7, -1), ctx.mul_idx(ctx.pow_idx(11, 500),
+                                                       ctx.pow_idx(11, 500)))
 
 
 def test_order_factorization():

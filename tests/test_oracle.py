@@ -17,7 +17,7 @@ from ncyclepp.oracle import (
     cross_check, exhaustive_verdict, random_family_fuzz,
 )
 from ncyclepp.field import NcycleInternal
-from ncyclepp.polyperm import PermMap, SparsePoly, identity_perm
+from ncyclepp.polyperm import CycleReport, SparsePoly
 
 from conftest import field, naive_cycle_type
 
@@ -79,7 +79,7 @@ class TestExhaustiveVerdict:
                 assert v.is_ncycle_at[2] == (2 % order == 0)
                 assert v.is_ncycle_at[3] == (3 % order == 0)
 
-    @pytest.mark.parametrize("n", [8, 17])   # 2^8 also walks, 2^17 only counts
+    @pytest.mark.parametrize("n", [8, 17])   # 2^8 also walks, 2^17 does not
     def test_wrong_composition_raises(self, monkeypatch, n):
         # the second opinion: f^n = id must agree with n % order == 0
         ctx = field(2, n)
@@ -88,41 +88,32 @@ class TestExhaustiveVerdict:
             exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
                                [2])
 
-    @pytest.mark.parametrize("n", [8, 17])
-    def test_impossible_fixed_point_counts_raise(self, monkeypatch, n):
-        # every counted power but f itself comes back as one q-cycle, with
-        # no fixed point, so the 2 fixed points of x^(q-2) leave -2 points
-        # on 2-cycles
-        ctx = field(2, n)
-        q_cycle = PermMap(ctx, np.roll(ctx.varange(), 1))
-        monkeypatch.setattr(polyperm, "functional_power",
-                            lambda f, k: f if k == 1 else q_cycle)
-        with pytest.raises(NcycleInternal, match="-2 points on cycles"):
-            exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
-                               [2])
-
-    def test_walk_checks_the_counts_up_to_2_16(self, monkeypatch):
-        # x^8 over GF(2^12) has order 4; with every counted power the
-        # identity, the counts read order 2 and only the walk can tell
+    def test_walk_checks_the_engine_up_to_2_16(self, monkeypatch):
+        # x^8 over GF(2^12) has order 4; an engine that reports order 2
+        # agrees with f^4 = id, so only the walk can tell
         ctx = field(2, 12)
         assert ctx.order <= oracle.WALK_CHECK_MAX
-        monkeypatch.setattr(polyperm, "functional_power",
-                            lambda f, k: identity_perm(f.ctx))
+        wrong = CycleReport(True, 2, ((1, 64), (2, 2016)), 64)
+        monkeypatch.setattr(oracle, "cycle_structure", lambda pm: wrong)
         with pytest.raises(NcycleInternal, match="cycle walk"):
             exhaustive_verdict(ctx, SparsePoly.monomial(ctx, 8), [4])
 
     @pytest.mark.parametrize("n,cycle,walked", [
-        (8, 720720, [None]), (8, 2, [None]), (17, 2, [2])])
+        (8, 720720, [256]), (8, 2, [256]), (17, 2, [])])
     def test_cycle_structure_runs_once(self, monkeypatch, n, cycle, walked):
-        # up to 2^16 points the oracle walks once, also when the counts
-        # decline (720720 takes too many compositions); above, it counts
+        # the engine runs once at every field size, whatever the claimed
+        # length; the walk checks it up to 2^16 points only
         ctx = field(2, n)
-        seen, real = [], oracle.cycle_structure
-        monkeypatch.setattr(oracle, "cycle_structure", lambda pm, period=None:
-                            seen.append(period) or real(pm, period))
+        engine, walks = [], []
+        real_engine, real_walk = oracle.cycle_structure, oracle._walked_cycles
+        monkeypatch.setattr(oracle, "cycle_structure", lambda pm:
+                            engine.append(pm.ctx.order) or real_engine(pm))
+        monkeypatch.setattr(oracle, "_walked_cycles", lambda imgs:
+                            walks.append(len(imgs)) or real_walk(imgs))
         v = exhaustive_verdict(ctx, SparsePoly.monomial(ctx, ctx.order - 2),
                                [cycle])
-        assert seen == walked and v.order == 2 and v.is_ncycle_at[cycle]
+        assert engine == [ctx.order] and walks == walked
+        assert v.order == 2 and v.is_ncycle_at[cycle]
 
     def test_threaded_evaluation_matches_serial(self, monkeypatch):
         ctx = field(2, 12)

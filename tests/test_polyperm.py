@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import ncyclepp.polyperm as polyperm
 from ncyclepp.errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
+from ncyclepp.field import divisors
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
@@ -410,7 +413,7 @@ def test_perm_algebra_random(seed):
             assert functional_power(f, d) != identity_perm(ctx)
 
 
-# --- cycle type from fixed-point counts --------------------------------------
+# --- the pointer-jumping cycle engine ----------------------------------------
 
 def _with_cycle_lengths(ctx, lengths, rng):
     """A random permutation of the field with one cycle per given length,
@@ -434,19 +437,26 @@ def _walk(pm):
     return CycleReport(True, order, ctype, dict(ctype).get(1, 0))
 
 
-# 46 = 2*23 takes exactly MAX_COMPOSITIONS compositions
-@pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 16, 46, 127])
+def _rounds(monkeypatch, pm):
+    """cycle_structure(pm) and its number of doubling rounds: the labels
+    are set with one np.minimum and folded with one more in each round."""
+    calls, minimum = [], np.minimum
+    monkeypatch.setattr(np, "minimum",
+                        lambda *a, **k: calls.append(1) or minimum(*a, **k))
+    rep = cycle_structure(pm)
+    monkeypatch.undo()
+    return rep, len(calls) - 1
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 6, 12, 16, 24, 46, 127])
 def test_counted_cycle_type_matches_naive_walk(period):
     ctx = field(2, 10)
     rng = np.random.default_rng(period)
-    divs = polyperm.divisors(period)
+    divs = divisors(period)
     for _ in range(5):
         lengths = rng.choice(divs, size=int(rng.integers(0, 40)))
         pm = _with_cycle_lengths(ctx, lengths.tolist(), rng)
-        want = naive_cycle_type(pm.images.tolist())
-        got = polyperm.counted_cycles(pm, period)
-        assert got is not None and tuple(sorted(got.items())) == want
-        assert cycle_structure(pm, period) == _walk(pm)
+        assert cycle_structure(pm) == _walk(pm)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -454,9 +464,7 @@ def test_counted_cycles_on_random_permutations(seed):
     ctx = field(3, 4)
     rng = np.random.default_rng(seed)
     pm = PermMap(ctx, rng.permutation(ctx.order).astype(np.int64))
-    order = _walk(pm).order
-    for period in (order, 2 * order, 12):
-        assert cycle_structure(pm, period) == _walk(pm)
+    assert cycle_structure(pm) == _walk(pm)
 
 
 @pytest.mark.parametrize("p,n,e,order", [
@@ -466,40 +474,75 @@ def test_counted_cycles_on_random_permutations(seed):
 def test_counted_cycles_of_power_maps(p, n, e, order):
     ctx = field(p, n)
     pm = require_perm(ctx, SparsePoly.monomial(ctx, e))
-    want = naive_cycle_type(pm.images.tolist())
-    for period in (order, 2 * order):
-        got = polyperm.counted_cycles(pm, period)
-        if period == 24:   # 20 compositions: the walk answers
-            assert got is None
-        else:
-            assert got is not None and tuple(sorted(got.items())) == want
-        rep = cycle_structure(pm, period)
-        assert rep.cycle_type == want and rep.order == order
+    rep = cycle_structure(pm)
+    assert rep.cycle_type == naive_cycle_type(pm.images.tolist())
+    assert rep.order == order
 
 
-def test_counted_cycles_fall_back_to_the_walk(monkeypatch):
-    ctx = field(2, 12)
-    pm = require_perm(ctx, SparsePoly.monomial(ctx, 4))   # order 6
-    walk = cycle_structure(pm)
-    # f^4 is not the identity: the counts give up and the walk answers
-    assert polyperm.counted_cycles(pm, 4) is None
-    assert cycle_structure(pm, 4) == walk
-    # the powers f^d for d | 24 take 20 compositions, more than
-    # MAX_COMPOSITIONS; 720720 (240 divisors) and 17017*6 take far more
-    assert polyperm.MAX_COMPOSITIONS == 16
-    for period in (24, 720720, 17017 * 6):
-        assert polyperm.counted_cycles(pm, period) is None
-        assert cycle_structure(pm, period) == walk
-    # a period above q^2 is never factored
-    monkeypatch.setattr(polyperm, "divisors", lambda m: pytest.fail("tried"))
-    assert cycle_structure(pm, 6 * ctx.order ** 2) == walk
+def test_identity_takes_no_round(monkeypatch):
+    for p, n in ((2, 1), (7, 1), (2, 12), (3, 5)):
+        ctx = field(p, n)
+        rep, rounds = _rounds(monkeypatch, identity_perm(ctx))
+        assert rep == CycleReport(True, 1, ((1, ctx.order),), ctx.order)
+        assert rounds == 0
+
+
+def test_single_field_cycle_takes_log2_rounds(monkeypatch):
+    # one q-cycle: the labels cover 2^(k+1) points after k rounds
+    for p, n, rounds in ((2, 1, 0), (7, 1, 2), (2, 12, 11), (3, 5, 7)):
+        ctx = field(p, n)
+        pm = PermMap(ctx, np.roll(ctx.varange(), 1))
+        rep, got = _rounds(monkeypatch, pm)
+        assert rep == CycleReport(True, ctx.order, ((ctx.order, 1),), 0)
+        assert got == rounds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_maps(p):
+    ctx = field(p, 1)
+    gen = ctx.generator.i
+    inverse = ["x^(q-2)"] if p > 2 else []   # over GF(2), x^0 is constant
+    for text in ["x+1", f"{gen}*x", f"{gen}*x+1", *inverse]:
+        pm = require_perm(ctx, SparsePoly.from_text(ctx, text, {"q": p}))
+        assert cycle_structure(pm) == _walk(pm)
+    # x+1 is one p-cycle, g*x fixes 0 and moves the rest round one cycle
+    one = require_perm(ctx, SparsePoly.from_text(ctx, "x+1"))
+    assert cycle_structure(one).cycle_type == ((p, 1),)
+    if p > 2:
+        mul = require_perm(ctx, SparsePoly.from_text(ctx, f"{gen}*x"))
+        assert cycle_structure(mul).cycle_type == ((1, 1), (p - 1, 1))
+
+
+def test_every_permutation_of_gf7():
+    # every cycle type of 7 points, and each in every arrangement, against
+    # the walk: the stop test is exact, never early
+    ctx = field(7, 1)
+    for images in itertools.permutations(range(7)):
+        pm = PermMap(ctx, np.array(images, dtype=np.int64))
+        assert cycle_structure(pm) == _walk(pm)
+
+
+_SMALL_FIELDS = [(2, 1), (3, 1), (2, 3), (5, 2), (3, 4), (2, 8), (7, 3),
+                 (3, 7), (2, 12), (5, 5), (4093, 1)]
+
+
+@given(st.sampled_from(_SMALL_FIELDS), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_engine_on_random_permutations_up_to_2_12(pn, seed, few_cycles):
+    ctx = field(*pn)
+    rng = np.random.default_rng(seed)
+    if few_cycles:   # a handful of short cycles among fixed points
+        lengths = rng.integers(1, 9, size=int(rng.integers(0, 10)))
+        pm = _with_cycle_lengths(ctx, lengths.tolist(), rng)
+    else:
+        pm = PermMap(ctx, rng.permutation(ctx.order).astype(np.int64))
+    assert cycle_structure(pm) == _walk(pm)
 
 
 def test_divisors():
-    assert polyperm.divisors(1) == [1]
-    assert polyperm.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert polyperm.divisors(49) == [1, 7, 49]
-    assert len(polyperm.divisors(720720)) == 240
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(49) == [1, 7, 49]
+    assert len(divisors(720720)) == 240
     for m in range(1, 200):
-        assert polyperm.divisors(m) == [d for d in range(1, m + 1)
-                                        if m % d == 0]
+        assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0]

@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,3 +28,14 @@ def test_fuzz_all_families_lines_are_json(capsys):
         assert [t["index"] for t in trials] == [0, 1]
         assert json.loads(block[2])["summary"]["family"] == fam
         assert block[3].startswith(fam)
+
+
+@pytest.mark.parametrize("q", ["6", "16"])
+def test_jieguo_sweep_rejects_a_bad_q(capsys, q):
+    # 6 is not a power of 2, and 16 is not 2^(12k - 6)
+    sweep = load_script("jieguo_pair_sweep")
+    assert sweep.main(["--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
