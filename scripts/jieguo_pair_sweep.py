@@ -12,7 +12,7 @@ import json
 import sys
 from time import perf_counter
 
-from ncyclepp.errors import CapExceeded, NcycleError
+from ncyclepp.errors import NcycleError
 from ncyclepp.families import build_jieguo, solve_jieguo_congruences
 from ncyclepp.field import make_field
 from ncyclepp.oracle import cross_check
@@ -29,12 +29,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = perf_counter()
-    try:   # exit codes as in the CLI
+    try:
         pairs = solve_jieguo_congruences(args.q)
         ctx = make_field(2, 2 * (args.q.bit_length() - 1))
     except NcycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, CapExceeded) else 2
+        return 2
 
     if not args.json:
         print(f"{len(pairs)} congruence solutions for q = {args.q} "
