@@ -30,8 +30,8 @@ def main(argv=None) -> int:
 
     t0 = perf_counter()
     try:
-        pairs = solve_jieguo_congruences(args.q)
         ctx = make_field(2, 2 * (args.q.bit_length() - 1))
+        pairs = solve_jieguo_congruences(args.q)
     except NcycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

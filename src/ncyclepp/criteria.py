@@ -15,8 +15,8 @@ map of the field (Lidl & Niederreiter, Thm 7.1), so a map identity is a
 comparison of coefficients, and an additive polynomial is an n x n matrix
 over GF(p), whose rank, powers and products give bijectivity, the n-cycle
 property and commutation, and whose column space is the image.  Only a
-failed identity, for its witness, or a part given as a callable takes the
-whole field.  The others check by exhaustion.
+failed bijection or scaling law, for its witness, or a part given as a
+callable takes the whole field.  The others check by exhaustion.
 """
 from __future__ import annotations
 
@@ -281,8 +281,11 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
     n x n matrices M over GF(p): phi is a bijection iff rank M_phi = n, an
     n-cycle iff M_phi^n = I, and commutes with psi iff the matrices do.
     The image of psi is the span of M_psi's columns.  A failed bijection
-    or commutation takes its witness from whole-field arrays.  The sums
-    are folded by doubling, O(|image| log n)."""
+    takes its witness from whole-field arrays.  A failed commutation's
+    witness is the least index outside the kernel of
+    D = M_phi M_psi - M_psi M_phi: every index below p^j lies in the span
+    of the first j basis vectors, so it is p^j for the first nonzero
+    column j of D.  The sums are folded by doubling, O(|image| log n)."""
     if n < 1:
         raise BadParams("n must be positive")
     for name, poly in (("phi", phi), ("psi", psi)):
@@ -294,11 +297,10 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
         if len(ctx.image_basis(m_phi)) < ctx.n:
             require_perm(ctx, phi)   # raises, naming a collision
         raise PrereqNotNcycle(f"phi is not an n-cycle for n={n}")
-    if np.any((m_phi @ m_psi - m_psi @ m_phi) % ctx.p):
-        allx = ctx.varange()
-        bad = np.flatnonzero(phi_fn(psi_fn(allx)) != psi_fn(phi_fn(allx)))
+    cols = np.flatnonzero(((m_phi @ m_psi - m_psi @ m_phi) % ctx.p).any(axis=0))
+    if cols.size:
         raise HypothesisViolated("phi and psi do not commute",
-                                 witness=_element(ctx, bad[0]))
+                                 witness=_element(ctx, ctx.p ** int(cols[0])))
     ys = ctx.linear_image(psi_fn)
     gv = as_vector_fn(ctx, g)(ys)
     succ = _positions(ys, ctx.vadd(phi_fn(ys), psi_fn(gv)))

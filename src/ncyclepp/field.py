@@ -388,25 +388,14 @@ class FieldCtx:
             return a ^ b
         if self.n == 1:
             return (a + b) % self.p
-        out, pw = 0, 1
-        for _ in range(self.n):
-            out += ((a + b) % self.p) * pw
-            a //= self.p
-            b //= self.p
-            pw *= self.p
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        q1, la = self.order - 1, self._log.item(a)
+        z = self._zech.item((self._log.item(b) - la) % q1)   # log(1 + b/a)
+        return 0 if z < 0 else self._exp.item((la + z) % q1)   # z < 0: b = -a
 
     def neg_idx(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.n == 1:
-            return (-a) % self.p
-        out, pw = 0, 1
-        for _ in range(self.n):
-            out += ((-a) % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return out
+        return a if self.p == 2 else self.mul_idx(self.p - 1, a)   # -a = (p-1)*a
 
     def sub_idx(self, a: int, b: int) -> int:
         return self.add_idx(a, self.neg_idx(b))

@@ -198,7 +198,7 @@ def cross_check(instance: FamilyInstance,
         walsh_checked = True
         if flag != (2 % ver.order == 0):
             status = "DISAGREE"
-            detail = "spectral involution verdict contradicts the cycle walk"
+            detail = "spectral involution verdict contradicts the exhaustive order"
     return CrossCheckReport(instance.family, instance.claimed_n, status, crit,
                             truth, ver, walsh_checked, detail)
 

@@ -285,6 +285,32 @@ def test_console_script_matches_module():
     assert "elapsed_s" in proc.stderr
 
 
+def child_cli(*argv):
+    """Run the command line in a child process: (exit code, stdout, the
+    seconds it reports in elapsed_s on stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    return (proc.returncode, proc.stdout,
+            float(proc.stderr.rsplit("elapsed_s", 1)[1]))
+
+
+def test_k2to3m_search_is_closed_form():
+    # the scan took 7(q - 1) steps, some 10^15 at q = 2^48
+    code, out, seconds = child_cli("search", "k2to3m", "--q", str(2 ** 48))
+    assert code == 0 and seconds < 1.0
+    q1, ks = 2 ** 48 - 1, json.loads(out)["k"]
+    assert len(ks) == 7 and ks == sorted(ks) and 1 <= ks[0] and ks[-1] <= 7 * q1
+    assert all(7 * k % q1 == 0 and k % 7 == 3 for k in ks)
+
+
+@pytest.mark.parametrize("tm", [("0", "0"), ("1", "1")])
+def test_jieguo_checks_the_cap_before_the_congruence_scan(tm):
+    # the scan takes up to (q + 1)^2 steps; GF((2^30)^2) is past the cap
+    code, out, seconds = child_cli("construct", "jieguo", "--q", str(2 ** 30),
+                                   "--t", tm[0], "--m", tm[1])
+    assert code == 3 and out == "" and seconds < 2.0
+
+
 @pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])
 def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]

@@ -5,11 +5,14 @@ their builders decide every hypothesis on coefficients and GF(p)-matrices,
 so ctx.varange and SparsePoly.eval_vec over the whole field never run inside
 them.  (On fields of at most CHUNK_POINTS points the evaluator still keeps
 each polynomial's image table; past that it keeps no q-sized array.)
-Their orbit sums are folded by doubling, which must give the old n-step
-loop's values for every n, and a claimed length like 10^40 must not hang
-the command line.
+A failed commutation takes its witness from the matrices too, and it must
+be the first point where brute force sees the two maps disagree.  Their
+orbit sums are folded by doubling, which must give the old n-step loop's
+values for every n, and a claimed length like 10^40 must not hang the
+command line.
 """
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +76,30 @@ def test_criteria_and_builders_build_no_whole_field_array(pn, no_whole_field):
     ]
     assert all(v.holds for v in verdicts)
     assert all(v.domain_size < ctx.order for v in verdicts)
+
+
+@pytest.mark.parametrize("pn", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_commutation_witness_is_the_first_brute_force_disagreement(pn, no_whole_field):
+    # phi = x^(p^k) is an n-cycle; psi is a random q-polynomial.  The
+    # brute-force reference takes scalar evaluations only
+    ctx = field(*pn)
+    p, n, q = ctx.p, ctx.n, ctx.order
+    rng = random.Random(100 * p + n)
+    failed = 0
+    for _ in range(60):
+        phi = SparsePoly.monomial(ctx, p ** rng.randrange(1, n))
+        psi = SparsePoly.make(ctx, [(rng.randrange(1, q), p ** rng.randrange(n))
+                                    for _ in range(rng.randrange(1, 4))])
+        first = next((x for x in range(q)
+                      if phi.eval_idx(psi.eval_idx(x)) != psi.eval_idx(phi.eval_idx(x))),
+                     None)
+        if first is None:
+            continue
+        with pytest.raises(HypothesisViolated, match="do not commute") as info:
+            additive_criterion(ctx, phi, psi, SparsePoly.monomial(ctx, 1), n)
+        assert info.value.witness.i == first
+        failed += 1
+    assert failed >= 30
 
 
 def loop_verdict(ctx, h, lam, k, n):

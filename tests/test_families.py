@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import RsParams
 from ncyclepp.errors import (
     BadParams, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
@@ -376,6 +377,12 @@ class TestRsFamilies:
         with pytest.raises(BadParams):
             search_k_2to3m(16)
 
+    def test_search_k_equals_the_scan(self):
+        for e in range(3, 16, 3):
+            q = 2 ** e
+            assert search_k_2to3m(q) == [k for k in range(1, 7 * (q - 1) + 1)
+                                         if 7 * k % (q - 1) == 0 and k % 7 == 3]
+
     def test_every_search_hit_feeds_the_builder(self):
         ctx = field(2, 9)
         for k in search_k_2to3m(8):
@@ -470,6 +477,23 @@ class TestRsFamilies:
             assert np.array_equal(fp.images[ip.images], ctx.varange())
         exps = sorted(e for _, e in build_trace_theta(4, th, ctx=ctx).poly.terms)
         assert exps == [1, 10, 34, 40]
+
+    @pytest.mark.parametrize("q", [4, 16, 64])
+    def test_trace_twist_certificate_builds_no_table(self, q, monkeypatch):
+        ctx = field(2, 3 * (q.bit_length() - 1))
+        cube = ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table of the field was built")
+
+        monkeypatch.setattr(SparsePoly, "eval_vec", refuse)
+        monkeypatch.setattr(polyperm, "as_images", refuse)
+        monkeypatch.setattr(polyperm, "compose", refuse)
+        for theta in (None, cube, ctx.mul_idx(cube, cube)):
+            verdict = build_trace_theta(q, theta, ctx=ctx).check()
+            assert verdict.holds and verdict.witness is None
+            assert verdict.domain_size == ctx.order
+            assert verdict.extras == {"squares_to_inverse": True}
 
     def test_trace_twist_validation(self):
         with pytest.raises(BadParams):

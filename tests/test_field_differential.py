@@ -10,6 +10,9 @@ seeded powers and traces (each costs a chain of _cmul calls).  Odd-p
 addition runs on a Zech logarithm table, so it gets its own checks on the
 fields of the odd-p benchmark workload (3^11, 5^7, 7^6): random pairs,
 cancellation, zero operands, broadcasting, scalars and the table itself.
+The scalar add_idx and neg_idx run on the same tables: they are compared
+on every pair of GF(3^2), GF(5^2), GF(7^2) and GF(3^4), and on 20,000
+seeded random pairs of each of those three fields.
 """
 import random
 
@@ -163,6 +166,28 @@ def test_zech_table_is_minus_one_only_at_half_order(p, n):
     k = np.arange(0, q1, max(1, q1 // 500))
     want = [ctx._log[ref_add(ctx, 1, int(ctx._exp[i]))] for i in k]
     assert np.array_equal(ctx._zech[k], want)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 4)])
+def test_scalar_add_and_neg_match_digit_sums_on_every_pair(p, n):
+    ctx = field(p, n)
+    q = ctx.order
+    for a in range(q):
+        assert ctx.neg_idx(a) == ref_neg(ctx, a)
+        assert [ctx.add_idx(a, b) for b in range(q)] == [ref_add(ctx, a, b) for b in range(q)]
+
+
+@pytest.mark.parametrize("p,n", ZECH)
+def test_scalar_add_and_neg_match_digit_sums_on_random_pairs(p, n):
+    ctx = field(p, n)
+    q = ctx.order
+    rng = random.Random(7 * p + n)
+    for _ in range(20000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert ctx.add_idx(a, b) == ref_add(ctx, a, b), (a, b)
+        assert ctx.neg_idx(a) == ref_neg(ctx, a), a
+        assert ctx.add_idx(a, ctx.neg_idx(a)) == 0
+    assert ctx.add_idx(0, 0) == 0 and ctx.add_idx(b, 0) == ctx.add_idx(0, b) == b
 
 
 def test_vadd_leaves_the_digit_bootstrap_once_built(monkeypatch, capsys):

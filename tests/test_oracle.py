@@ -180,6 +180,17 @@ class TestCrossCheck:
         assert rep.status == "DISAGREE"
         assert rep.detail
 
+    def test_spectral_contradiction_names_the_exhaustive_order(self, monkeypatch):
+        inst = build_xh_lambda(field(5, 2), "involution_cor", sub_degree=1)
+        flip = lambda ctx, fn: (not walsh_flag(ctx, fn)[0], None)
+        walsh_flag = oracle.walsh_involution_test
+        monkeypatch.setattr(oracle, "walsh_involution_test", flip)
+        rep = cross_check(inst)
+        assert rep.status == "DISAGREE" and rep.walsh_checked
+        assert rep.criterion_holds and rep.oracle_is_ncycle
+        assert rep.detail == ("spectral involution verdict contradicts the "
+                              "exhaustive order")
+
     def test_report_serialization(self):
         doc = cross_check(build_xq_h_alpha(4, 1, ctx=field(2, 6))).to_json()
         assert doc["status"] == "AGREE"

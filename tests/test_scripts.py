@@ -1,7 +1,10 @@
 """Command-line scripts under scripts/."""
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -39,3 +42,15 @@ def test_jieguo_sweep_rejects_a_bad_q(capsys, q):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_jieguo_sweep_checks_the_cap_before_the_congruence_scan():
+    # q = 2^30 has the right shape, but GF(q^2) is past the cap: the
+    # command must refuse before scanning (q + 1)^2 pairs
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "jieguo_pair_sweep.py"),
+                           "--q", str(2 ** 30)],
+                          capture_output=True, text=True, timeout=30)
+    assert perf_counter() - t0 < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds cap" in proc.stderr
