@@ -13,7 +13,9 @@ import sys
 from time import perf_counter
 
 from ncyclepp.errors import NcycleError
-from ncyclepp.families import build_jieguo, solve_jieguo_congruences
+from ncyclepp.families import (
+    build_jieguo, check_jieguo_q, solve_jieguo_congruences,
+)
 from ncyclepp.field import make_field
 from ncyclepp.oracle import cross_check
 
@@ -29,7 +31,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = perf_counter()
-    try:
+    try:   # the shape of q, then the field and its cap, then the scan
+        check_jieguo_q(args.q)
         ctx = make_field(2, 2 * (args.q.bit_length() - 1))
         pairs = solve_jieguo_congruences(args.q)
     except NcycleError as exc:

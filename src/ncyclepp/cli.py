@@ -258,7 +258,7 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.target == "jieguo":
-        pairs = solve_jieguo_congruences(args.q)
+        pairs = solve_jieguo_congruences(args.q, _cap())
         _emit_json({"family": "jieguo", "q": args.q,
                     "pairs": [[t, m] for t, m in pairs]})
     else:

@@ -34,7 +34,7 @@ from .errors import (
     KernelViolation,
 )
 from .field import (
-    FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
+    DEFAULT_CAP, FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
 )
 from .polyperm import (
     POLY_TERM_CAP, SparsePoly, as_vector_fn, map_exp, poly_add, poly_compose,
@@ -707,22 +707,28 @@ def build_xq_h_alpha(q: int, alpha,
         degenerate=bool((unit == 1).all()))
 
 
-def solve_jieguo_congruences(q: int) -> list[tuple[int, int]]:
+def solve_jieguo_congruences(q: int,
+                             cap: Optional[int] = None) -> list[tuple[int, int]]:
     """Exhaustive scan for (t, m) in [0, q+1)^2 satisfying the defining
     congruences mod q+1: the cubic precondition in t alone plus the three
-    coupled conditions.  q must be 2^(12k'-6) so that 13 | q+1.  The scan
-    runs once per q; the fuzzer asks for it on every trial."""
-    return list(_jieguo_pairs(q))
+    coupled conditions.  q must be 2^(12k'-6) so that 13 | q+1, and at most
+    the field-size cap (DEFAULT_CAP when None), since the scan takes up to
+    (q+1)^2 steps.  The scan runs once per q; the fuzzer asks for it on
+    every trial."""
+    return list(_jieguo_pairs(q, DEFAULT_CAP if cap is None else cap))
 
 
-def _check_jieguo_q(q: int) -> None:
+def check_jieguo_q(q: int) -> None:
+    """BadParams unless q = 2^(12k'-6), the shape for which 13 divides q+1."""
     if _exact_log(q, 2) % 12 != 6:
         raise BadParams("q must be 2^(12k'-6) so that 13 divides q+1")
 
 
 @lru_cache(maxsize=16)
-def _jieguo_pairs(q: int) -> tuple[tuple[int, int], ...]:
-    _check_jieguo_q(q)
+def _jieguo_pairs(q: int, cap: int) -> tuple[tuple[int, int], ...]:
+    check_jieguo_q(q)
+    if q > cap:
+        raise CapExceeded(f"q = {q} exceeds cap {cap}")
     Q1 = q + 1
     out = []
     for t in range(Q1):
@@ -745,7 +751,7 @@ def build_jieguo(q: int, t: int, m: int,
     reduced mod q+1 (the raw middle exponent m*q - 2*t*q is negative for
     typical solutions).  The shape of q and the field cap are checked
     before the congruence scan, which takes (q+1)^2 steps at worst."""
-    _check_jieguo_q(q)
+    check_jieguo_q(q)
     ctx = _ctx_for(q, 2, ctx)
     if (t, m) not in set(solve_jieguo_congruences(q)):
         raise BadParams(f"(t, m) = ({t}, {m}) does not satisfy the "

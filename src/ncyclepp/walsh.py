@@ -7,8 +7,8 @@ often each trace residue occurs), canonicalized modulo the all-ones vector,
 the kernel of the count-to-value evaluation.
 
 A permutation equals its own inverse exactly when its Walsh matrix is
-symmetric in (u, v); walsh_involution_test checks that on the whole spectrum,
-held exactly as p - 1 float32 coordinates in Z[w] (basis 1, w, ..., w^(p-2)).
+symmetric in (u, v); walsh_involution_test checks that a band of rows at a time,
+each held exactly as p - 1 float32 coordinates in Z[w] (basis 1, w, ..., w^(p-2)).
 One engine serves every p: x in dual-basis order puts W(u, v) in column u of
 F_(p^n)[u, y] = w^<u, y>, a Kronecker product of two small factors, each
 applied as p - 1 products with 0/+-1 matrices and shifts of the coordinates;
@@ -124,37 +124,48 @@ def _involution(ctx: FieldCtx, imgs: np.ndarray):
     # factor is empty.  Blocks of r rows keep each buffer near 128 q coordinates.
     Ba, Bb = _factor(p, a), _factor(p, ctx.n - a)
     r = max(1, _ROW_BLOCK // c)
-    M = np.empty((q, c, q), dtype=np.float32)
     t = np.empty((r, q), dtype=np.int64)   # log v + log F(x), reused
     X, Y, Z = (np.empty((r, c, q), dtype=np.float32) for _ in range(3))
+    bad = np.empty((r, q), dtype=bool)   # band cells with M[v, :, u] != M[u, :, v]
+    # Band i < j leaves its columns in band j, transposed, in a pool block [v - j, :,
+    # u - i] = M[u, :, v] that band j compares and frees: at most a quarter of the
+    # blocks, (p - 1) q^2 / 4 coordinates, are held at once, and slots are reused.
+    pool = np.empty(((q // r + 1) ** 2 // 4, r, c, r), dtype=np.float32)
+    free, slot, first = list(range(len(pool))), {}, (q, q)
     for lo in range(0, q, r):
         k = min(r, q - lo)
         np.add(log[lo:lo + k, None], log_f[None, :], out=t[:k])
         for m in range(c):
             np.take(enc[m], t[:k], mode="clip", out=X[:k, m])
-        low = Z[:k] if a else M[lo:lo + k]
         _times_factor(Bb, lambda B, o: np.matmul(X[:k].reshape(-1, pb), B,
-                                                 out=o.reshape(-1, pb)), low, Y[:k])
+                                                 out=o.reshape(-1, pb)), Z[:k], Y[:k])
         if a:
             _times_factor(Ba, lambda B, o: np.matmul(B, Z[:k].reshape(k, c, pa, pb),
                                                      out=o.reshape(k, c, pa, pb)),
-                          M[lo:lo + k], Y[:k])
-    # The mismatch set is symmetric, so its first row-major cell lies in the
-    # upper triangle of the first band of rows that holds one.
-    for lo in range(0, q, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, q)
-        bad = np.concatenate([(M[lo:hi, :, b:b + _ROW_BLOCK]
-                               != M[b:b + _ROW_BLOCK, :, lo:hi].T).any(axis=1)
-                              for b in range(lo, q, _ROW_BLOCK)], axis=1)
-        if bad.any():
-            i = int(bad.any(axis=1).argmax())
-            return False, (ctx.element(lo + i), ctx.element(lo + int(bad[i].argmax())))
-    return True, None
+                          X[:k], Y[:k])
+        M = X[:k] if a else Z[:k]
+        for i in range(0, lo, r):
+            free.append(slot.pop((i, lo)))
+            np.any(pool[free[-1], :k] != M[:, :, i:i + r], axis=1, out=bad[:k, i:i + r])
+        diag = M[:, :, lo:lo + k]
+        np.any(diag != diag.transpose(2, 1, 0), axis=1, out=bad[:k, lo:lo + k])
+        # Each mismatching pair u < v shows up here once, in the band of v; the
+        # first row-major cell of the symmetric mismatch set is the least (u, v).
+        u = int(bad[:k, :lo + k].any(axis=0).argmax())
+        if bad[:k, u].any():
+            first = min(first, (u, lo + int(bad[:k, u].argmax())))
+        for j in range(lo + k, q, r):
+            s = slot[lo, j] = free.pop()
+            pool[s, :min(r, q - j), :, :k] = M[:, :, j:j + r].transpose(2, 1, 0)
+    u, v = first
+    return (True, None) if u == q else (False, (ctx.element(u), ctx.element(v)))
 
 
 def within_walsh_cap(ctx: FieldCtx) -> bool:
     """q <= WALSH_CAP and at most 2^28 spectrum coordinates (1 GiB), which keeps
-    every partial sum, at most 2 (p - 1) q <= min(2 q^2, 2^29 / q) < 2^20, exact."""
+    every partial sum, at most 2 (p - 1) q <= min(2 q^2, 2^29 / q) < 2^20, exact.
+    It counts all (p - 1) q^2 coordinates, of which at most a quarter is resident;
+    over GF(p) the factor matrices of _factor(p, 1) are as large as all of them."""
     return ctx.order <= WALSH_CAP and (ctx.p - 1) * ctx.order ** 2 <= _SPECTRUM_CAP
 
 

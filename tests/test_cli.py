@@ -311,6 +311,19 @@ def test_jieguo_checks_the_cap_before_the_congruence_scan(tm):
     assert code == 3 and out == "" and seconds < 2.0
 
 
+def test_jieguo_search_checks_the_cap_before_the_congruence_scan():
+    # q = 2^30 has the right shape, but the scan would take up to (q + 1)^2
+    # steps: q is refused against the field-size cap first
+    code, out, seconds = child_cli("search", "jieguo", "--q", str(2 ** 30))
+    assert code == 3 and out == "" and seconds < 2.0
+
+
+def test_jieguo_search_obeys_the_cap_override(capsys, monkeypatch):
+    monkeypatch.setenv("NCYC_CAP", "4096")
+    assert main(["search", "jieguo", "--q", str(2 ** 18)]) == 3
+    assert "exceeds cap 4096" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])
 def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]

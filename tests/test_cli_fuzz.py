@@ -1,8 +1,9 @@
 """Random argument vectors against the command line.
 
-construct, verify, order and field commands are built on fields of at most
-3^4 or 2^6 points, with option values drawn from small integers, huge
-expressions (10^40, 2^4096), names (q-2, g^5), negatives and junk.  Each
+construct, verify, order, field and walsh commands are built on fields of
+at most 3^4 or 2^6 points, with option values drawn from small integers,
+huge expressions (10^40, 2^4096), names (q-2, g^5), negatives and junk;
+search commands draw q from small and huge powers of two and junk.  Each
 in-process main call must end within 2 s with exit code 0-3; argparse may
 refuse an argument (SystemExit 2), and any other escaping exception fails.
 """
@@ -70,6 +71,9 @@ ARGV = st.one_of(
     command(["verify"], FIELD, opt("--poly", POLYS), opt("--cycle")),
     command(["order"], FIELD, opt("--poly", POLYS)),
     command(["field"], FIELD, opt("--modulus", SMALL + ODD + ["1,1,0,1", "2,1,0,0,1"])),
+    command(["walsh"], FIELD, opt("--poly", POLYS), st.just(["--check-involution"])),
+    command(["search"], st.sampled_from(["jieguo", "k2to3m"]).map(lambda t: [t]),
+            opt("--q", ["8", "64", "4096", str(2 ** 30), "-64", "x", "2^6"])),
 )
 
 
@@ -82,6 +86,7 @@ def _timeout(signum, frame):
 @example(argv=["construct", "xh_lambda", "--p", "3", "--n", "4", "--variant",
                "custom_h", "--sub-degree", "1", "--h", "2", "--cycle", "10^40",
                "--verify"])
+@example(argv=["search", "jieguo", "--q", str(2 ** 30)])
 def test_cli_ends_in_time_with_a_documented_exit_code(argv):
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.setitimer(signal.ITIMER_REAL, SECONDS)

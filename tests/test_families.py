@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import RsParams
 from ncyclepp.errors import (
-    BadParams, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
+    BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity, InvalidSpec,
     KernelViolation,
 )
 from ncyclepp.families import (
@@ -419,6 +419,15 @@ class TestRsFamilies:
             assert (13 * m - 13 * t) % 65 == 0
         with pytest.raises(BadParams):
             solve_jieguo_congruences(8)
+
+    def test_congruence_solver_refuses_q_past_the_cap(self):
+        # the scan takes up to (q + 1)^2 steps; the shape of q is checked
+        # first (the default cap is tested on the command line, in a child)
+        with pytest.raises(CapExceeded):
+            solve_jieguo_congruences(2 ** 18, cap=2 ** 12)
+        with pytest.raises(BadParams):
+            solve_jieguo_congruences(2 ** 40)
+        assert solve_jieguo_congruences(64, cap=64) == solve_jieguo_congruences(64)
 
     def test_congruence_trinomial_worked_instance(self):
         inst = build_jieguo(64, 25, 5, ctx=field(2, 12))

@@ -44,6 +44,20 @@ def test_jieguo_sweep_rejects_a_bad_q(capsys, q):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_jieguo_sweep_checks_the_shape_of_q_before_building_the_field(capsys,
+                                                                     monkeypatch):
+    # 4096 is a power of 2 but not 2^(12k - 6): refused before GF(4096^2),
+    # a field of 2^24 points, is built
+    sweep = load_script("jieguo_pair_sweep")
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("make_field called")
+
+    monkeypatch.setattr(sweep, "make_field", no_field)
+    assert sweep.main(["--q", "4096"]) == 2
+    assert "12k'-6" in capsys.readouterr().err
+
+
 def test_jieguo_sweep_checks_the_cap_before_the_congruence_scan():
     # q = 2^30 has the right shape, but GF(q^2) is past the cap: the
     # command must refuse before scanning (q + 1)^2 pairs

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from ncyclepp.errors import BadParams, CapExceeded
 from ncyclepp.field import make_field
 from ncyclepp.polyperm import (
-    PermMap, SparsePoly, compose, functional_power, identity_perm, invert,
-    perm_order, require_perm,
+    PermMap, SparsePoly, as_images, compose, functional_power, identity_perm,
+    invert, perm_order, require_perm,
 )
 from ncyclepp.walsh import (
     WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
@@ -231,6 +231,51 @@ def test_oddp_involution_test_matches_dense_spectrum(pn):
     assert bad[0][0] >= q // p   # the last map was the 3-cycle
 
 
+def dense_mismatches(ctx, imgs):
+    """Row-major cells (u, v) with W(u, v) != W(v, u), from W = H P H^T with
+    H[u, x] = w^tr(u x) split by residue: C[j][u, v] = #{x : tr(u x) +
+    tr(v F(x)) = j}, and W is symmetric at (u, v) iff C[j][u, v] - C[j][v, u]
+    is the same for every j (the powers of w sum to 0).  Built from the
+    trace table and whole-field products, with no library Walsh code."""
+    p, q = ctx.p, ctx.order
+    xs = np.arange(q)
+    T = ctx.tr1_table()[ctx.vmul(xs[:, None], xs[None, :])]   # T[u, x] = tr(u x)
+    ind = [(T == j).astype(np.float32) for j in range(p)]
+    C = np.stack([sum(ind[i] @ (T[:, imgs] == (j - i) % p).T.astype(np.float32)
+                      for i in range(p)) for j in range(p)])
+    D = C - C.transpose(0, 2, 1)
+    return T, np.argwhere((D != D[0]).any(axis=0))
+
+
+@pytest.mark.parametrize("pn,cycles,least,earlier", [
+    ((2, 10), [[192, 20, 320], [65, 64, 576]], (1, 512), (4, 128)),
+    ((3, 6), [[18, 486, 36], [21, 540, 54]], (3, 243), (9, 18)),
+])
+def test_involution_witness_is_least_over_all_bands(pn, cycles, least, earlier):
+    # Two 3-cycles on the elements z_m with tr(u z_m) = <digits(u), digits(m)>
+    # mod p.  The least mismatching pair u < v has its v in a later band of
+    # rows (128 rows for p = 2, 64 for p = 3) than the v of another pair,
+    # so an engine that kept the first pair it found would report the other.
+    ctx = field(*pn)
+    p, q = ctx.p, ctx.order
+    band = 128 // (p - 1)
+    digits = np.arange(q)[:, None] // p ** np.arange(ctx.n) % p
+    T, _ = dense_mismatches(ctx, np.arange(q))
+    z = {m: int(np.flatnonzero((T == (digits @ digits[m] % p)[:, None]).all(axis=0))[0])
+         for cyc in cycles for m in cyc}
+    imgs = np.arange(q)
+    for cyc in cycles:
+        imgs[[z[m] for m in cyc]] = [z[m] for m in cyc[1:] + cyc[:1]]
+    _, bad = dense_mismatches(ctx, imgs)
+    upper = bad[bad[:, 0] < bad[:, 1]]
+    first_band = upper[:, 1] // band == upper[:, 1].min() // band
+    assert tuple(bad[0]) == least
+    assert min(map(tuple, upper[first_band])) == earlier
+    assert earlier[1] // band < least[1] // band
+    flag, witness = walsh_involution_test(ctx, PermMap(ctx, imgs))
+    assert not flag and (witness[0].i, witness[1].i) == least
+
+
 def test_involution_test_residues_past_127():
     # x + 1 over GF(131): W(u, v) = q w^v [u + v = 0], so the first pair with
     # W(u, v) != W(v, u) is (1, 130); residues above 127 must not wrap
@@ -256,6 +301,24 @@ def test_oddp_involution_test_memory_at_cap(which):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 4 * (ctx.p - 1) * q * q
+
+
+@pytest.mark.parametrize("pn,poly", [((2, 12), "x^(q-2)"), ((2, 12), "x^2"),
+                                     ((3, 7), "x^(q-2)")])
+def test_involution_test_holds_a_fraction_of_the_spectrum(pn, poly):
+    # the (p - 1) q^2 spectrum coordinates are never all held at once: each
+    # band of rows is compared with blocks that earlier bands left behind
+    ctx = field(*pn)
+    q = ctx.order
+    ctx.tr1_table()   # cached field tables, not part of the test's memory
+    f = PermMap(ctx, as_images(ctx, SparsePoly.from_text(ctx, poly, {"q": q})))
+    tracemalloc.start()
+    try:
+        walsh_involution_test(ctx, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 4 * (ctx.p - 1) * q * q
 
 
 @pytest.mark.parametrize("pn,fits", [((643, 1), True), ((647, 1), False),
