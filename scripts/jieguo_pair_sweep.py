@@ -5,7 +5,7 @@ brute-force oracle, and print one table row per pair.
 
 Usage:
     python3 scripts/jieguo_pair_sweep.py --q 64
-    python3 scripts/jieguo_pair_sweep.py --q 64 --threads 4 --json
+    python3 scripts/jieguo_pair_sweep.py --q 64 --json
 """
 import argparse
 import json
@@ -24,8 +24,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=int, default=64,
                     help="base field order; the map lives over GF(q^2)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="thread count for oracle evaluation")
     ap.add_argument("--json", action="store_true",
                     help="emit one JSON object per pair instead of a table")
     args = ap.parse_args(argv)
@@ -48,7 +46,7 @@ def main(argv=None) -> int:
     bad = 0
     for t, m in pairs:
         inst = build_jieguo(args.q, t, m, ctx=ctx)
-        rep = cross_check(inst, threads=args.threads)
+        rep = cross_check(inst)
         if not rep.agree:
             bad += 1
         if args.json:

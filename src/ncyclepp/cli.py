@@ -27,7 +27,7 @@ from .criteria import (
     monomial_ncycle, rs_single_criterion, rs_triple_criterion,
     shift_criterion, xh_lambda_criterion,
 )
-from .errors import CapExceeded, NcycleError, NotPermutation
+from .errors import BadParams, CapExceeded, NcycleError, NotPermutation
 from .families import (
     build_additive, build_jieguo, build_rs_2to3m, build_shift,
     build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_map,
@@ -63,9 +63,16 @@ def _tower_ctx(q: int, ext: int) -> Optional[FieldCtx]:
 
 
 def _int(text, env: dict) -> Optional[int]:
+    """An integer option value; one with more decimal digits than Python
+    prints (sys.get_int_max_str_digits) is refused before any use, since
+    its JSON report could not be written."""
     if text is None or isinstance(text, int):
         return text
-    return eval_int_expr(text, env)
+    value = eval_int_expr(text, env)
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10 ** limit:
+        raise BadParams(f"{text!r} has more than {limit} decimal digits")
+    return value
 
 
 def _emit(*lines: str) -> None:
@@ -181,7 +188,7 @@ def _cmd_construct(args) -> int:
     doc = inst.to_json()
     code = 0
     if args.verify:
-        rep = cross_check(inst, threads=args.threads)
+        rep = cross_check(inst)
         doc["cross_check"] = rep.to_json()
         code = 0 if rep.agree and rep.criterion_holds else 1
     _emit_json(doc)
@@ -193,7 +200,7 @@ def _cmd_verify(args) -> int:
     env = {"p": args.p, "n": args.n, "q": ctx.order}
     poly = SparsePoly.from_text(ctx, args.poly, env)
     cyc = _int(args.cycle, env)
-    verdict = exhaustive_verdict(ctx, poly, [cyc], threads=args.threads)
+    verdict = exhaustive_verdict(ctx, poly, [cyc])
     _report(verdict.to_json(), args.csv)
     return 0 if verdict.is_ncycle_at[cyc] else 1
 
@@ -314,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp = fam.add_parser(name)
         fp.add_argument("--verify", action="store_true",
                         help="cross-check against the brute-force oracle")
-        fp.add_argument("--threads", type=int, default=None)
         fp.set_defaults(handler=_cmd_construct)
         return fp
 
@@ -376,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_opts(sp)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--cycle", required=True)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(handler=_cmd_verify)
 

@@ -186,17 +186,14 @@ def _subfield_image(ctx: FieldCtx, lam: SparsePoly) -> np.ndarray | None:
     return ctx.subfield_indices(d)
 
 
-def _check_scaling(ctx: FieldCtx, lam, k: SparsePoly, scalars,
-                   lam_images: np.ndarray | None) -> None:
+def _check_scaling(ctx: FieldCtx, lam_images: np.ndarray, k: SparsePoly,
+                   scalars) -> None:
     """The scaling law on the whole field, for each scalar in turn; raises
     at the first scalar that breaks it, with a point where it does.
-    lam_images is lam over the field, when already evaluated."""
-    lam_fn = as_vector_fn(ctx, lam)
+    lam_images is lam over the field, so lam(a*x) is a gather of it."""
     allx = ctx.varange()
-    if lam_images is None:
-        lam_images = lam_fn(allx)
     for a in scalars:
-        lhs = lam_fn(ctx.vmul(np.int64(a), allx))
+        lhs = lam_images[ctx.vmul(np.int64(a), allx)]
         rhs = ctx.vmul(np.int64(k.eval_idx(a)), lam_images)
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
@@ -228,13 +225,14 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
         raise HypothesisViolated("k(0) != 0")
     try:   # exponents reduced and merged: the one polynomial of lam's map
         reduced = (poly_add(lam, SparsePoly(ctx, ()))
-                   if isinstance(lam, SparsePoly) else None)
+                   if isinstance(lam, SparsePoly) and lam.ctx.key == ctx.key
+                   else None)
     except CapExceeded:
         reduced = None
     image = None if reduced is None else _subfield_image(ctx, reduced)
     lam_images = None
-    if image is None:
-        lam_images = as_vector_fn(ctx, lam)(ctx.varange())
+    if image is None:   # as_images refuses a malformed or foreign lam
+        lam_images = as_images(ctx, lam)
         image = np.unique(lam_images)
 
     hv = h.eval_vec(image)
@@ -248,7 +246,9 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
     scalars = sorted(set(hv.tolist()) | {1})
     if reduced is None or not all(ctx.pow_idx(a, e) == k.eval_idx(a)
                                   for a in scalars for _, e in reduced.terms):
-        _check_scaling(ctx, lam, k, scalars, lam_images)
+        if lam_images is None:
+            lam_images = as_images(ctx, lam)
+        _check_scaling(ctx, lam_images, k, scalars)
 
     nonzero = image != 0
     ys = image[nonzero]

@@ -37,8 +37,8 @@ from .field import (
     DEFAULT_CAP, FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
 )
 from .polyperm import (
-    POLY_TERM_CAP, SparsePoly, as_vector_fn, map_exp, poly_add, poly_compose,
-    poly_frob, poly_mul, poly_pow,
+    POLY_TERM_CAP, SparsePoly, as_images, as_vector_fn, map_exp, poly_add,
+    poly_compose, poly_frob, poly_mul, poly_pow,
 )
 
 LAMBDA2_M_CAP = 24
@@ -510,7 +510,7 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         # on the field
         if not (isinstance(g_obj, SparsePoly)
                 and poly_frob(g_obj, sub_degree) == g_obj):
-            bad = np.flatnonzero(psip.eval_vec(g_fn(ctx.varange())) != 0)
+            bad = np.flatnonzero(as_images(ctx, lambda xs: psip.eval_vec(g_fn(xs))))
             if bad.size:
                 raise KernelViolation(
                     "psi(g(x)) != 0", witness=ctx.element(int(bad[0])))

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .criteria import RsParams, ShiftParams
 from .errors import (
-    BadParams, CapExceeded, DegenerateH, HValueNotRootOfUnity,
+    BadParams, DegenerateH, HValueNotRootOfUnity,
     HypothesisViolated, InvalidSpec, KernelViolation, NotDivisor,
     NotPermutation, NotSurjective, PrereqNotNcycle,
 )
@@ -35,7 +35,7 @@ from .families import (
 )
 from .field import FieldCtx, NcycleInternal, divisors, make_field
 from .polyperm import (
-    NotBijective, SparsePoly, as_images, cycle_structure, functional_power,
+    NotBijective, SparsePoly, cycle_structure, functional_power,
     identity_perm, perm_from_images,
 )
 from .walsh import walsh_involution_test, within_walsh_cap
@@ -85,21 +85,17 @@ class OracleVerdict:
         }
 
 
-def exhaustive_verdict(ctx: FieldCtx, f, ns, threads: Optional[int] = None,
-                       cap: Optional[int] = None) -> OracleVerdict:
+def exhaustive_verdict(ctx: FieldCtx, f, ns) -> OracleVerdict:
     """Evaluate f on the whole field and answer, for each n in ns, whether
     f is an n-cycle permutation.  Cycle lengths come from cycle_structure,
     which up to WALK_CHECK_MAX points must agree with the cycle walk; each
     answer is re-derived by repeated-squaring n-fold composition and the
     two must agree."""
     t0 = perf_counter()
-    limit = ctx.cap if cap is None else cap
-    if ctx.order > limit:
-        raise CapExceeded(f"field size {ctx.order} exceeds cap {limit}")
     ns = sorted({int(n) for n in ns})
     if ns and ns[0] < 1:
         raise BadParams("cycle lengths must be positive")
-    pm = perm_from_images(ctx, as_images(ctx, f, threads))
+    pm = perm_from_images(ctx, f)
     if isinstance(pm, NotBijective):
         return OracleVerdict(False, None, {n: False for n in ns}, {},
                              ctx.order, perf_counter() - t0)
@@ -174,14 +170,12 @@ class CrossCheckReport:
 
 
 def cross_check(instance: FamilyInstance,
-                threads: Optional[int] = None,
                 walsh: bool = True) -> CrossCheckReport:
     """Run the instance's bound criterion and the exhaustive verdict and
     compare.  For involution claims on fields within the Walsh caps the
     spectral test runs as a third opinion (skipped above them); a
     contradiction from any side is a DISAGREE."""
-    ver = exhaustive_verdict(instance.ctx, instance.fn, [instance.claimed_n],
-                             threads=threads)
+    ver = exhaustive_verdict(instance.ctx, instance.fn, [instance.claimed_n])
     truth = ver.is_ncycle_at[instance.claimed_n]
     try:
         crit = bool(instance.criterion().holds)

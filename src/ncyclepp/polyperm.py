@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import ast
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import lcm
@@ -378,64 +376,63 @@ class PermMap:
             np.array_equal(self.images, other.images))
 
 
+def _in_field(ctx: FieldCtx, images: np.ndarray) -> np.ndarray:
+    if images.size and (images.min() < 0 or images.max() >= ctx.order):
+        raise BadParams("map produced values outside the field")
+    return images
+
+
+def _checked_table(ctx: FieldCtx, fn) -> np.ndarray:
+    """The image table of a PermMap or array, not copied, once it has one
+    image per point, each inside the field."""
+    if isinstance(fn, PermMap):
+        if fn.ctx.key != ctx.key:
+            raise BadParams("permutation belongs to a different field")
+        return _in_field(ctx, fn.images)
+    table = np.asarray(fn, dtype=np.int64)
+    if table.shape != (ctx.order,):
+        raise BadParams(f"image table must have length {ctx.order}")
+    return _in_field(ctx, table)
+
+
 def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt a SparsePoly, PermMap, image table, or callable to a function
-    on index arrays, so criteria can re-evaluate maps on subsets.  A
-    polynomial from another field, or a table that as_images rejects,
-    raises BadParams."""
+    on index arrays, so criteria can re-evaluate maps on subsets; the one
+    place a map-like is checked.  A foreign polynomial, or a table that
+    _checked_table rejects, raises BadParams when adapted; a callable's
+    result must have its input's shape and lie inside the field, on every
+    call, whatever the points."""
     if isinstance(fn, SparsePoly):
         if fn.ctx.key != ctx.key:
             raise BadParams("polynomial belongs to a different field")
         return fn.eval_vec
     if isinstance(fn, (PermMap, np.ndarray)):
-        table = as_images(ctx, fn)
+        table = _checked_table(ctx, fn)
         return lambda xs: table[xs]
-    if callable(fn):
-        return lambda xs: np.asarray(fn(xs), dtype=np.int64)
-    raise BadParams(f"cannot evaluate a {type(fn).__name__} as a map")
+    if not callable(fn):
+        raise BadParams(f"cannot evaluate a {type(fn).__name__} as a map")
+
+    def checked(xs: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(xs), dtype=np.int64)
+        if out.shape != np.shape(xs):
+            raise BadParams("map did not return one image per point")
+        return _in_field(ctx, out)
+
+    return checked
 
 
-def as_images(ctx: FieldCtx, fn, threads: int | None = None) -> np.ndarray:
+def as_images(ctx: FieldCtx, fn) -> np.ndarray:
     """Materialize fn (anything as_vector_fn accepts) over the whole field
-    as an int64 image table; a table is checked, not copied.
-
-    With threads > 1 on a field larger than EVAL_CHUNK the chunks are
-    evaluated on a pool of at most min(threads, cpu count, chunk count)
-    workers.  Raises BadParams for a permutation from another field, and
-    unless fn gives one image per point, each inside the field."""
-    if isinstance(fn, PermMap):
-        if fn.ctx.key != ctx.key:
-            raise BadParams("permutation belongs to a different field")
-        out = fn.images
-    elif isinstance(fn, np.ndarray):
-        out = np.asarray(fn, dtype=np.int64)
-        if out.shape != (ctx.order,):
-            raise BadParams(f"image table must have length {ctx.order}")
-    else:
-        vec = as_vector_fn(ctx, fn)
-        xs = ctx.varange()
-
-        def evaluate(lo: int, hi: int) -> np.ndarray:
-            chunk = vec(xs[lo:hi])
-            if chunk.shape != (hi - lo,):
-                raise BadParams("map did not return one image per point")
-            return chunk
-
-        if not threads or threads <= 1 or ctx.order <= EVAL_CHUNK:
-            out = evaluate(0, ctx.order)
-        else:
-            out = np.empty(ctx.order, dtype=np.int64)
-            starts = range(0, ctx.order, EVAL_CHUNK)
-
-            def work(lo: int) -> None:
-                hi = min(lo + EVAL_CHUNK, ctx.order)
-                out[lo:hi] = evaluate(lo, hi)
-
-            workers = min(threads, os.cpu_count() or 1, len(starts))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(work, starts))
-    if out.size and (out.min() < 0 or out.max() >= ctx.order):
-        raise BadParams("map produced values outside the field")
+    as an int64 image table; a table is checked, not copied.  Anything else
+    is evaluated in slices of EVAL_CHUNK points, each made by np.arange, so
+    no q-entry array but the result is held at once."""
+    if isinstance(fn, (PermMap, np.ndarray)):
+        return _checked_table(ctx, fn)
+    vec = as_vector_fn(ctx, fn)
+    out = np.empty(ctx.order, dtype=np.int64)
+    for lo in range(0, ctx.order, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, ctx.order)
+        out[lo:hi] = vec(np.arange(lo, hi, dtype=np.int64))
     return out
 
 

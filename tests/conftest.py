@@ -1,3 +1,13 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported: the Walsh
+# engine issues thousands of small matrix products, and a BLAS pool that
+# competes with a busy neighbour slows them many times over.  Child
+# processes of the tests inherit the settings.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 from hypothesis import settings
 

@@ -56,7 +56,7 @@ def test_01_congruence_trinomial_cli_verifies_quickly():
 
 def test_02_big_field_trinomial_is_a_triple_cycle():
     # x * (1 + x^187245 + x^(374490 mod 262143)) over GF(2^18): order
-    # divides 3 and the map is not the identity, under 60 s with threads
+    # divides 3 and the map is not the identity, under 60 s
     with Stopwatch() as sw:
         ctx = make_field(2, 18)
         e1 = 187245
@@ -64,7 +64,7 @@ def test_02_big_field_trinomial_is_a_triple_cycle():
         poly = SparsePoly.make(ctx, [(1, 1), (1, e1 + 1), (1, e2 + 1)])
         built = build_rs_2to3m(64, 45, ctx=ctx)
         assert built.poly.terms == poly.terms
-        verdict = exhaustive_verdict(ctx, poly, [3], threads=4)
+        verdict = exhaustive_verdict(ctx, poly, [3])
     assert verdict.bijective
     assert verdict.is_ncycle_at[3]
     assert verdict.order == 3  # divides 3 and not the identity

@@ -151,13 +151,6 @@ class TestVerifyAndOrder:
                              "--poly", "1*x^(q-2)", "--cycle", "2")
         assert code == 0 and doc["order"] == 2
 
-    def test_threads_do_not_change_output(self, capsys):
-        argv = ["verify", "--p", "2", "--n", "12",
-                "--poly", "1*x^316+1*x^1576+1*x^2836", "--cycle", "3"]
-        _, serial = run(capsys, *argv)
-        _, threaded = run(capsys, *argv, "--threads", "4")
-        assert serial == threaded
-
     def test_order_report(self, capsys):
         code, doc = run_json(capsys, "order", "--p", "7", "--n", "1",
                              "--poly", "1*x^5")
@@ -338,6 +331,31 @@ def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     assert main(argv) == 2
     assert perf_counter() - t0 < 1.0
     assert "power too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--n", "16", "--poly", "x^(q-2)"],
+    ["construct", "xh_lambda", "--p", "3", "--n", "4", "--variant",
+     "custom_h", "--sub-degree", "1", "--h", "2"]])
+def test_integer_past_the_print_limit_exits_two_at_once(argv):
+    # 2^16000*3 has 4,817 digits, past Python's 4,300: unrefused, it costs
+    # 1.8 s of squarings and then fails while the JSON is printed
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", *argv,
+                           "--cycle", "2^16000*3"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "'2^16000*3' has more than 4300 decimal digits" in proc.stderr
+    elapsed = float(proc.stderr.split("elapsed_s ")[1])
+    assert elapsed < 1.0
+
+
+def test_threads_option_is_gone(capsys):
+    # slice-wise evaluation runs on the calling thread; argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "2", "--n", "4", "--poly", "x", "--cycle", "1",
+              "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_walsh_spectrum_cap_exits_three_before_allocating():

@@ -1,19 +1,25 @@
 """Random argument vectors against the command line.
 
-construct, verify, order, field and walsh commands are built on fields of
-at most 3^4 or 2^6 points, with option values drawn from small integers,
-huge expressions (10^40, 2^4096), names (q-2, g^5), negatives and junk;
-search commands draw q from small and huge powers of two and junk.  Each
-in-process main call must end within 2 s with exit code 0-3; argparse may
-refuse an argument (SystemExit 2), and any other escaping exception fails.
+construct, verify, order, field, walsh and criterion commands are built on
+fields of at most 3^4 or 2^6 points, with option values drawn from small
+integers, huge expressions (10^40, 2^4096), names (q-2, g^5), negatives
+and junk; search commands draw q from small and huge powers of two and
+junk, and fuzz commands draw a family, a seed and a few trials.  Each argv
+runs main in a forked child, which must end within 2 s with exit code 0-3;
+argparse may refuse an argument (SystemExit 2), and any other escaping
+exception fails.  A child still running at the deadline is killed, and the
+test fails with its argv.
 """
-import contextlib
-import io
+import os
+import select
 import signal
+import sys
+import traceback
 
 from hypothesis import example, given, settings, strategies as st
 
 from ncyclepp.cli import main
+from ncyclepp.oracle import FUZZ_FAMILIES
 
 FIELDS = [("2", "3"), ("2", "6"), ("3", "2"), ("3", "4"), ("5", "2"), ("7", "2")]
 SMALL = ["1", "2", "3", "4", "5", "8", "40"]
@@ -66,8 +72,28 @@ CONSTRUCT = st.one_of(
     command(["construct", "trace_theta", "--q", "4"], opt("--theta"), VERIFY),
     command(["construct", "xq_h_alpha", "--q", "4"], opt("--alpha"), VERIFY),
 )
+CRITERION = st.one_of(
+    command(["criterion", "monomial"], FIELD, opt("--d"), opt("--cycle")),
+    command(["criterion", "frobenius_twist"], FIELD, opt("--poly", POLYS),
+            opt("--i"), opt("--cycle"), SUB),
+    command(["criterion", "xh_lambda"], FIELD, opt("--h", POLYS),
+            opt("--lam", ["lambda1:2", "lambda2:2", "lambda1:x", "lambda3:2", *POLYS]),
+            opt("--k", POLYS), opt("--cycle"), SUB),
+    command(["criterion", "additive"], FIELD, opt("--phi", POLYS + ["x^3", "x^9-x"]),
+            opt("--psi", POLYS + ["x^3+x", "x^9-x"]), opt("--g", POLYS), opt("--cycle")),
+    command(["criterion", "shift"], FIELD, opt("--g", POLYS), opt("--i"),
+            opt("--delta"), SUB, opt("--cycle")),
+    command(["criterion", "rs_triple"], FIELD, opt("--h", POLYS), opt("--r"), opt("--s")),
+    command(["criterion", "rs_single"], FIELD, opt("--h", POLYS), opt("--r"),
+            opt("--s"), opt("--a"), opt("--v")),
+)
+FAMILY = st.sampled_from([*sorted(FUZZ_FAMILIES), "nope"]).map(lambda f: [f])
+FUZZ = command(["fuzz"], FAMILY, opt("--seed"),
+               opt("--trials", ["0", "1", "3", "-1", "x", "10^40"]))
 ARGV = st.one_of(
     CONSTRUCT,
+    CRITERION,
+    FUZZ,
     command(["verify"], FIELD, opt("--poly", POLYS), opt("--cycle")),
     command(["order"], FIELD, opt("--poly", POLYS)),
     command(["field"], FIELD, opt("--modulus", SMALL + ODD + ["1,1,0,1", "2,1,0,0,1"])),
@@ -77,8 +103,50 @@ ARGV = st.one_of(
 )
 
 
-def _timeout(signum, frame):
-    raise TimeoutError(f"command ran past {SECONDS} s")
+def _child(argv, report: int) -> None:
+    """The forked child: run main with stdout and stderr sent to os.devnull,
+    write the traceback of any escaping exception but SystemExit to the
+    report pipe, and leave with the exit code (70 after an exception)
+    without returning into the test runner."""
+    code = 70
+    try:
+        sink = open(os.devnull, "w")
+        os.dup2(sink.fileno(), 1)
+        os.dup2(sink.fileno(), 2)
+        sys.stdout = sys.stderr = sink
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refused an argument
+            code = exc.code if isinstance(exc.code, int) else 70
+    except BaseException:
+        os.write(report, traceback.format_exc().encode()[-4000:])
+    finally:
+        os._exit(code)
+
+
+def run_forked(argv) -> tuple[int, str]:
+    """Exit code of main(argv) in a forked child and the traceback it
+    reported ('' for none); fails the test when the child is still running
+    after SECONDS."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        _child(argv, write)
+    os.close(write)
+    pidfd = os.pidfd_open(pid)
+    try:
+        ready, _, _ = select.select([pidfd], [], [], SECONDS)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+        with os.fdopen(read, "rb") as fh:
+            report = fh.read().decode(errors="replace")
+    finally:
+        os.close(pidfd)
+    assert ready, f"command ran past {SECONDS} s: {argv}"
+    assert os.WIFEXITED(status), (argv, status)
+    return os.WEXITSTATUS(status), report
 
 
 @settings(settings.get_profile("deterministic"))
@@ -87,17 +155,8 @@ def _timeout(signum, frame):
                "custom_h", "--sub-degree", "1", "--h", "2", "--cycle", "10^40",
                "--verify"])
 @example(argv=["search", "jieguo", "--q", str(2 ** 30)])
+@example(argv=["verify", "--p", "2", "--n", "6", "--poly", "x", "--cycle", "2^16000*3"])
 def test_cli_ends_in_time_with_a_documented_exit_code(argv):
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.setitimer(signal.ITIMER_REAL, SECONDS)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:   # argparse refused an argument
-                code = exc.code
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, report = run_forked(argv)
+    assert not report, (argv, report)
     assert code in (0, 1, 2, 3), (argv, code)

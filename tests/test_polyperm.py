@@ -1,10 +1,16 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ncyclepp.polyperm as polyperm
+from ncyclepp.criteria import (
+    ShiftParams, additive_criterion, agw_commute_check, shift_criterion,
+    xh_lambda_criterion,
+)
 from ncyclepp.errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
 from ncyclepp.field import divisors
 from ncyclepp.polyperm import (
@@ -283,58 +289,89 @@ def test_perm_from_poly_collision():
         require_perm(ctx, SparsePoly.from_text(ctx, "x^2"))
 
 
-# every entry point that materializes a map over GF(5) rejects these
+# every entry point that takes a map over GF(5^2) rejects these, through
+# the adapter: at the first evaluation, or when a table is adapted
 BAD_MAPS = {
     "out_of_range_callable": lambda ctx: (lambda v: v + np.int64(ctx.order)),
+    "wrong_shape_callable": lambda ctx: (lambda v: np.zeros(3, dtype=np.int64)),
     "negative_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) - 1,
     "out_of_range_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) + 1,
     "foreign_polynomial": lambda ctx: SparsePoly.monomial(field(7, 1), 1),
     "foreign_permutation": lambda ctx: identity_perm(field(7, 1)),
 }
+
+
+def _x(ctx):
+    return SparsePoly.monomial(ctx, 1)
+
+
+# the criteria get the bad map as one part and valid polynomials elsewhere
 MAP_ENTRY_POINTS = {
     "perm_from_images": perm_from_images,
     "require_perm": require_perm,
     "cycle_report_for_fn": cycle_report_for_fn,
     "walsh_involution_test": walsh_involution_test,
+    "xh_lambda_criterion": lambda ctx, lam: xh_lambda_criterion(
+        ctx, SparsePoly.monomial(ctx, 0), lam, _x(ctx), 1),
+    "additive_criterion": lambda ctx, g: additive_criterion(ctx, _x(ctx), _x(ctx), g, 1),
+    "shift_criterion": lambda ctx, g: shift_criterion(ctx, g, ShiftParams(1, 0, 1), 2),
+    "agw_commute_check": lambda ctx, g: agw_commute_check(
+        ctx, _x(ctx), _x(ctx), _x(ctx), g),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(MAP_ENTRY_POINTS))
 @pytest.mark.parametrize("bad", sorted(BAD_MAPS))
 def test_bad_map_input_raises_bad_params(entry, bad):
-    ctx = field(5, 1)
-    with pytest.raises(BadParams):
+    # unchecked, a wrong-shape lam gives holds=True on an empty domain,
+    # agw_commute_check gives False, and out-of-range parts raise IndexError
+    ctx = field(5, 2)
+    with pytest.raises(BadParams, match="image|outside the field|different field"):
         MAP_ENTRY_POINTS[entry](ctx, BAD_MAPS[bad](ctx))
 
 
-@pytest.mark.parametrize("threads, cpus, workers",
-                         [(512, 2, 2), (3, 16, 3), (64, 64, 8), (4, None, 1)])
-def test_evaluation_pool_is_capped(monkeypatch, threads, cpus, workers):
+def test_callables_are_checked_on_sub_domains():
+    ctx = field(3, 4)
+    vec = polyperm.as_vector_fn(ctx, lambda v: np.where(v == 5, -1, v))
+    assert vec(np.array([0, 4, 6])).tolist() == [0, 4, 6]
+    with pytest.raises(BadParams, match="outside the field"):
+        vec(np.array([1, 5]))
+    with pytest.raises(BadParams, match="one image per point"):
+        polyperm.as_vector_fn(ctx, lambda v: v[:1])(np.array([1, 2]))
+
+
+def test_as_images_slices_agree_with_one_slice(monkeypatch):
+    # GF(2^14) is past CHUNK_POINTS: one whole-field slice takes eval_vec's
+    # orbit-group tables, slices of 512 points take it term by term
+    ctx = field(2, 14)
+    polys = [SparsePoly.from_text(ctx, t, {"q": ctx.order})
+             for t in ("x^(q-2)", "x^3+x^5+g^7*x^9", "x^3+g*x^6+x^12")]
+    fns = [*polys, lambda v: ctx.vadd(v, np.int64(1)), polys[1].eval_vec]
+    whole = [as_images(ctx, fn) for fn in fns]
     sizes = []
+    monkeypatch.setattr(polyperm, "EVAL_CHUNK", 512)   # 32 slices
+    for fn, want in zip(fns, whole):
+        vec = polyperm.as_vector_fn(ctx, fn)
+        got = as_images(ctx, lambda v: sizes.append(v.size) or vec(v))
+        assert np.array_equal(got, want)
+    assert sizes == [512] * 32 * len(fns)
 
-    class RecordingPool:
-        """Records its requested size and runs the work inline."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    ctx = field(2, 12)
-    poly = SparsePoly.from_text(ctx, "x^(q-2)", {"q": ctx.order})
-    monkeypatch.setattr(polyperm, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(polyperm.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(polyperm, "EVAL_CHUNK", 512)   # 8 chunks
-    imgs = as_images(ctx, poly, threads=threads)
-    assert sizes == [workers]
-    assert np.array_equal(imgs, poly.eval_vec(ctx.varange()))
+def test_as_images_holds_the_result_and_one_slice():
+    # GF(2^20): x^(q-2) and a trinomial, each term one Frobenius orbit
+    # group; evaluated in one call, they peak at 4.1 and 8.1 times the 8q
+    # bytes of the result
+    ctx = field(2, 20)
+    for text in ("x^(q-2)", "x^3+x^5+g^7*x^9"):
+        poly = SparsePoly.from_text(ctx, text, {"q": ctx.order})
+        tracemalloc.start()
+        try:
+            images = as_images(ctx, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * ctx.order, (text, peak / (8 * ctx.order))
+        assert images[:64].tolist() == [poly.eval_idx(i) for i in range(64)]
 
 
 def test_compose_invert_power_against_loops():
@@ -433,7 +470,7 @@ def _with_cycle_lengths(ctx, lengths, rng):
 def _walk(pm):
     """The CycleReport of pm, from conftest.naive_cycle_type."""
     ctype = naive_cycle_type(pm.images.tolist())
-    order = int(np.lcm.reduce([l for l, _ in ctype]))
+    order = math.lcm(*(l for l, _ in ctype))   # past int64 on some 2^12-point maps
     return CycleReport(True, order, ctype, dict(ctype).get(1, 0))
 
 
@@ -528,6 +565,7 @@ _SMALL_FIELDS = [(2, 1), (3, 1), (2, 3), (5, 2), (3, 4), (2, 8), (7, 3),
 
 @given(st.sampled_from(_SMALL_FIELDS), st.integers(0, 2**32 - 1),
        st.booleans())
+@example(pn=(2, 12), seed=25663174, few_cycles=False)   # order about 4.3e22
 def test_engine_on_random_permutations_up_to_2_12(pn, seed, few_cycles):
     ctx = field(*pn)
     rng = np.random.default_rng(seed)
