@@ -4,14 +4,17 @@ One JSON document (or JSON lines for fuzz) goes to stdout per invocation;
 wall time and error messages go to stderr so reports stay byte-identical
 across runs.  Exit codes: 0 success, 1 a verified claim is false (including
 non-bijective inputs where a permutation is required), 2 malformed or
-rejected arguments, 3 field size above the cap.
+rejected arguments, 3 field size above the cap or tables that would not fit
+in memory.
 
 Numeric option values may be arithmetic expressions over p, n and q
 (``(q^2+q+1)*3``); q is the --q option where the subcommand has one and the
 full field size otherwise.  Field elements are written as decimal indices or
 generator powers like ``g^21``.  Polynomials are ``c*x^e`` terms joined by
 ``+``/``-``.  The environment variable NCYC_CAP overrides the default field
-size cap.
+size cap; make_field reads it, so it binds on every command that builds a
+field, fuzz included.  A q-parameterized family checks the shape of q and
+its other parameters before it builds its field, whatever the cap.
 """
 from __future__ import annotations
 
@@ -40,26 +43,9 @@ from .polyperm import SparsePoly, cycle_report_for_fn, eval_int_expr
 from .walsh import walsh_involution_test
 
 
-def _cap() -> Optional[int]:
-    raw = os.environ.get("NCYC_CAP")
-    return int(raw) if raw else None
-
-
 def _ctx(p: int, n: int, modulus: Optional[str] = None) -> FieldCtx:
     coeffs = [int(t) for t in modulus.split(",")] if modulus else None
-    return make_field(p, n, modulus=coeffs, cap=_cap())
-
-
-def _tower_ctx(q: int, ext: int) -> Optional[FieldCtx]:
-    """Pre-build the extension field for a q-parameterized family, but only
-    when the cap is overridden; otherwise the builders construct it and the
-    parameter validation order stays theirs."""
-    if _cap() is None:
-        return None
-    e = q.bit_length() - 1
-    if q < 2 or (1 << e) != q:
-        return None
-    return _ctx(2, e * ext)
+    return make_field(p, n, modulus=coeffs)
 
 
 def _int(text, env: dict) -> Optional[int]:
@@ -121,25 +107,6 @@ def _cmd_field(args) -> int:
     return 0
 
 
-def _build_jieguo_cmd(args):
-    env = {"q": args.q}
-    return build_jieguo(args.q, _int(args.t, env), _int(args.m, env),
-                        ctx=_tower_ctx(args.q, 2))
-
-
-def _build_rs2to3m_cmd(args):
-    return build_rs_2to3m(args.q, _int(args.k, {"q": args.q}),
-                          ctx=_tower_ctx(args.q, 3))
-
-
-def _build_xq_h_alpha_cmd(args):
-    return build_xq_h_alpha(args.q, args.alpha, ctx=_tower_ctx(args.q, 3))
-
-
-def _build_trace_theta_cmd(args):
-    return build_trace_theta(args.q, args.theta, ctx=_tower_ctx(args.q, 3))
-
-
 def _sub_env(ctx: FieldCtx, sub_degree: int) -> dict:
     """Expression names for a subfield family, q = p^sub_degree; a bad
     sub_degree is refused before that power is built."""
@@ -172,11 +139,13 @@ def _build_shift_cmd(args):
                        H=args.H, s=_int(args.s, env))
 
 
+# the q-parameterized families build their own field, after their checks
 _FAMILY_BUILDERS = {
-    "jieguo": _build_jieguo_cmd,
-    "rs2to3m": _build_rs2to3m_cmd,
-    "xq_h_alpha": _build_xq_h_alpha_cmd,
-    "trace_theta": _build_trace_theta_cmd,
+    "jieguo": lambda args: build_jieguo(
+        args.q, _int(args.t, {"q": args.q}), _int(args.m, {"q": args.q})),
+    "rs2to3m": lambda args: build_rs_2to3m(args.q, _int(args.k, {"q": args.q})),
+    "xq_h_alpha": lambda args: build_xq_h_alpha(args.q, args.alpha),
+    "trace_theta": lambda args: build_trace_theta(args.q, args.theta),
     "xh_lambda": _build_xh_lambda_cmd,
     "additive": _build_additive_cmd,
     "shift": _build_shift_cmd,
@@ -265,7 +234,7 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.target == "jieguo":
-        pairs = solve_jieguo_congruences(args.q, _cap())
+        pairs = solve_jieguo_congruences(args.q)
         _emit_json({"family": "jieguo", "q": args.q,
                     "pairs": [[t, m] for t, m in pairs]})
     else:

@@ -18,7 +18,7 @@ single call, cross-checkable against the exhaustive oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Union
@@ -34,7 +34,7 @@ from .errors import (
     KernelViolation,
 )
 from .field import (
-    DEFAULT_CAP, FieldCtx, FieldElement, NcycleInternal, element_index, make_field,
+    FieldCtx, FieldElement, NcycleInternal, element_index, field_cap, make_field,
 )
 from .polyperm import (
     POLY_TERM_CAP, SparsePoly, as_images, as_vector_fn, map_exp, poly_add,
@@ -100,44 +100,17 @@ def _ctx_for(q: int, ext: int, ctx: Optional[FieldCtx]) -> FieldCtx:
     return ctx
 
 
-class Deferred:
-    """A symbolic expansion to run on the first read of FamilyInstance.poly
-    (a SparsePoly is callable too, so a bare function could not be told
-    apart from one)."""
-
-    def __init__(self, build: Callable[[], SparsePoly]):
-        self.build = build
-
-
-class _ExpandedOnRead:
-    """The FamilyInstance.poly field: holds a SparsePoly, None or a
-    Deferred, and replaces a Deferred by _try_poly(build) when first read."""
-
-    slot = "_poly"
-
-    def __get__(self, obj, owner=None) -> Optional[SparsePoly]:
-        if obj is None:   # the field's default
-            return None
-        value = obj.__dict__[self.slot]
-        if isinstance(value, Deferred):
-            value = obj.__dict__[self.slot] = _try_poly(value.build)
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
-
-
 @dataclass
 class FamilyInstance:
     """One constructed map plus its certificate hooks.
 
     poly is the sparse-polynomial form when the symbolic expansion stays
-    under the term cap (None otherwise).  A builder may pass it as a
-    Deferred, which is expanded on the first read of poly, so an instance
-    nobody prints never pays for the expansion.  fn always evaluates the
-    map on arrays of element indices.  check() runs the algebraic criterion
-    the family is certified by; the oracle module re-derives the same
-    verdict by brute force."""
+    under the term cap (None otherwise).  The builder passes that expansion
+    as expand, which runs on the first read of poly, so an instance nobody
+    prints never pays for it.  fn always evaluates the map on arrays of
+    element indices.  check() runs the algebraic criterion the family is
+    certified by; the oracle module re-derives the same verdict by brute
+    force."""
 
     family: str
     ctx: FieldCtx
@@ -146,10 +119,14 @@ class FamilyInstance:
     fn: Callable[[np.ndarray], np.ndarray]
     map_form: str
     check: Callable[[], CriterionVerdict]
-    poly: Union[SparsePoly, Deferred, None] = _ExpandedOnRead()
+    expand: Callable[[], Optional[SparsePoly]] = lambda: None
     degenerate: bool = False
     notes: tuple[str, ...] = ()
     inverse_poly: Optional[SparsePoly] = None
+
+    @cached_property
+    def poly(self) -> Optional[SparsePoly]:
+        return _try_poly(self.expand)
 
     def criterion(self) -> CriterionVerdict:
         return self.check()
@@ -175,7 +152,7 @@ class FamilyInstance:
 # one constructor per map shape: the map and the criterion that certifies it
 # ---------------------------------------------------------------------------
 # Each takes the shape's parts and passes the remaining FamilyInstance fields
-# (params, map_form, poly, degenerate, notes) through.  The criterion gets
+# (params, map_form, expand, degenerate, notes) through.  The criterion gets
 # the parts, never the instance's fn, so it stays independent of the oracle.
 
 def xh_instance(ctx: FieldCtx, h: SparsePoly, spec: LambdaSpec,
@@ -230,7 +207,7 @@ def rs_instance(ctx: FieldCtx, h: SparsePoly, rs: RsParams,
     poly = poly_mul(SparsePoly.monomial(ctx, rs.r),
                     poly_compose(h, SparsePoly.monomial(ctx, rs.s)))
     return FamilyInstance(
-        ctx=ctx, claimed_n=3, poly=poly, fn=poly.eval_vec,
+        ctx=ctx, claimed_n=3, expand=lambda: poly, fn=poly.eval_vec,
         check=lambda: rs_triple_criterion(ctx, h, rs), **fields)
 
 
@@ -425,10 +402,10 @@ def build_xh_lambda(ctx: FieldCtx, variant: str, *, sub_degree: int,
         raise HValueNotRootOfUnity(
             f"h({w.literal()})^{n} != 1 on GF({q})", witness=w)
 
-    poly = Deferred(lambda: poly_mul(
-        SparsePoly.monomial(ctx, 1), poly_compose(hp, lambda_poly(spec, ctx))))
     return xh_instance(
-        ctx, hp, spec, params=params, poly=poly,
+        ctx, hp, spec, params=params,
+        expand=lambda: poly_mul(SparsePoly.monomial(ctx, 1),
+                                poly_compose(hp, lambda_poly(spec, ctx))),
         map_form=f"x*h({lam}(x)) with h = {hp.to_text()}",
         degenerate=bool((hv == 1).all()), notes=notes)
 
@@ -575,11 +552,11 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         params.update(g=g_obj.to_text())
         form = "x^q + g(T(x)), T the trace to GF(q)"
 
-    poly = (Deferred(lambda: poly_add(phi, poly_compose(g_obj, psip)))
-            if isinstance(g_obj, SparsePoly) else None)
-    return additive_instance(ctx, phi, psip, g_obj, claimed, params=params,
-                             poly=poly, map_form=form, degenerate=degenerate,
-                             notes=notes)
+    return additive_instance(
+        ctx, phi, psip, g_obj, claimed, params=params,
+        expand=lambda: (poly_add(phi, poly_compose(g_obj, psip))
+                        if isinstance(g_obj, SparsePoly) else None),
+        map_form=form, degenerate=degenerate, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +613,12 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
 
     shift_poly = SparsePoly.make(
         ctx, [(di, 0), (ctx.neg_idx(1), 1), (1, q ** i)])
-    poly = (Deferred(lambda: poly_add(SparsePoly.monomial(ctx, 1),
-                                      poly_compose(g_obj, shift_poly)))
-            if isinstance(g_obj, SparsePoly) else None)
-    return shift_instance(ctx, g_obj, ShiftParams(i, di, sub_degree), p,
-                          params=params, poly=poly,
-                          map_form="x + g(x^(q^i) - x + delta)")
+    return shift_instance(
+        ctx, g_obj, ShiftParams(i, di, sub_degree), p, params=params,
+        expand=lambda: (poly_add(SparsePoly.monomial(ctx, 1),
+                                 poly_compose(g_obj, shift_poly))
+                        if isinstance(g_obj, SparsePoly) else None),
+        map_form="x + g(x^(q^i) - x + delta)")
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +689,10 @@ def solve_jieguo_congruences(q: int,
     """Exhaustive scan for (t, m) in [0, q+1)^2 satisfying the defining
     congruences mod q+1: the cubic precondition in t alone plus the three
     coupled conditions.  q must be 2^(12k'-6) so that 13 | q+1, and at most
-    the field-size cap (DEFAULT_CAP when None), since the scan takes up to
+    the field-size cap (field_cap() when None), since the scan takes up to
     (q+1)^2 steps.  The scan runs once per q; the fuzzer asks for it on
     every trial."""
-    return list(_jieguo_pairs(q, DEFAULT_CAP if cap is None else cap))
+    return list(_jieguo_pairs(q, field_cap() if cap is None else cap))
 
 
 def check_jieguo_q(q: int) -> None:
@@ -817,6 +794,6 @@ def build_trace_theta(q: int, theta=None,
         raise NcycleInternal("f*f must equal the closed-form inverse")
     return FamilyInstance(
         family="trace_theta", ctx=ctx, params={"q": q, "theta": th},
-        claimed_n=3, poly=poly, fn=poly.eval_vec,
+        claimed_n=3, expand=lambda: poly, fn=poly.eval_vec,
         map_form="x + theta*T(x^((q^2+q)/2)) over GF(q^3)",
         check=check, inverse_poly=inv_poly)

@@ -14,7 +14,9 @@ Construction is deterministic:
 
 Products, powers, inverses and odd-p sums (Zech logarithms) run on
 precomputed discrete-log tables, so the whole field is materialized at
-construction time.  A size cap (default 2^24 elements) keeps that tractable.
+construction time.  A size cap (default 2^24 elements, or the environment
+variable NCYC_CAP, read by make_field) keeps that tractable, and a field whose
+tables would not fit in memory is refused before they are allocated.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
 the trace) applied through chunked digit lookups: each chunk of base-p
@@ -24,6 +26,8 @@ partial images are added.
 from __future__ import annotations
 
 import math
+import os
+import resource
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -194,12 +198,11 @@ class FieldCtx:
     filled lazily but never change an observable value.
     """
 
-    def __init__(self, p: int, n: int, modulus: list[int], cap: int):
+    def __init__(self, p: int, n: int, modulus: list[int]):
         self.p = p
         self.n = n
         self.order = p ** n
         self.modulus = tuple(modulus)
-        self.cap = cap
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
@@ -211,7 +214,10 @@ class FieldCtx:
         self._zech: Optional[np.ndarray] = None
         if p != 2 and n > 1:
             self._sums = self._sum_table()
-        self._build_tables()
+        try:   # a backstop to make_field's estimate of the tables' bytes
+            self._build_tables()
+        except MemoryError:
+            raise CapExceeded(f"the tables of GF({p}^{n}) do not fit in memory") from None
         self._subfield_cache: dict[int, np.ndarray] = {}
         self._image_cache: dict[bytes, np.ndarray] = {}
         self._tr1: Optional[np.ndarray] = None
@@ -713,21 +719,44 @@ class FieldElement:
         return f"F{self.ctx.order}({self.i})"
 
 
+def field_cap() -> int:
+    """NCYC_CAP when that is set and not empty, DEFAULT_CAP otherwise."""
+    raw = os.environ.get("NCYC_CAP")
+    try:
+        return int(raw) if raw else DEFAULT_CAP
+    except ValueError:
+        raise BadParams(f"NCYC_CAP = {raw!r} is not an integer") from None
+
+
+def _memory_bytes() -> int:
+    """Physical memory, or the address-space limit when that is lower."""
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return phys if soft == resource.RLIM_INFINITY else min(phys, soft)
+
+
 def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
                cap: Optional[int] = None) -> FieldCtx:
-    """Construct GF(p^n).
+    """Construct GF(p^n), refused with CapExceeded past cap (field_cap()
+    when None) or when its tables would not fit in memory.
 
     modulus, when given, is the full coefficient list of a monic irreducible
     degree-n polynomial over GF(p), constant term first.  When omitted the
     deterministic search described in the module docstring is used.
     """
-    cap = DEFAULT_CAP if cap is None else cap
+    cap = field_cap() if cap is None else cap
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise BadParams(f"extension degree must be >= 1, got {n}")
     if p ** n > cap:
         raise CapExceeded(f"field size {p}^{n} exceeds cap {cap}")
+    # peak bytes per point while the tables are built: exp, log and the
+    # arange that fills log, and for odd p and n > 1 the Zech table's gather
+    need, room = p ** n * (24 if p == 2 or n == 1 else 32), _memory_bytes()
+    if need > room:
+        raise CapExceeded(f"the tables of GF({p}^{n}) take about {need >> 20} "
+                          f"MiB, more than the {room >> 20} MiB available")
     if modulus is None:
         coeffs = _first_irreducible(p, n)
     else:
@@ -736,7 +765,7 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
             raise BadParams("modulus must be monic of degree n")
         if not _is_irreducible(coeffs, p):
             raise NotIrreducible(f"modulus {list(modulus)} is reducible over GF({p})")
-    return FieldCtx(p, n, coeffs, cap)
+    return FieldCtx(p, n, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .families import (
     build_xq_h_alpha, lambda_spec, rs_instance, search_k_2to3m, shift_instance,
     solve_jieguo_congruences, xh_instance,
 )
-from .field import FieldCtx, NcycleInternal, divisors, make_field
+from .field import FieldCtx, NcycleInternal, divisors, field_cap, make_field
 from .polyperm import (
     NotBijective, SparsePoly, cycle_structure, functional_power,
     identity_perm, perm_from_images,
@@ -51,8 +51,12 @@ WALK_CHECK_MAX = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _field(p: int, n: int) -> FieldCtx:
-    return make_field(p, n)
+def _cached_field(p: int, n: int, cap: int) -> FieldCtx:
+    return make_field(p, n, cap=cap)
+
+
+def _field(p: int, n: int) -> FieldCtx:   # cached per cap, so NCYC_CAP binds
+    return _cached_field(p, n, field_cap())
 
 
 # ---------------------------------------------------------------------------

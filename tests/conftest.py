@@ -7,6 +7,10 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# make_field reads the field-size cap from the environment: a cap exported
+# in the developer's shell would change results, so tests that need one set
+# it with monkeypatch
+os.environ.pop("NCYC_CAP", None)
 
 import pytest
 from hypothesis import settings

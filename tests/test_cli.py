@@ -317,6 +317,49 @@ def test_jieguo_search_obeys_the_cap_override(capsys, monkeypatch):
     assert "exceeds cap 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", [None, "1000", str(2 ** 25)])
+@pytest.mark.parametrize("argv", [
+    ["construct", "xq_h_alpha", "--q", "512", "--alpha", "1"],
+    ["construct", "jieguo", "--q", "4096", "--t", "0", "--m", "0"]])
+def test_q_family_shape_is_checked_before_the_field_whatever_the_cap(
+        capsys, monkeypatch, cap, argv):
+    # 2^9 is no even power of 2, and 2^12 is no 2^(12k'-6): both are
+    # refused before any field is built, so the cap cannot change the code
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    if cap is not None:
+        monkeypatch.setenv("NCYC_CAP", cap)
+    monkeypatch.setattr("ncyclepp.field.FieldCtx.__init__", no_field)
+    assert main(argv) == 2
+    assert "q must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "jieguo", "--q", "64", "--t", "25", "--m", "5"],
+    ["fuzz", "trace_theta", "--seed", "0", "--trials", "5"]])
+def test_cap_override_binds_on_q_families_and_fuzz(capsys, monkeypatch, argv):
+    # GF(2^12) and the fuzzer's GF(2^6) are past these caps
+    monkeypatch.setenv("NCYC_CAP", "16" if argv[0] == "fuzz" else "100")
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds cap" in err
+
+
+def test_tables_past_the_address_space_exit_three_at_once():
+    # GF(2^30) is within this cap, but its tables (24 GiB) are not within
+    # a 2 GB address space: refused before any table is allocated
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = dict(os.environ, NCYC_CAP=str(2 ** 30))
+    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", "field",
+                           "--p", "2", "--n", "30"], capture_output=True,
+                          text=True, timeout=30, env=env, preexec_fn=limit)
+    assert proc.returncode == 3 and proc.stdout == ""
+    error, elapsed = proc.stderr.splitlines()
+    assert error.startswith("error: the tables of GF(2^30)")
+    assert float(elapsed.split()[1]) < 1.0
+
+
 @pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])
 def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]

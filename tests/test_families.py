@@ -5,6 +5,8 @@ verdict, and an independent exhaustive order computation on the materialized
 map.  Frozen parameter lists (congruence solutions, exponent values) were
 derived once by the independent scans coded inline in this file.
 """
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +20,12 @@ from ncyclepp.errors import (
 from ncyclepp.families import (
     FamilyInstance, LambdaSpec, build_additive, build_jieguo, build_rs_2to3m,
     build_shift, build_trace_theta, build_xh_lambda, build_xq_h_alpha,
-    eval_lambda, lambda_poly, lambda_spec, lambda_vector_fn, rs_instance,
-    search_k_2to3m, solve_jieguo_congruences,
+    eval_lambda, lambda_map, lambda_poly, lambda_spec, lambda_vector_fn,
+    rs_instance, search_k_2to3m, solve_jieguo_congruences,
 )
+from ncyclepp.oracle import cross_check
 from ncyclepp.polyperm import (
-    SparsePoly, cycle_report_for_fn, perm_from_images,
+    POLY_TERM_CAP, SparsePoly, cycle_report_for_fn, perm_from_images,
 )
 
 from conftest import field
@@ -109,6 +112,17 @@ class TestLambda:
             lambda_spec(ctx, "lambda1", 2, 3)   # 3 does not divide 2
         with pytest.raises(InvalidSpec):
             eval_lambda(LambdaSpec("lambda1", 2, 1, 7), ctx.element(3))
+
+    def test_lambda2_past_the_term_cap_is_an_evaluator(self):
+        # C(15, 7) = 6,435 terms: no polynomial, a sum of powers instead
+        ctx = field(2, 15)
+        spec = lambda_spec(ctx, "lambda2", 7, 1)
+        lam = lambda_map(spec, ctx)
+        assert comb(15, 7) > POLY_TERM_CAP and not isinstance(lam, SparsePoly)
+        xs = np.array([0, 1, 2, 3, ctx.generator.i, ctx.order - 1]
+                      + list(range(1001, ctx.order, 1777)))
+        assert [int(v) for v in lam(xs)] == \
+            [eval_lambda(spec, ctx.element(int(x))).i for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +243,14 @@ class TestAdditive:
         inst = build_additive(ctx, "power_g2", sub_degree=1, s=4)
         check_instance(inst, 3)
 
+    def test_power_variant_past_the_term_cap(self):
+        # H^4095 passes the term cap, so g is an evaluator, poly is None,
+        # and psi(g(x)) = 0 is checked on the whole field
+        inst = build_additive(field(2, 12), "power_g2", sub_degree=1,
+                              H="x+x^3+x^5", s=4095)
+        assert inst.poly is None
+        assert cross_check(inst).status == "AGREE"
+
     def test_power_variant_validates_s(self):
         ctx = field(3, 2)
         with pytest.raises(BadParams):
@@ -318,6 +340,12 @@ class TestShift:
         for d in range(9):
             inst = build_shift(ctx, "trace_g1", i=1, delta=d, sub_degree=1)
             check_instance(inst, 3)
+
+    def test_power_variant_past_the_term_cap(self):
+        inst = build_shift(field(3, 6), "power_g2", i=1, delta=1,
+                           sub_degree=1, H="x+x^3+2*x^5", s=364)
+        assert inst.poly is None
+        assert cross_check(inst).status == "AGREE"
 
     def test_char_two_analog_is_a_two_cycle(self):
         # s = 1 + q works over GF(4) as well, but the cycle length is p = 2

@@ -8,8 +8,10 @@ from ncyclepp.errors import (
     BadParams, CapExceeded, CtxMismatch, DivisionByZero, InvalidSubfield,
     NotDivisor, NotIrreducible, NotPrime,
 )
+import ncyclepp.field as field_mod
 from ncyclepp.field import (
-    FieldElement, frobenius, make_field, subfield_members, subgroup_mu, trace,
+    DEFAULT_CAP, FieldElement, field_cap, frobenius, make_field,
+    subfield_members, subgroup_mu, trace,
 )
 from conftest import field
 
@@ -82,6 +84,47 @@ def test_construction_errors():
         make_field(2, 10, cap=512)
 
 
+def test_cap_is_read_from_the_environment(monkeypatch):
+    assert field_cap() == DEFAULT_CAP
+    monkeypatch.setenv("NCYC_CAP", "")   # empty counts as unset
+    assert field_cap() == DEFAULT_CAP
+    monkeypatch.setenv("NCYC_CAP", "100")
+    assert field_cap() == 100
+    with pytest.raises(CapExceeded, match="exceeds cap 100"):
+        make_field(2, 7)
+    assert make_field(2, 7, cap=128).order == 128   # an explicit cap wins
+    monkeypatch.setenv("NCYC_CAP", "lots")
+    with pytest.raises(BadParams, match="NCYC_CAP"):
+        make_field(2, 3)
+
+
+def test_tables_that_cannot_fit_are_refused_before_the_modulus_search(monkeypatch):
+    # 24 bytes a point for p = 2 and for n = 1, 32 for odd p and n > 1
+    def no_search(p, n):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(field_mod, "FieldCtx", lambda p, n, coeffs: (p, n))
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 24 << 16)
+    with monkeypatch.context() as m:
+        m.setattr(field_mod, "_first_irreducible", no_search)
+        for p, n in [(2, 17), (65537, 1), (3, 10)]:   # 24·2^17, 24·65537, 32·3^10
+            with pytest.raises(CapExceeded, match="MiB available"):
+                make_field(p, n, cap=1 << 30)
+    assert make_field(2, 16) == (2, 16)
+    # the field at the default cap is accepted under a 2 GB address space
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 2 << 30)
+    assert make_field(2, 24) == (2, 24)
+
+
+def test_memory_error_while_building_the_tables_is_cap_exceeded(monkeypatch):
+    def out_of_memory(self):
+        raise MemoryError
+
+    monkeypatch.setattr(field_mod.FieldCtx, "_build_tables", out_of_memory)
+    with pytest.raises(CapExceeded, match="do not fit in memory"):
+        make_field(2, 5)
+
+
 def test_determinism():
     a = make_field(3, 4)
     b = make_field(3, 4)
@@ -124,6 +167,29 @@ def test_pow_negative_and_inverse():
         f49.zero.inv()
     with pytest.raises(DivisionByZero):
         f49.one / f49.zero
+
+
+@pytest.mark.parametrize("pn", [(2, 4), (7, 2)])
+def test_reflected_and_conversion_operators_match_index_arithmetic(pn):
+    ctx = field(*pn)
+    p = ctx.p
+    for i in range(ctx.order):
+        a = ctx.element(i)
+        assert (3 - a).i == ctx.sub_idx(3 % p, i)
+        assert (5 + a).i == ctx.add_idx(5 % p, i)
+        assert (2 * a).i == ctx.mul_idx(2 % p, i)
+        if i:
+            assert (1 / a).i == ctx.inv_idx(i)
+            assert (3 / a).i == ctx.mul_idx(3 % p, ctx.inv_idx(i))
+        assert (a == 2) == (i == 2 % p)
+        assert bool(a) == (i != 0)
+        assert int(a) == i
+        assert repr(a) == f"F{ctx.order}({i})"
+    with pytest.raises(DivisionByZero):
+        1 / ctx.zero
+    with pytest.raises(TypeError):
+        1.5 - ctx.one
+    assert (ctx.one == "1") is False
 
 
 def test_trace_and_frobenius():

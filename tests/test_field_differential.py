@@ -8,11 +8,13 @@ taken with _cpow.  Every pair is compared in the fields with q <= 256; in
 larger fields up to 2^10, 2,000 seeded random pairs are compared, and 200
 seeded powers and traces (each costs a chain of _cmul calls).  Odd-p
 addition runs on a Zech logarithm table, so it gets its own checks on the
-fields of the odd-p benchmark workload (3^11, 5^7, 7^6): random pairs,
-cancellation, zero operands, broadcasting, scalars and the table itself.
+fields of the odd-p benchmark workload (3^11, 5^7, 7^6) and on 257^2 and
+1021^2, where p^2 passes SUM_TABLE_ENTRIES and the digit-wise sum that
+bootstraps the tables runs digit by digit: random pairs, cancellation,
+zero operands, broadcasting, scalars and the table itself.
 The scalar add_idx and neg_idx run on the same tables: they are compared
 on every pair of GF(3^2), GF(5^2), GF(7^2) and GF(3^4), and on 20,000
-seeded random pairs of each of those three fields.
+seeded random pairs of each of those five fields.
 """
 import random
 
@@ -26,7 +28,8 @@ from ncyclepp.field import FieldCtx
 SMALL = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 2), (251, 1)])
 MEDIUM = [(2, 9), (2, 10), (3, 6), (5, 4), (31, 2), (1021, 1)]
-ZECH = [(3, 11), (5, 7), (7, 6)]
+# the last two are past 256, so their bootstrap adds digit by digit
+ZECH = [(3, 11), (5, 7), (7, 6), (257, 2), (1021, 2)]
 
 
 def digits(ctx, i):
@@ -155,6 +158,19 @@ def test_zech_addition_matches_digit_sums(p, n):
         assert np.array_equal(ctx.vadd(av, s), want)
         for j in (0, a[1], b[2]):
             assert int(ctx.vadd(s, np.int64(j))) == ref_add(ctx, c, j)
+
+
+@pytest.mark.parametrize("p", [257, 1021])
+def test_bootstrap_adds_digit_by_digit_past_the_sum_table(p):
+    # p^2 passes SUM_TABLE_ENTRIES, so there is no table of digit-chunk
+    # sums and _digit_add sums one digit at a time
+    ctx = field(p, 2)
+    assert ctx._sums == (1, None)
+    rng = random.Random(p)
+    a = [rng.randrange(ctx.order) for _ in range(2000)]
+    b = [rng.randrange(ctx.order) for _ in range(2000)]
+    assert np.array_equal(ctx._digit_add(np.array(a), np.array(b)),
+                          [ref_add(ctx, i, j) for i, j in zip(a, b)])
 
 
 @pytest.mark.parametrize("p,n", ZECH + [(3, 2), (13, 2)])

@@ -155,7 +155,7 @@ class TestCrossCheck:
         psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, 3)])
         inst = FamilyInstance(
             family="additive", ctx=ctx, params={}, claimed_n=3,
-            poly=None, fn=lambda xs: xs, map_form="x",
+            fn=lambda xs: xs, map_form="x",
             check=lambda: additive_criterion(
                 ctx, SparsePoly.monomial(ctx, 2), psi,
                 SparsePoly.make(ctx, []), 3))
@@ -168,7 +168,7 @@ class TestCrossCheck:
         ctx = field(5, 1)
         inst = FamilyInstance(
             family="fake", ctx=ctx, params={}, claimed_n=3,
-            poly=None, fn=SparsePoly.monomial(ctx, 3).eval_vec,
+            fn=SparsePoly.monomial(ctx, 3).eval_vec,
             map_form="x^3",
             check=lambda: CriterionVerdict(True, None, 4))
         rep = cross_check(inst)
@@ -224,21 +224,23 @@ class TestFuzz:
 
     @pytest.mark.parametrize("fam", ["additive", "shift", "involution_cor"])
     def test_fuzz_never_expands_the_poly(self, monkeypatch, fam):
-        # the builders defer poly and no fuzz trial reads it
-        deferred, expanded = [], []
+        # the builders leave poly to its first read and no fuzz trial reads
+        # it: instances are built, no expansion runs and no poly is cached
+        built, expanded = [], []
         compose = families.poly_compose
 
-        class Spy(families.Deferred):
-            def __init__(self, build):
-                deferred.append(1)
-                super().__init__(build)
+        class Spy(families.FamilyInstance):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-        monkeypatch.setattr(families, "Deferred", Spy)
+        monkeypatch.setattr(families, "FamilyInstance", Spy)
         monkeypatch.setattr(families, "poly_compose",
                             lambda f, g: expanded.append(1) or compose(f, g))
         s = random_family_fuzz(fam, 1, 60)
         assert s.failures == () and s.comparisons > 0
-        assert deferred and not expanded
+        assert built and not expanded
+        assert not any("poly" in vars(inst) for inst in built)
 
     def test_seed_determinism(self):
         a = random_family_fuzz("shift", 9, 20).to_json_lines()
