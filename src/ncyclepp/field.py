@@ -13,10 +13,12 @@ Construction is deterministic:
   1, 2, 3, ..., whose order is exactly p^n - 1.
 
 Products, powers, inverses and odd-p sums (Zech logarithms) run on
-precomputed discrete-log tables, so the whole field is materialized at
-construction time.  A size cap (default 2^24 elements, or the environment
-variable NCYC_CAP, read by make_field) keeps that tractable, and a field whose
-tables would not fit in memory is refused before they are allocated.
+precomputed discrete-log tables, int32 while every index fits int32
+(q <= 2^31), so the whole field is materialized at construction time; the
+vector operations add and multiply logs in int64 and return int64 arrays.
+A size cap (default 2^24 elements, or the environment variable NCYC_CAP,
+read by make_field) keeps that tractable, and a field whose tables would
+not fit in memory is refused before they are allocated.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
 the trace) applied through chunked digit lookups: each chunk of base-p
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import resource
+from contextlib import contextmanager
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -214,10 +217,7 @@ class FieldCtx:
         self._zech: Optional[np.ndarray] = None
         if p != 2 and n > 1:
             self._sums = self._sum_table()
-        try:   # a backstop to make_field's estimate of the tables' bytes
-            self._build_tables()
-        except MemoryError:
-            raise CapExceeded(f"the tables of GF({p}^{n}) do not fit in memory") from None
+        self._build_tables()
         self._subfield_cache: dict[int, np.ndarray] = {}
         self._image_cache: dict[bytes, np.ndarray] = {}
         self._tr1: Optional[np.ndarray] = None
@@ -285,8 +285,8 @@ class FieldCtx:
     def _linear_apply(self, tabs: Sequence[np.ndarray], x) -> np.ndarray:
         """Images of the indices x: each chunk of digits is looked up in its
         table of _linear_tables, and the partial images are added."""
-        x = np.asarray(x, dtype=np.int64)
-        out, digits = None, np.empty_like(x)
+        x = np.asarray(x)   # an int32 slice of exp is read as it is, not copied
+        out, digits = None, np.empty(x.shape, dtype=np.int64)
         for lo, tab in zip(range(0, self.n, self._chunk), tabs):
             np.floor_divide(x, self._p_pows[lo], out=digits)
             digits %= tab.shape[0]
@@ -369,7 +369,8 @@ class FieldCtx:
         q1 = self.order - 1
         if q1 < 1:
             raise BadParams("field must have at least 2 elements")
-        exp = np.empty(q1, dtype=np.int64)
+        dtype = table_dtype(self.order)
+        exp = np.empty(q1, dtype=dtype)
         exp[0] = 1
         x = self._cmul([0, 1], [1])
         a, filled = self._decode(self._gen_idx), 1   # a = g^filled
@@ -378,8 +379,8 @@ class FieldCtx:
             exp[filled:filled + take] = self._linear_map(self._power_cols(a, x), exp[:take])
             a = self._cmul(a, a)
             filled += take
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[exp] = np.arange(q1, dtype=np.int64)
+        log = np.full(self.order, -1, dtype=dtype)
+        log[exp] = np.arange(q1, dtype=dtype)
         if int(np.count_nonzero(log == -1)) != 1:  # only the zero element has no log
             raise NcycleInternal("generator order check failed")  # pragma: no cover
         self._exp = exp
@@ -453,6 +454,7 @@ class FieldCtx:
         return acc
 
     # -- vector index arithmetic (numpy int64 arrays) --------------------------
+    # Logs are added and multiplied in int64: 2q - 4 passes int32 above 2^30.
 
     def varange(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
@@ -472,12 +474,12 @@ class FieldCtx:
         t = np.subtract(t, la, out=None if a.ndim and a.shape != b.shape else t)
         np.take(self._zech, t, mode="wrap", out=t)   # log(1 + b/a)
         cancel = t < 0   # b = -a
-        t += la
-        np.take(self._exp, t, mode="wrap", out=t)   # a * (1 + b/a)
-        t[cancel] = 0
-        np.copyto(t, b, where=a == 0)
-        np.copyto(t, a, where=b == 0)
-        return t
+        s = np.asarray(np.add(t, la, dtype=np.int64))   # the result's buffer, 0-d too
+        np.copyto(s, np.take(self._exp, s, mode="wrap", out=t))   # a * (1 + b/a)
+        s[cancel] = 0
+        np.copyto(s, b, where=a == 0)
+        np.copyto(s, a, where=b == 0)
+        return s
 
     def _digit_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Odd-p digit-wise sum: only _linear_map's bootstrap before _zech
@@ -529,8 +531,8 @@ class FieldCtx:
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        t = self._log[a] + self._log[b]   # in [-2, 2q-4]; log[0] = -1 is junk, masked
-        return np.where((a != 0) & (b != 0), np.take(self._exp, t, mode="wrap"), 0)
+        t = np.add(self._log[a], self._log[b], dtype=np.int64)   # log[0] = -1: junk, masked
+        return np.where((a != 0) & (b != 0), np.take(self._exp, t, mode="wrap"), np.int64(0))
 
     def vpow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a^e; e == 0 gives all ones (pow(0,0) = 1)."""
@@ -540,9 +542,9 @@ class FieldCtx:
         if e < 0:
             raise DivisionByZero("negative vector exponent")
         q1 = self.order - 1
-        t = self._log[a] * (e % q1)   # log[0] = -1: a junk index, masked below
+        t = np.multiply(self._log[a], e % q1, dtype=np.int64)   # log[0] = -1: junk, masked
         t %= q1
-        return np.where(a != 0, self._exp[t], 0)
+        return np.where(a != 0, self._exp[t], np.int64(0))
 
     def vfrob(self, a: np.ndarray, sub_degree: int, i: int = 1) -> np.ndarray:
         return self.vpow(a, self._frob_exponent(sub_degree, i))
@@ -574,7 +576,7 @@ class FieldCtx:
         if ell < 1 or q1 % ell != 0:
             raise NotDivisor(f"{ell} does not divide {q1}")
         step = q1 // ell
-        return self._exp[np.arange(ell, dtype=np.int64) * step]
+        return self._exp[np.arange(ell, dtype=np.int64) * step].astype(np.int64)
 
     # -- elements and literals --------------------------------------------------
 
@@ -735,6 +737,26 @@ def _memory_bytes() -> int:
     return phys if soft == resource.RLIM_INFINITY else min(phys, soft)
 
 
+def table_dtype(q: int) -> type:
+    """int32 when every index of a field of q points fits it, else int64."""
+    return np.int32 if q - 1 <= np.iinfo(np.int32).max else np.int64
+
+
+@contextmanager
+def memory_budget(what: str, need: int):
+    """Refuse with CapExceeded, before any is allocated, the arrays named by
+    what (a plural) when their need of bytes passes _memory_bytes(); a
+    MemoryError inside the block, the estimate's backstop, is CapExceeded too."""
+    room = _memory_bytes()
+    if need > room:
+        raise CapExceeded(f"{what} take about {need >> 20} MiB, more than "
+                          f"the {room >> 20} MiB available")
+    try:
+        yield
+    except MemoryError:
+        raise CapExceeded(f"{what} do not fit in memory") from None
+
+
 def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
                cap: Optional[int] = None) -> FieldCtx:
     """Construct GF(p^n), refused with CapExceeded past cap (field_cap()
@@ -751,21 +773,20 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
         raise BadParams(f"extension degree must be >= 1, got {n}")
     if p ** n > cap:
         raise CapExceeded(f"field size {p}^{n} exceeds cap {cap}")
-    # peak bytes per point while the tables are built: exp, log and the
-    # arange that fills log, and for odd p and n > 1 the Zech table's gather
-    need, room = p ** n * (24 if p == 2 or n == 1 else 32), _memory_bytes()
-    if need > room:
-        raise CapExceeded(f"the tables of GF({p}^{n}) take about {need >> 20} "
-                          f"MiB, more than the {room >> 20} MiB available")
-    if modulus is None:
-        coeffs = _first_irreducible(p, n)
-    else:
-        coeffs = [int(c) % p for c in modulus]
-        if len(coeffs) != n + 1 or coeffs[-1] != 1:
-            raise BadParams("modulus must be monic of degree n")
-        if not _is_irreducible(coeffs, p):
-            raise NotIrreducible(f"modulus {list(modulus)} is reducible over GF({p})")
-    return FieldCtx(p, n, coeffs)
+    # peak bytes per point while the tables are built (tracemalloc): three
+    # table entries for p = 2 or n = 1 (exp, log and the arange that fills
+    # log), six for odd p and n > 1, whose exp doubling adds digits in int64
+    need = p ** n * (3 if p == 2 or n == 1 else 6) * np.dtype(table_dtype(p ** n)).itemsize
+    with memory_budget(f"the tables of GF({p}^{n})", need):
+        if modulus is None:
+            coeffs = _first_irreducible(p, n)
+        else:
+            coeffs = [int(c) % p for c in modulus]
+            if len(coeffs) != n + 1 or coeffs[-1] != 1:
+                raise BadParams("modulus must be monic of degree n")
+            if not _is_irreducible(coeffs, p):
+                raise NotIrreducible(f"modulus {list(modulus)} is reducible over GF({p})")
+        return FieldCtx(p, n, coeffs)
 
 
 # ---------------------------------------------------------------------------

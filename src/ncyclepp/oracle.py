@@ -36,7 +36,7 @@ from .families import (
 from .field import FieldCtx, NcycleInternal, divisors, field_cap, make_field
 from .polyperm import (
     NotBijective, SparsePoly, cycle_structure, functional_power,
-    identity_perm, perm_from_images,
+    identity_perm, perm_from_images, whole_field_budget,
 )
 from .walsh import walsh_involution_test, within_walsh_cap
 
@@ -94,26 +94,27 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns) -> OracleVerdict:
     f is an n-cycle permutation.  Cycle lengths come from cycle_structure,
     which up to WALK_CHECK_MAX points must agree with the cycle walk; each
     answer is re-derived by repeated-squaring n-fold composition and the
-    two must agree."""
+    two must agree.  Refused with CapExceeded, before the image table is
+    allocated, when whole_field_budget is not met."""
     t0 = perf_counter()
     ns = sorted({int(n) for n in ns})
     if ns and ns[0] < 1:
         raise BadParams("cycle lengths must be positive")
-    pm = perm_from_images(ctx, f)
-    if isinstance(pm, NotBijective):
-        return OracleVerdict(False, None, {n: False for n in ns}, {},
-                             ctx.order, perf_counter() - t0)
-    rep = cycle_structure(pm)
-    if (ctx.order <= WALK_CHECK_MAX
-            and _walked_cycles(pm.images.tolist()) != dict(rep.cycle_type)):
-        raise NcycleInternal("the cycle engine disagrees with the cycle walk")
-    answers: dict[int, bool] = {}
-    ident = identity_perm(ctx)
-    for n in ns:
-        direct = functional_power(pm, n) == ident
-        if direct != (n % rep.order == 0):
-            raise NcycleInternal("cycle type disagrees with direct composition")
-        answers[n] = direct
+    with whole_field_budget(ctx):
+        pm = perm_from_images(ctx, f)
+        if isinstance(pm, NotBijective):
+            return OracleVerdict(False, None, {n: False for n in ns}, {},
+                                 ctx.order, perf_counter() - t0)
+        rep = cycle_structure(pm)
+        if (ctx.order <= WALK_CHECK_MAX
+                and _walked_cycles(pm.images.tolist()) != dict(rep.cycle_type)):
+            raise NcycleInternal("the cycle engine disagrees with the cycle walk")
+        answers: dict[int, bool] = {}
+        for n in ns:   # the identity is made once the power is, not beside it
+            direct = functional_power(pm, n) == identity_perm(ctx)
+            if direct != (n % rep.order == 0):
+                raise NcycleInternal("cycle type disagrees with direct composition")
+            answers[n] = direct
     return OracleVerdict(True, rep.order, answers, dict(rep.cycle_type),
                          ctx.order, perf_counter() - t0)
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import CHUNK_POINTS, FieldCtx, FieldElement
+from .field import CHUNK_POINTS, FieldCtx, FieldElement, memory_budget
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +533,30 @@ def cycle_structure(pm: PermMap) -> CycleReport:
     return CycleReport(True, lcm(*sizes.tolist()), ctype, dict(ctype).get(1, 0))
 
 
+# bytes per point a whole-field cycle analysis holds at once (tracemalloc):
+# four int64 arrays, the image table and the engine's label, jump and jump^2
+# (or a composed power and the identity), and a bool mask
+WHOLE_FIELD_BYTES = 33
+
+
+def whole_field_budget(ctx: FieldCtx):
+    """memory_budget for a map's image table and its cycle analysis, next
+    to the field's own tables."""
+    tables = sum(t.nbytes for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
+    return memory_budget(f"the whole-field arrays of GF({ctx.p}^{ctx.n})",
+                         WHOLE_FIELD_BYTES * ctx.order + tables)
+
+
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
-    """Cycle report for an arbitrary map; non-bijections get order None."""
-    images = as_images(ctx, fn)
-    got = perm_from_images(ctx, images)
-    if isinstance(got, NotBijective):
-        fixed = int(np.count_nonzero(images == ctx.varange()))
-        return CycleReport(False, None, (), fixed)
-    return cycle_structure(got)
+    """Cycle report for an arbitrary map; non-bijections get order None.
+    Refused with CapExceeded when whole_field_budget is not met."""
+    with whole_field_budget(ctx):
+        images = as_images(ctx, fn)
+        got = perm_from_images(ctx, images)
+        if isinstance(got, NotBijective):
+            fixed = int(np.count_nonzero(images == ctx.varange()))
+            return CycleReport(False, None, (), fixed)
+        return cycle_structure(got)
 
 
 def perm_order(pm: PermMap) -> int:

@@ -12,6 +12,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # it with monkeypatch
 os.environ.pop("NCYC_CAP", None)
 
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -33,6 +37,18 @@ def field(p, n):
     if key not in _CACHE:
         _CACHE[key] = make_field(p, n)
     return _CACHE[key]
+
+
+def run_cli(argv, address_space=None, env=None, timeout=30):
+    """Run the command line in a child process, its address space capped
+    at address_space bytes when that is given (so that an unbounded
+    allocation fails instead of taking the machine's memory), with env as
+    its environment when given; the CompletedProcess, output as text."""
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
+    return subprocess.run([sys.executable, "-m", "ncyclepp.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env, preexec_fn=limit)
 
 
 def naive_cycle_type(images):

@@ -2,13 +2,13 @@
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 from time import perf_counter
 
 import pytest
 
+from conftest import run_cli
 from ncyclepp.cli import main
 
 
@@ -281,8 +281,7 @@ def test_console_script_matches_module():
 def child_cli(*argv):
     """Run the command line in a child process: (exit code, stdout, the
     seconds it reports in elapsed_s on stderr)."""
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", *argv],
-                          capture_output=True, text=True, timeout=30)
+    proc = run_cli(argv)
     return (proc.returncode, proc.stdout,
             float(proc.stderr.rsplit("elapsed_s", 1)[1]))
 
@@ -347,17 +346,27 @@ def test_cap_override_binds_on_q_families_and_fuzz(capsys, monkeypatch, argv):
 
 
 def test_tables_past_the_address_space_exit_three_at_once():
-    # GF(2^30) is within this cap, but its tables (24 GiB) are not within
+    # GF(2^30) is within this cap, but its tables (12 GiB) are not within
     # a 2 GB address space: refused before any table is allocated
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     env = dict(os.environ, NCYC_CAP=str(2 ** 30))
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", "field",
-                           "--p", "2", "--n", "30"], capture_output=True,
-                          text=True, timeout=30, env=env, preexec_fn=limit)
+    proc = run_cli(["field", "--p", "2", "--n", "30"], address_space=2 << 30, env=env)
     assert proc.returncode == 3 and proc.stdout == ""
     error, elapsed = proc.stderr.splitlines()
     assert error.startswith("error: the tables of GF(2^30)")
     assert float(elapsed.split()[1]) < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--n", "24", "--poly", "x^(q-2)", "--cycle", "2"],
+    ["order", "--p", "2", "--n", "24", "--poly", "x^4"]], ids=["verify", "order"])
+def test_whole_field_arrays_past_the_address_space_exit_three(argv):
+    # GF(2^24)'s tables fit in a 600 MiB address space, but the oracle's
+    # image table and cycle engine (33 bytes a point) do not fit beside them:
+    # refused before the first of those arrays, not a MemoryError traceback
+    proc = run_cli(argv, address_space=600 << 20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: the whole-field arrays of GF(2^24) take about")
 
 
 @pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])
@@ -365,10 +374,7 @@ def test_huge_power_exits_two_quickly(capsys, poly, cycle):
     argv = ["verify", "--p", "2", "--n", "4", "--poly", poly, "--cycle", cycle]
     # a child process first, with its address space capped at 2 GB, so
     # that an unbounded evaluation fails or is killed instead of hanging
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
-                          capture_output=True, text=True, timeout=30,
-                          preexec_fn=limit)
+    proc = run_cli(argv, address_space=2 << 30)
     assert proc.returncode == 2
     t0 = perf_counter()
     assert main(argv) == 2
@@ -383,9 +389,7 @@ def test_huge_power_exits_two_quickly(capsys, poly, cycle):
 def test_integer_past_the_print_limit_exits_two_at_once(argv):
     # 2^16000*3 has 4,817 digits, past Python's 4,300: unrefused, it costs
     # 1.8 s of squarings and then fails while the JSON is printed
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli", *argv,
-                           "--cycle", "2^16000*3"],
-                          capture_output=True, text=True, timeout=30)
+    proc = run_cli([*argv, "--cycle", "2^16000*3"])
     assert proc.returncode == 2 and proc.stdout == ""
     assert "'2^16000*3' has more than 4300 decimal digits" in proc.stderr
     elapsed = float(proc.stderr.split("elapsed_s ")[1])
@@ -405,13 +409,10 @@ def test_walsh_spectrum_cap_exits_three_before_allocating():
     # GF(4093) passes the field-size cap, but its spectrum would be
     # (p - 1) q^2 = 2^36 float32: refused in a child process under a 2 GB
     # address-space limit, and skipped as the cross-check's third opinion
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     gf = ["--p", "4093", "--n", "1"]
 
     def child(argv):
-        return subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
-                              capture_output=True, text=True, timeout=60,
-                              preexec_fn=limit)
+        return run_cli(argv, address_space=2 << 30, timeout=60)
 
     proc = child(["walsh"] + gf + ["--poly", "x^(q-2)", "--check-involution"])
     assert proc.returncode == 3 and proc.stdout == ""
@@ -436,16 +437,13 @@ def test_deeply_nested_exponent_exits_two(capsys):
     # ast.parse would raise a raw RecursionError and exit 1 with a traceback
     argv = ["verify", "--p", "3", "--n", "2", "--poly", "x^(" + "-" * 5000 + "1)",
             "--cycle", "2"]
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_cli(argv, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "nested too deeply" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncyclepp.cli", "field", "--p", "3", "--n",
-         "2"], capture_output=True, text=True)
+    proc = run_cli(["field", "--p", "3", "--n", "2"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 3
 
@@ -480,10 +478,8 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
 ], ids=["xh_lambda", "additive", "shift"])
 def test_huge_sub_degree_is_refused_before_q_is_built(argv):
     # q = 3^(10^8) would take minutes to build: run in a child with a timeout
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncyclepp.cli", "construct", *argv, "--p", "3",
-         "--n", "2", "--sub-degree", "100000000"],
-        capture_output=True, text=True, timeout=30)
+    proc = run_cli(["construct", *argv, "--p", "3", "--n", "2",
+                    "--sub-degree", "100000000"])
     assert proc.returncode == 2 and proc.stdout == ""
 
 
@@ -492,10 +488,7 @@ def test_frobenius_exponent_is_reduced_before_powering(capsys):
             "x^2", "--cycle", "4", "--sub-degree", "1", "--i"]
     # x^(2^(10^12)) would need a 10^12-bit exponent: run it in a child
     # process under a 2 GB address-space limit and a 30 s timeout first
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    proc = subprocess.run([sys.executable, "-m", "ncyclepp.cli"] + argv
-                          + ["10^12"], capture_output=True, text=True,
-                          timeout=30, preexec_fn=limit)
+    proc = run_cli(argv + ["10^12"], address_space=2 << 30)
     assert proc.returncode == 0
     assert main(argv + ["0"]) == 0   # 10^12 = 0 mod 4
     assert proc.stdout == capsys.readouterr().out

@@ -99,21 +99,50 @@ def test_cap_is_read_from_the_environment(monkeypatch):
 
 
 def test_tables_that_cannot_fit_are_refused_before_the_modulus_search(monkeypatch):
-    # 24 bytes a point for p = 2 and for n = 1, 32 for odd p and n > 1
+    # 12 bytes a point for p = 2 and for n = 1, 24 for odd p and n > 1
     def no_search(p, n):
         raise AssertionError("the modulus search ran")
 
     monkeypatch.setattr(field_mod, "FieldCtx", lambda p, n, coeffs: (p, n))
-    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 24 << 16)
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 12 << 16)
     with monkeypatch.context() as m:
         m.setattr(field_mod, "_first_irreducible", no_search)
-        for p, n in [(2, 17), (65537, 1), (3, 10)]:   # 24·2^17, 24·65537, 32·3^10
+        for p, n in [(2, 17), (65537, 1), (3, 10)]:   # 12·2^17, 12·65537, 24·3^10
             with pytest.raises(CapExceeded, match="MiB available"):
                 make_field(p, n, cap=1 << 30)
     assert make_field(2, 16) == (2, 16)
     # the field at the default cap is accepted under a 2 GB address space
     monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 2 << 30)
     assert make_field(2, 24) == (2, 24)
+
+
+def test_table_dtype_follows_q_alone(monkeypatch):
+    # every index of GF(q) fits int32 up to q = 2^31; no table is allocated
+    assert field_mod.table_dtype(2 ** 31 - 1) is np.int32
+    assert field_mod.table_dtype(2 ** 31) is np.int32
+    assert field_mod.table_dtype(2 ** 31 + 1) is np.int64
+    # make_field's estimate follows the entries' width: 3 x 4 bytes a point
+    # at 2^31, 3 x 8 at 2^32
+    monkeypatch.setattr(field_mod, "FieldCtx", lambda p, n, coeffs: (p, n))
+    monkeypatch.setattr(field_mod, "_first_irreducible", lambda p, n: [1] * (n + 1))
+    for n, width in [(31, 4), (32, 8)]:
+        monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 3 * width * 2 ** n)
+        assert make_field(2, n, cap=1 << 40) == (2, n)
+        monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 3 * width * 2 ** n - 1)
+        with pytest.raises(CapExceeded, match="MiB available"):
+            make_field(2, n, cap=1 << 40)
+
+
+def test_tables_hold_eight_bytes_a_point():
+    # int32 exp and log: 8 bytes a point, 16 when they were int64
+    tracemalloc.start()
+    try:
+        ctx = make_field(2, 20)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ctx._exp.dtype == ctx._log.dtype == np.int32
+    assert held <= 8.5 * ctx.order
 
 
 def test_memory_error_while_building_the_tables_is_cap_exceeded(monkeypatch):

@@ -236,3 +236,45 @@ def test_vadd_leaves_the_digit_bootstrap_once_built(monkeypatch, capsys):
         assert main(["construct", *argv, "--verify"]) == 0
     assert '"status": "AGREE"' in capsys.readouterr().out
     assert calls["bootstrap"] > 0 and calls["vadd_after_build"] > 0
+
+
+# Whole fields whose log * e passes 2^31 for exponents near q - 2 (not GF(7^5),
+# where q^2 < 2^31), and seeded samples of larger fields, where it passes 2^40
+WHOLE = [(2, 16), (3, 10), (7, 5)]
+SAMPLED = [(2, 20), (3, 12)]
+
+
+def _power_exponents(q):
+    return [q - 2, q - 3, (q - 1) // 2 + 1, 5 * (q - 1) - 2, 3]
+
+
+def _vector_ops_match_scalar_ops(ctx, a, b):
+    a_list, b_list = a.tolist(), b.tolist()
+    for got, op in [(ctx.vmul(a, b), ctx.mul_idx), (ctx.vadd(a, b), ctx.add_idx)]:
+        assert got.dtype == np.int64
+        assert got.tolist() == [op(x, y) for x, y in zip(a_list, b_list)]
+    for e in _power_exponents(ctx.order):
+        got = ctx.vpow(a, e)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ctx.pow_idx(x, e) for x in a_list], e
+
+
+@pytest.mark.parametrize("p,n", WHOLE)
+def test_vector_ops_match_scalar_ops_on_the_whole_field(p, n):
+    # each element once on the left and once on the right, zero included
+    ctx = field(p, n)
+    a = ctx.varange()
+    b = np.random.default_rng(ctx.order).permutation(a)
+    _vector_ops_match_scalar_ops(ctx, a, b)
+
+
+@pytest.mark.parametrize("p,n", SAMPLED)
+def test_vector_ops_match_scalar_ops_on_seeded_samples(p, n):
+    ctx = field(p, n)
+    rng = np.random.default_rng(1000 * p + n)
+    a, b = rng.integers(0, ctx.order, size=(2, 4000))
+    a[:3], b[3:6] = 0, 0
+    # the largest logs meet the largest exponents
+    b[6:9] = ctx._exp[-3:]
+    _vector_ops_match_scalar_ops(ctx, a, b)
+    _vector_ops_match_scalar_ops(ctx, b, a)

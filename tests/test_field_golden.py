@@ -1,12 +1,14 @@
 """Golden digests of the deterministic field construction.
 
 The modulus, the generator index and the SHA-256 of the exp table, the
-absolute-trace table and every proper subfield index table are pinned for a
-dozen fields across p in {2, 3, 5, 7}.  Any change to how the tables are
-built must leave every value here unchanged.
+absolute-trace table and every proper subfield index table, each hashed as
+int64 values whatever its dtype, are pinned for a dozen fields across p in
+{2, 3, 5, 7}.  Any change to how the tables are built must leave every
+value here unchanged.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from ncyclepp.field import make_field
@@ -84,7 +86,7 @@ GOLDEN = {
 
 
 def _sha(arr) -> str:
-    return hashlib.sha256(arr.tobytes()).hexdigest()
+    return hashlib.sha256(np.asarray(arr, dtype=np.int64).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("p,n", list(GOLDEN))
@@ -93,6 +95,9 @@ def test_field_tables_match_golden_digests(p, n):
     ctx = make_field(p, n)
     assert list(ctx.modulus) == modulus
     assert ctx.generator.i == gen
+    # exp, log and Zech tables are int32 wherever indices fit it (q <= 2^31)
+    tables = (ctx._exp, ctx._log, ctx._zech)
+    assert {t.dtype for t in tables if t is not None} == {np.dtype(np.int32)}
     assert _sha(ctx._exp) == exp_sha
     assert _sha(ctx.tr1_table()) == tr1_sha
     proper = [d for d in range(1, n) if n % d == 0]

@@ -9,7 +9,8 @@ import ncyclepp.families as families
 import ncyclepp.oracle as oracle
 import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import CriterionVerdict, additive_criterion
-from ncyclepp.errors import BadParams, HypothesisViolated
+import ncyclepp.field as field_mod
+from ncyclepp.errors import BadParams, CapExceeded, HypothesisViolated
 from ncyclepp.families import (
     FamilyInstance, build_jieguo, build_xh_lambda, build_xq_h_alpha,
 )
@@ -126,6 +127,39 @@ class TestExhaustiveVerdict:
                        "is_ncycle_at": {"2": True}, "cycle_type": {"1": 5},
                        "domain_size": 5}
         assert "elapsed" not in doc and v.elapsed >= 0.0
+
+    @pytest.mark.parametrize("run", [
+        lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
+        lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
+        ids=["exhaustive_verdict", "cycle_report_for_fn"])
+    def test_whole_field_arrays_are_budgeted_before_the_first(self, monkeypatch, run):
+        # 33 bytes a point beside the field's tables, int32 exp and log here
+        ctx = field(2, 10)
+        need = 33 * 1024 + 8 * 1023 + 4   # exp has q - 1 entries
+        calls = []
+
+        def fn(xs):
+            calls.append(len(xs))
+            return xs
+
+        monkeypatch.setattr(field_mod, "_memory_bytes", lambda: need - 1)
+        with pytest.raises(CapExceeded, match="whole-field arrays of GF.2.10. take about"):
+            run(ctx, fn)
+        assert calls == []
+        monkeypatch.setattr(field_mod, "_memory_bytes", lambda: need)
+        run(ctx, fn)
+        assert calls == [1024]
+
+    @pytest.mark.parametrize("run", [
+        lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
+        lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
+        ids=["exhaustive_verdict", "cycle_report_for_fn"])
+    def test_memory_error_inside_is_cap_exceeded(self, run):
+        def fn(xs):
+            raise MemoryError
+
+        with pytest.raises(CapExceeded, match="whole-field arrays of GF.2.10. do not fit"):
+            run(field(2, 10), fn)
 
 
 class TestCrossCheck:
