@@ -2,9 +2,10 @@
 
 The modulus, the generator index and the SHA-256 of the exp table, the
 absolute-trace table and every proper subfield index table, each hashed as
-int64 values whatever its dtype, are pinned for a dozen fields across p in
-{2, 3, 5, 7}.  Any change to how the tables are built must leave every
-value here unchanged.
+int64 values whatever its dtype, are pinned for fourteen fields across p in
+{2, 3, 5, 7, 17, 1021}.  GF(17^5) spans three chunks of input digits and
+GF(1021^2) packs digits of 11 bits in its linear maps.  Any change to how
+the tables are built must leave every value here unchanged.
 """
 import hashlib
 
@@ -82,6 +83,14 @@ GOLDEN = {
                3: "57332d2cec17d1d1f7ccaf3b638be8c064514a2158a18226c0a98137f99e1b19",
                4: "5672f3c688d0f5805f8613a5f2e7c11802483e2eb1234ebe9b856392bc170301",
                6: "df0b8fdbb8ea18235ccab37bde808242eede3ddb62bc7fe27aa9ad26635bbfee"}),
+    (17, 5): ([3, 1, 0, 0, 0, 1], 17,
+              "6ef4fc39eedcf5d3428661cc13204683165d5bf8c5a66a93e4468fb478de84f0",
+              "24fc002a14951c3dc26d63dbd83372913c21f902886424f1384f047906476be2",
+              {1: "bb25b5201ac6c37409bb181321e5f74ef84fc6dd59cc690d9298e927304684f8"}),
+    (1021, 2): ([2, 0, 1], 1035,
+                "e529f35db12bc3dd50cbe0036fe6ec43d3e9526d20f16075c7ece4d6c59c7391",
+                "d80f3a7067470132325a3b02adaefc358465508eccf9a6405a03f038f342d1e2",
+                {1: "fd7b36b309417380c605acf50232d6e4ce46905f77c45feab486f6426e619281"}),
 }
 
 
