@@ -21,9 +21,12 @@ read by make_field) keeps that tractable, and a field whose tables would
 not fit in memory is refused before they are allocated.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
-the trace) applied through chunked digit lookups: each chunk of base-p
-digits of an index is looked up in a small table of its images, and the
-partial images are added.
+the trace), each given as its matrix over GF(p) and applied by
+FieldCtx.linear_map without the field's own addition: each chunk of
+base-p digits of an index is looked up in a small table of its images,
+and the partial images are combined, by XOR for p = 2 and for odd p by
+plain integer addition of images whose digits are packed in bit fields
+wide enough that no sum carries, read back to base p by lookup.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import math
 import os
 import resource
 from contextlib import contextmanager
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,11 +50,24 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 24
-# most points a chunk of digits spans: the size of a lookup table of
-# _linear_tables, and of the whole-field image tables of SparsePoly.eval_vec
+# most points a chunk of digits spans (unless one digit spans more): the
+# size of a lookup table of linear_map, and of the whole-field image tables
+# of SparsePoly.eval_vec
 CHUNK_POINTS = 4096
-# most entries of the odd-p bootstrap's table of digit-chunk sums (512 KB)
-SUM_TABLE_ENTRIES = 1 << 16
+# points per slice when a whole field is evaluated slice by slice
+EVAL_CHUNK = 1 << 15
+
+
+def _chunk_digits(p: int) -> int:
+    """Input digits per lookup of linear_map: the most with p^chunk <=
+    CHUNK_POINTS, and at least one."""
+    return max(1, next(c for c in range(13) if p ** (c + 1) > CHUNK_POINTS))
+
+
+def _field_bits(p: int, chunks: int) -> int:
+    """Bits per output digit of an odd-p linear_map of that many input
+    chunks: each of the summed partial images adds at most p - 1 to a digit."""
+    return (chunks * (p - 1)).bit_length()
 
 
 def _is_prime(m: int) -> bool:
@@ -209,14 +225,12 @@ class FieldCtx:
         self.order_factorization = _factorize(self.order - 1)
         self.key = (p, n, self.modulus)
         self._p_pows = [p ** i for i in range(n)]
-        # digits per chunk of _linear_map (p^chunk <= CHUNK_POINTS), and entries of all chunks
-        self._chunk = max(1, next(c for c in range(13) if p ** (c + 1) > CHUNK_POINTS))
+        # digits per chunk of linear_map, and entries of all chunks' tables
+        self._chunk = _chunk_digits(p)
         self._table_size = sum(p ** len(self._p_pows[lo:lo + self._chunk])
                                for lo in range(0, n, self._chunk))
         self._gen_idx = self._find_generator()
         self._zech: Optional[np.ndarray] = None
-        if p != 2 and n > 1:
-            self._sums = self._sum_table()
         self._build_tables()
         self._subfield_cache: dict[int, np.ndarray] = {}
         self._image_cache: dict[bytes, np.ndarray] = {}
@@ -260,52 +274,81 @@ class FieldCtx:
     def _index(self, coords: Sequence[int]) -> int:
         return sum(c * pw for c, pw in zip(coords, self._p_pows))
 
-    def _power_cols(self, a: Sequence[int], z: Sequence[int]) -> list[int]:
-        """Indices of a * z^i for i < n, by coordinate arithmetic."""
-        cols = [self._index(a)]
-        for _ in range(self.n - 1):
-            a = self._cmul(a, z)
-            cols.append(self._index(a))
-        return cols
-
-    def _linear_tables(self, cols: Sequence[int]) -> list[np.ndarray]:
-        """Per chunk of self._chunk digits, the p^chunk images of the
-        GF(p)-linear map sending basis vector i (index p^i) to cols[i]."""
-        scalars = np.arange(self.p, dtype=np.int64)[:, None]
-        pows = np.array(self._p_pows, dtype=np.int64)
-        tabs = []
-        for lo in range(0, self.n, self._chunk):
-            tab = np.zeros(1, dtype=np.int64)
-            for col in cols[lo:lo + self._chunk]:   # one more digit per pass
-                multiples = ((scalars * self._decode(col)) % self.p) @ pows
-                tab = self.vadd(multiples[:, None], tab).ravel()
-            tabs.append(tab)
-        return tabs
-
-    def _linear_apply(self, tabs: Sequence[np.ndarray], x) -> np.ndarray:
-        """Images of the indices x: each chunk of digits is looked up in its
-        table of _linear_tables, and the partial images are added."""
-        x = np.asarray(x)   # an int32 slice of exp is read as it is, not copied
-        out, digits = None, np.empty(x.shape, dtype=np.int64)
-        for lo, tab in zip(range(0, self.n, self._chunk), tabs):
-            np.floor_divide(x, self._p_pows[lo], out=digits)
-            digits %= tab.shape[0]
-            if out is None:
-                out = tab[digits]
-            elif self.p == 2:   # later partial images reuse the digit buffer
-                out ^= np.take(tab, digits, mode="clip", out=digits)
-            else:
-                out = self.vadd(out, np.take(tab, digits, mode="clip", out=digits))
-        return out
-
-    def _linear_map(self, cols: Sequence[int], x) -> np.ndarray:
-        if self.n == 1:   # GF(p): the map is multiplication by cols[0]
-            return np.asarray(x, dtype=np.int64) * cols[0] % self.p
-        return self._linear_apply(self._linear_tables(cols), x)
-
     # -- GF(p)-linear maps as n x n matrices over GF(p) (L&N section 3.4) ------
     # A product of two such matrices is m1 @ m2 % p, the matrix of the
     # composed map; entries stay below p, so no int64 sum overflows.
+
+    def _matrix(self, cols: Iterable[int]) -> np.ndarray:
+        """The n x len(cols) matrix whose column j holds the digits of cols[j]."""
+        return np.array([self._decode(c) for c in cols], dtype=np.int64).reshape(-1, self.n).T
+
+    def linear_map(self, m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluator on index arrays of the GF(p)-linear map of m: n rows and
+        one column per input digit, column j the digits of the image of
+        index p^j.  Each chunk of self._chunk input digits is looked up in a
+        table of its p^chunk images, built once here from m alone, and the
+        k partial images are combined.  For p = 2 the tables are built by
+        XOR doubling and the images XORed.  For odd p an entry holds output
+        digit i in bits [b*i, b*i + b), b = bitlen(k*(p - 1)), so the
+        partial images add with plain + and no carry (make_field refuses a
+        field where n*b passes 63), and the sum is read back to base p by
+        lookups of a few b-bit fields at a time; one chunk's table holds
+        the indices themselves.  Output digits past m's last nonzero row
+        are 0 and are neither packed nor read back."""
+        p, n, c = self.p, self.n, self._chunk
+        m = np.asarray(m, dtype=np.int64)
+        if n == 1:   # GF(p): the map is multiplication by m[0, 0]
+            return lambda x, a=int(m[0, 0]): np.asarray(x, dtype=np.int64) * a % p
+        pows, los = np.array(self._p_pows, dtype=np.int64), range(0, m.shape[1], c)
+        tabs, backs = [], []
+        if p == 2:
+            for lo in los:
+                tab = np.zeros(1, dtype=np.int64)
+                for col in (pows @ m[:, lo:lo + c]).tolist():   # one more digit per pass
+                    tab = np.concatenate((tab, tab ^ col))
+                tabs.append(tab)
+        else:
+            m = m[:int(np.flatnonzero(m.any(axis=1)).max(initial=0)) + 1]
+            rows, b = len(m), _field_bits(p, len(los))
+            weights = pows[:rows] if len(los) == 1 else np.int64(1) << b * np.arange(rows)
+            for lo in los:
+                digs = np.zeros((rows, 1), dtype=np.int64)   # the images' digits so far
+                for col in m[:, lo:lo + c].T:   # one more input digit per pass
+                    digs = (digs[:, None, :] + (col[:, None] * np.arange(p) % p)[:, :, None])
+                    digs = digs.reshape(rows, -1)
+                    np.subtract(digs, p, out=digs, where=digs >= p)
+                tabs.append(weights @ digs)
+            if len(los) > 1:   # r fields of the sum per lookup of the read-back
+                r = max(1, (CHUNK_POINTS.bit_length() - 1) // b)
+                v = np.arange(1 << r * b, dtype=np.int64)
+                back = sum((v >> b * i & (1 << b) - 1) % p * p ** i for i in range(r))
+                backs = [back * p ** lo for lo in range(0, rows, r)]
+
+        def apply(x) -> np.ndarray:
+            x = np.asarray(x)   # an int32 slice of exp is read as it is, not copied
+            out, digits = None, np.empty(x.shape, dtype=np.int64)
+            for lo, tab in zip(los, tabs):
+                np.floor_divide(x, self._p_pows[lo], out=digits)
+                digits %= tab.shape[0]
+                if out is None:
+                    out = tab[digits]
+                elif p == 2:   # later partial images reuse the digit buffer
+                    out ^= np.take(tab, digits, mode="clip", out=digits)
+                else:
+                    out += np.take(tab, digits, mode="clip", out=digits)
+            if not backs:
+                return out
+            # the read-back sums into the digit buffer; the packed sum is
+            # shifted down in place, and its last fields are looked up in place
+            packed, out, mask, part = out, digits, backs[0].shape[0] - 1, None
+            np.take(backs[0], np.bitwise_and(packed, mask, out=out), mode="clip", out=out)
+            for i, back in enumerate(backs[1:], 2):
+                packed >>= mask.bit_length()
+                part = packed if i == len(backs) else np.bitwise_and(packed, mask, out=part)
+                out += np.take(back, part, mode="clip", out=part)
+            return out
+
+        return apply
 
     def linear_matrix(self, fn) -> np.ndarray:
         """Matrix of the GF(p)-linear map fn, an evaluator on index arrays
@@ -360,10 +403,11 @@ class FieldCtx:
     def span(self, cols: Sequence[int]) -> np.ndarray:
         """Every GF(p)-combination of the independent indices cols,
         unsorted: the images of the p^len(cols) coefficient vectors under
-        _linear_map."""
+        the linear map of their matrix."""
         if not cols:
             return np.zeros(1, dtype=np.int64)
-        return self._linear_map(cols, np.arange(self.p ** len(cols), dtype=np.int64))
+        span = self.linear_map(self._matrix(cols))
+        return span(np.arange(self.p ** len(cols), dtype=np.int64))
 
     def _build_tables(self) -> None:
         q1 = self.order - 1
@@ -376,7 +420,10 @@ class FieldCtx:
         a, filled = self._decode(self._gen_idx), 1   # a = g^filled
         while filled < q1:
             take = min(filled, q1 - filled)
-            exp[filled:filled + take] = self._linear_map(self._power_cols(a, x), exp[:take])
+            cols = [a]   # a * x^j, the images of the basis under multiplication by a
+            while len(cols) < self.n:
+                cols.append(self._cmul(cols[-1], x))
+            exp[filled:filled + take] = self.linear_map(np.array(cols).T)(exp[:take])
             a = self._cmul(a, a)
             filled += take
         log = np.full(self.order, -1, dtype=dtype)
@@ -464,13 +511,11 @@ class FieldCtx:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a + b) % self.p
-        if self._zech is None:   # _build_tables has not made the tables yet
-            return self._digit_add(a, b)
         a, b = np.asarray(a), np.asarray(b)
         if a.size > b.size:   # sums commute: gather the larger operand into t
             a, b = b, a
         la, t = self._log[a], np.asarray(self._log[b])   # log[0] = -1 is junk, fixed below
-        # in place unless t lacks the broadcast shape, as in (p, 1) against (k,)
+        # in place unless t lacks the broadcast shape, as in (k, 1) against (j,)
         t = np.subtract(t, la, out=None if a.ndim and a.shape != b.shape else t)
         np.take(self._zech, t, mode="wrap", out=t)   # log(1 + b/a)
         cancel = t < 0   # b = -a
@@ -480,46 +525,6 @@ class FieldCtx:
         np.copyto(s, b, where=a == 0)
         np.copyto(s, a, where=b == 0)
         return s
-
-    def _digit_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Odd-p digit-wise sum: only _linear_map's bootstrap before _zech
-        exists.  Each chunk of c digits of a and b is one lookup in the
-        table of digit-wise sums of two c-digit numbers (digit by digit,
-        c = 1, when p^2 passes SUM_TABLE_ENTRIES)."""
-        c, tab = self._sums
-        size = self.p ** c
-        out, s, t = (np.zeros(np.broadcast(a, b).shape, dtype=np.int64) for _ in range(3))
-        for pw in self._p_pows[::c]:   # reuse s and t: fresh big temporaries fault in pages
-            np.floor_divide(a, pw, out=s)
-            s %= size
-            np.floor_divide(b, pw, out=t)
-            t %= size
-            if tab is None:
-                s += t
-                s %= self.p
-            else:
-                s *= size
-                s += t
-                np.take(tab, s, mode="clip", out=s)
-            out += np.multiply(s, pw, out=s)
-        return out
-
-    def _sum_table(self) -> tuple[int, Optional[np.ndarray]]:
-        """(c, T) for _digit_add: T[x*p^c + y] is the digit-wise sum mod p of
-        the c-digit numbers x and y.  c is the fewest digits that take as
-        few chunks of the n digits as the widest table within
-        SUM_TABLE_ENTRIES (a smaller table is a faster lookup); T is None
-        when not even one digit fits."""
-        widest = next(c for c in range(17) if self.p ** (2 * c + 2) > SUM_TABLE_ENTRIES)
-        if widest == 0:
-            return 1, None
-        c = -(-self.n // -(-self.n // widest))
-        xs = np.arange(self.p ** c, dtype=np.int64)
-        tab = np.zeros((xs.size, xs.size), dtype=np.int64)
-        for pw in self._p_pows[:c]:
-            d = xs // pw % self.p
-            tab += (d[:, None] + d) % self.p * pw
-        return c, tab.ravel()
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -549,16 +554,23 @@ class FieldCtx:
     def vfrob(self, a: np.ndarray, sub_degree: int, i: int = 1) -> np.ndarray:
         return self.vpow(a, self._frob_exponent(sub_degree, i))
 
+    def _trace_map(self, sub_degree: int) -> Callable[[np.ndarray], np.ndarray]:
+        return self.linear_map(self._matrix(self.trace_idx(pw, sub_degree)   # Tr(x^i)
+                                            for pw in self._p_pows))
+
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
-        cols = [self.trace_idx(pw, sub_degree) for pw in self._p_pows]   # Tr(x^i)
-        return self._linear_map(cols, a)
+        return self._trace_map(sub_degree)(a)
 
     # -- cached structure ------------------------------------------------------
 
     def tr1_table(self) -> np.ndarray:
-        """Absolute trace to GF(p), per element index, as small ints."""
+        """Absolute trace to GF(p), per element index, as small ints of
+        table_dtype, filled in slices of EVAL_CHUNK indices."""
         if self._tr1 is None:
-            self._tr1 = self.vtrace(self.varange(), 1)
+            tr, q = self._trace_map(1), self.order
+            self._tr1 = np.empty(q, dtype=table_dtype(q))
+            for lo in range(0, q, EVAL_CHUNK):
+                self._tr1[lo:lo + EVAL_CHUNK] = tr(np.arange(lo, min(lo + EVAL_CHUNK, q)))
         return self._tr1
 
     def subfield_indices(self, sub_degree: int) -> np.ndarray:
@@ -773,6 +785,9 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
         raise BadParams(f"extension degree must be >= 1, got {n}")
     if p ** n > cap:
         raise CapExceeded(f"field size {p}^{n} exceeds cap {cap}")
+    chunks = -(-n // _chunk_digits(p))   # of the input digits of a linear map
+    if p != 2 and chunks > 1 and n * _field_bits(p, chunks) > 63:
+        raise CapExceeded(f"the linear maps of GF({p}^{n}) pack more than 63 bits")
     # peak bytes per point while the tables are built (tracemalloc): three
     # table entries for p = 2 or n = 1 (exp, log and the arange that fills
     # log), six for odd p and n > 1, whose exp doubling adds digits in int64

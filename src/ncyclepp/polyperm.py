@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import CHUNK_POINTS, FieldCtx, FieldElement, memory_budget
+from .field import CHUNK_POINTS, EVAL_CHUNK, FieldCtx, FieldElement, memory_budget
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +172,24 @@ class SparsePoly:
         return t if c == 1 else self.ctx.vmul(np.int64(c), t)
 
     @cached_property
-    def _plan(self) -> list[tuple[int, list[tuple[int, int]], list | None]]:
-        """The terms as (e0, terms, tables), one entry per Frobenius orbit of
+    def _plan(self) -> list[tuple[int, list[tuple[int, int]], Callable | None]]:
+        """The terms as (e0, terms, L), one entry per Frobenius orbit of
         exponents mod q - 1; e0 is the orbit's least member in [1, q - 1], or
         0 for the constant, so x^(q-1) stays apart from it.  The terms
         c*x^(e0*p^k) sum to L(x^e0), L the GF(p)-linear y -> sum of
-        c*y^(p^k); an orbit of two or more terms carries L's lookup tables."""
+        c*y^(p^k); an orbit of two or more terms carries L's evaluator."""
         ctx, groups = self.ctx, {}
         for c, e in self.terms:
             e0 = min(map_exp(ctx, map_exp(ctx, e) * ctx.p ** k) for k in range(ctx.n))
             groups.setdefault(e0, []).append((c, e))
-        basis, plan = np.array(ctx._p_pows, dtype=np.int64), []
+        plan = []
         for e0, group in groups.items():
-            tabs = None
-            if len(group) > 1:   # L's images of the basis give its tables
+            lin = None
+            if len(group) > 1:   # L's matrix, from its images of the basis
                 frob = {map_exp(ctx, e0 * ctx.p ** k): ctx.p ** k for k in range(ctx.n)}
-                cols = reduce(ctx.vadd, (self._term(c, frob[map_exp(ctx, e)], basis)
-                                         for c, e in group))
-                tabs = ctx._linear_tables(cols.tolist())
-            plan.append((e0, group, tabs))
+                lin = ctx.linear_map(ctx.linear_matrix(lambda basis: reduce(
+                    ctx.vadd, (self._term(c, frob[map_exp(ctx, e)], basis) for c, e in group))))
+            plan.append((e0, group, lin))
         return plan
 
     @cached_property
@@ -229,9 +228,8 @@ class SparsePoly:
         if ctx.n <= ctx._chunk or xs.size < ctx._table_size:
             parts = (self._term(c, e, xs) for c, e in self.terms)
         else:
-            parts = (self._term(*group[0], xs) if tabs is None else
-                     ctx._linear_apply(tabs, self._term(1, e0, xs))
-                     for e0, group, tabs in self._plan)
+            parts = (self._term(*group[0], xs) if lin is None else lin(self._term(1, e0, xs))
+                     for e0, group, lin in self._plan)
         acc = reduce(ctx.vadd, parts)
         return acc.copy() if acc is xs else acc
 
@@ -338,9 +336,6 @@ def poly_frob(f: SparsePoly, k: int) -> SparsePoly:
 # ---------------------------------------------------------------------------
 # materialized maps
 # ---------------------------------------------------------------------------
-
-EVAL_CHUNK = 1 << 15
-
 
 @dataclass(frozen=True)
 class NotBijective:

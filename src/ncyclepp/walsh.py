@@ -80,9 +80,9 @@ def _digit_dot_relabel(ctx: FieldCtx) -> np.ndarray:
     of the power basis; nondegeneracy of the trace form makes it a bijection."""
     p, n = ctx.p, ctx.n
     tr1 = ctx.tr1_table()
-    rows = [sum(int(tr1[ctx.mul_idx(p ** j, p ** k)]) * p ** k for k in range(n))
-            for j in range(n)]
-    return ctx._linear_map(rows, ctx.varange())
+    gram = np.array([[tr1[ctx.mul_idx(p ** j, p ** k)] for k in range(n)]
+                     for j in range(n)], dtype=np.int64)
+    return ctx.linear_map(gram)(ctx.varange())   # gram is symmetric: its own columns
 
 
 def _factor(p: int, k: int) -> np.ndarray:

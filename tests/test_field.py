@@ -133,6 +133,38 @@ def test_table_dtype_follows_q_alone(monkeypatch):
             make_field(2, n, cap=1 << 40)
 
 
+def test_packed_width_follows_p_and_n_alone(monkeypatch):
+    # an odd-p linear map packs each output digit in bitlen(k*(p - 1)) bits,
+    # k its chunks of input digits (7 for p = 3): 21 x 3 = 63 bits for
+    # GF(3^21), and 22 x 4 = 88 for GF(3^22), which is refused before the
+    # modulus search; neither field is built
+    def no_search(p, n):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(field_mod, "FieldCtx", lambda p, n, coeffs: (p, n))
+    monkeypatch.setattr(field_mod, "_first_irreducible", lambda p, n: [1] * (n + 1))
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 1 << 50)
+    assert make_field(3, 21, cap=1 << 40) == (3, 21)
+    monkeypatch.setattr(field_mod, "_first_irreducible", no_search)
+    with pytest.raises(CapExceeded, match="63 bits"):
+        make_field(3, 22, cap=1 << 40)
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
+def test_trace_table_is_filled_slice_by_slice(p, n):
+    # 4 bytes a point of int32 trace values, and the buffers of one slice;
+    # a whole-field arange and its digit buffers took 24 and 42
+    ctx = make_field(p, n)
+    tracemalloc.start()
+    try:
+        tr1 = ctx.tr1_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr1.dtype == np.int32 and peak <= 6 * ctx.order
+    assert np.array_equal(tr1[::97], ctx.vtrace(ctx.varange()[::97], 1))
+
+
 def test_tables_hold_eight_bytes_a_point():
     # int32 exp and log: 8 bytes a point, 16 when they were int64
     tracemalloc.start()

@@ -1,20 +1,22 @@
 """Differential check of the table arithmetic of FieldCtx.
 
-The vector operations run on exp/log tables and on tables built by
-GF(p)-linear maps.  Here they are compared with arithmetic that uses no
-table: sums and negatives digit by digit, products and powers with the
-polynomial routines _cmul and _cpow, traces as sums of Frobenius powers
+The vector operations run on exp/log tables, which FieldCtx.linear_map
+builds from GF(p)-matrices.  Here they are compared with arithmetic that
+uses no table: sums and negatives digit by digit, products and powers with
+the polynomial routines _cmul and _cpow, traces as sums of Frobenius powers
 taken with _cpow.  Every pair is compared in the fields with q <= 256; in
 larger fields up to 2^10, 2,000 seeded random pairs are compared, and 200
 seeded powers and traces (each costs a chain of _cmul calls).  Odd-p
 addition runs on a Zech logarithm table, so it gets its own checks on the
 fields of the odd-p benchmark workload (3^11, 5^7, 7^6) and on 257^2 and
-1021^2, where p^2 passes SUM_TABLE_ENTRIES and the digit-wise sum that
-bootstraps the tables runs digit by digit: random pairs, cancellation,
-zero operands, broadcasting, scalars and the table itself.
+1021^2, one digit per chunk: random pairs, cancellation, zero operands,
+broadcasting, scalars and the table itself.
 The scalar add_idx and neg_idx run on the same tables: they are compared
 on every pair of GF(3^2), GF(5^2), GF(7^2) and GF(3^4), and on 20,000
 seeded random pairs of each of those five fields.
+linear_map itself is compared with matrix products taken digit by digit,
+on square, non-square and zero matrices, and make_field is checked to
+build its tables without field addition.
 """
 import random
 
@@ -22,13 +24,12 @@ import numpy as np
 import pytest
 
 from conftest import field
-from ncyclepp.cli import main
-from ncyclepp.field import FieldCtx
+from ncyclepp.field import FieldCtx, make_field
 
 SMALL = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 2), (251, 1)])
 MEDIUM = [(2, 9), (2, 10), (3, 6), (5, 4), (31, 2), (1021, 1)]
-# the last two are past 256, so their bootstrap adds digit by digit
+# the last two take one digit per chunk of a linear map
 ZECH = [(3, 11), (5, 7), (7, 6), (257, 2), (1021, 2)]
 
 
@@ -145,7 +146,7 @@ def test_zech_addition_matches_digit_sums(p, n):
     assert np.array_equal(ctx.vadd(av, zeros), av)
     assert np.array_equal(ctx.vadd(zeros, av), av)
     assert not ctx.vadd(zeros, zeros).any()
-    # (p, 1) against (k,), as _linear_map builds its chunk tables
+    # a column (k, 1) against a row (j,) gives the (k, j) table of sums
     col = np.array(a[:p])[:, None]
     want = [[ref_add(ctx, i, j) for j in b[:50]] for i in a[:p]]
     assert np.array_equal(ctx.vadd(col, bv[:50]), want)
@@ -158,19 +159,6 @@ def test_zech_addition_matches_digit_sums(p, n):
         assert np.array_equal(ctx.vadd(av, s), want)
         for j in (0, a[1], b[2]):
             assert int(ctx.vadd(s, np.int64(j))) == ref_add(ctx, c, j)
-
-
-@pytest.mark.parametrize("p", [257, 1021])
-def test_bootstrap_adds_digit_by_digit_past_the_sum_table(p):
-    # p^2 passes SUM_TABLE_ENTRIES, so there is no table of digit-chunk
-    # sums and _digit_add sums one digit at a time
-    ctx = field(p, 2)
-    assert ctx._sums == (1, None)
-    rng = random.Random(p)
-    a = [rng.randrange(ctx.order) for _ in range(2000)]
-    b = [rng.randrange(ctx.order) for _ in range(2000)]
-    assert np.array_equal(ctx._digit_add(np.array(a), np.array(b)),
-                          [ref_add(ctx, i, j) for i, j in zip(a, b)])
 
 
 @pytest.mark.parametrize("p,n", ZECH + [(3, 2), (13, 2)])
@@ -206,36 +194,45 @@ def test_scalar_add_and_neg_match_digit_sums_on_random_pairs(p, n):
     assert ctx.add_idx(0, 0) == 0 and ctx.add_idx(b, 0) == ctx.add_idx(0, b) == b
 
 
-def test_vadd_leaves_the_digit_bootstrap_once_built(monkeypatch, capsys):
-    bootstrap, build, vadd = FieldCtx._digit_add, FieldCtx._build_tables, FieldCtx.vadd
-    calls = {"bootstrap": 0, "vadd_after_build": 0}
+def ref_linear(ctx, m, x):
+    """Index of m times the digits of x, summed digit by digit mod p."""
+    ds = [x // ctx.p ** j % ctx.p for j in range(m.shape[1])]
+    return index(ctx, [sum(int(c) * d for c, d in zip(row, ds)) % ctx.p for row in m])
 
-    def build_then_seal(self):
-        build(self)
-        self.sealed = True
 
-    def guarded_bootstrap(self, a, b):
-        if getattr(self, "sealed", False):
-            raise AssertionError("digit bootstrap entered after make_field returned")
-        calls["bootstrap"] += 1
-        return bootstrap(self, a, b)
+# two and three chunks of input digits, 11-bit packed digits, and a prime field
+LINEAR = [(2, 12), (3, 11), (17, 5), (257, 2), (1021, 2), (1021, 1)]
 
-    def counted_vadd(self, a, b):
-        calls["vadd_after_build"] += getattr(self, "sealed", False)
-        return vadd(self, a, b)
 
-    monkeypatch.setattr(FieldCtx, "_build_tables", build_then_seal)
-    monkeypatch.setattr(FieldCtx, "_digit_add", guarded_bootstrap)
-    monkeypatch.setattr(FieldCtx, "vadd", counted_vadd)
-    for argv in (["additive", "--p", "3", "--n", "4", "--variant", "trace_g1",
-                  "--sub-degree", "1"],
-                 ["xh_lambda", "--p", "3", "--n", "4", "--variant", "involution_cor",
-                  "--sub-degree", "1", "--lam", "lambda2"],
-                 ["shift", "--p", "7", "--n", "2", "--variant", "trace_g1",
-                  "--sub-degree", "1", "--i", "1", "--delta", "1"]):
-        assert main(["construct", *argv, "--verify"]) == 0
-    assert '"status": "AGREE"' in capsys.readouterr().out
-    assert calls["bootstrap"] > 0 and calls["vadd_after_build"] > 0
+@pytest.mark.parametrize("p,n", LINEAR)
+def test_linear_map_matches_digit_by_digit_matrix_products(p, n):
+    ctx = field(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    square = [rng.integers(0, p, (n, n)) for _ in range(3)]
+    spans = [rng.integers(0, p, (n, w)) for w in range(1, n)]   # fewer input digits
+    low = np.zeros((n, n), dtype=np.int64)   # only the first output digit is nonzero
+    low[0] = rng.integers(0, p, n)
+    high = rng.integers(0, p, (n, n))   # ... or only the last
+    high[:-1] = 0
+    for m in square + spans + [low, high, np.zeros((n, n), dtype=np.int64)]:
+        top = p ** m.shape[1]
+        xs = np.append(rng.integers(0, top, 400), [0, 1, top - 1])
+        want = [ref_linear(ctx, m, int(x)) for x in xs]
+        got = ctx.linear_map(m)(xs)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # an int32 slice, as make_field passes its exp table, and a 2-d shape
+        assert ctx.linear_map(m)(xs[:400].astype(np.int32)).tolist() == want[:400]
+        assert ctx.linear_map(m)(xs[:400].reshape(20, 20)).ravel().tolist() == want[:400]
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 11), (1021, 2)])
+def test_make_field_builds_its_tables_without_field_addition(monkeypatch, p, n):
+    def no_vadd(self, a, b):
+        raise AssertionError("make_field added in the field it builds")
+
+    monkeypatch.setattr(FieldCtx, "vadd", no_vadd)
+    ctx = make_field(p, n)
+    assert np.array_equal(ctx._log[ctx._exp], np.arange(ctx.order - 1))
 
 
 # Whole fields whose log * e passes 2^31 for exponents near q - 2 (not GF(7^5),
