@@ -21,12 +21,10 @@ read by make_field) keeps that tractable, and a field whose tables would
 not fit in memory is refused before they are allocated.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
-the trace), each given as its matrix over GF(p) and applied by
-FieldCtx.linear_map without the field's own addition: each chunk of
-base-p digits of an index is looked up in a small table of its images,
-and the partial images are combined, by XOR for p = 2 and for odd p by
-plain integer addition of images whose digits are packed in bit fields
-wide enough that no sum carries, read back to base p by lookup.
+the trace) given by their matrices over GF(p): FieldCtx.linear_map looks
+each chunk of base-p digits of an index up in a small table of its images
+and combines the partial images without the field's own addition, by XOR
+for p = 2, and for odd p by adding images packed in carry-free bit fields.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ import math
 import os
 import resource
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +48,8 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 24
-# most points a chunk of digits spans (unless one digit spans more): the
-# size of a lookup table of linear_map, and of the whole-field image tables
-# of SparsePoly.eval_vec
+# most points a chunk of digits spans (or one digit, if more): the size of a
+# lookup table of linear_map, and of the whole-field tables of SparsePoly
 CHUNK_POINTS = 4096
 # points per slice when a whole field is evaluated slice by slice
 EVAL_CHUNK = 1 << 15
@@ -62,12 +59,6 @@ def _chunk_digits(p: int) -> int:
     """Input digits per lookup of linear_map: the most with p^chunk <=
     CHUNK_POINTS, and at least one."""
     return max(1, next(c for c in range(13) if p ** (c + 1) > CHUNK_POINTS))
-
-
-def _field_bits(p: int, chunks: int) -> int:
-    """Bits per output digit of an odd-p linear_map of that many input
-    chunks: each of the summed partial images adds at most p - 1 to a digit."""
-    return (chunks * (p - 1)).bit_length()
 
 
 def _is_prime(m: int) -> bool:
@@ -278,23 +269,21 @@ class FieldCtx:
     # A product of two such matrices is m1 @ m2 % p, the matrix of the
     # composed map; entries stay below p, so no int64 sum overflows.
 
-    def _matrix(self, cols: Iterable[int]) -> np.ndarray:
-        """The n x len(cols) matrix whose column j holds the digits of cols[j]."""
-        return np.array([self._decode(c) for c in cols], dtype=np.int64).reshape(-1, self.n).T
+    def _matrix(self, cols: Sequence[int]) -> np.ndarray:
+        """The n x len(cols) matrix whose column j holds the digits of index cols[j]."""
+        pows = np.array(self._p_pows, dtype=np.int64)
+        return np.asarray(cols, dtype=np.int64) // pows[:, None] % self.p
 
     def linear_map(self, m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator on index arrays of the GF(p)-linear map of m: n rows and
-        one column per input digit, column j the digits of the image of
-        index p^j.  Each chunk of self._chunk input digits is looked up in a
-        table of its p^chunk images, built once here from m alone, and the
-        k partial images are combined.  For p = 2 the tables are built by
-        XOR doubling and the images XORed.  For odd p an entry holds output
-        digit i in bits [b*i, b*i + b), b = bitlen(k*(p - 1)), so the
-        partial images add with plain + and no carry (make_field refuses a
-        field where n*b passes 63), and the sum is read back to base p by
-        lookups of a few b-bit fields at a time; one chunk's table holds
-        the indices themselves.  Output digits past m's last nonzero row
-        are 0 and are neither packed nor read back."""
+        one column per input digit, column j the digits of the image of p^j.
+        Each chunk of self._chunk input digits is looked up in a table of its
+        images, built here from m alone, and the k partial images combined:
+        XORed for p = 2.  For odd p, output digit i of an entry takes bits
+        [b*i, b*i + b), b = bitlen(k*(p - 1)), so the images add with no
+        carry (make_field refuses a field where n*b passes 63), and the sum
+        is read back to base p a few fields per lookup; one chunk's table
+        holds indices, and rows past m's last nonzero one are left out."""
         p, n, c = self.p, self.n, self._chunk
         m = np.asarray(m, dtype=np.int64)
         if n == 1:   # GF(p): the map is multiplication by m[0, 0]
@@ -309,7 +298,7 @@ class FieldCtx:
                 tabs.append(tab)
         else:
             m = m[:int(np.flatnonzero(m.any(axis=1)).max(initial=0)) + 1]
-            rows, b = len(m), _field_bits(p, len(los))
+            rows, b = len(m), (len(los) * (p - 1)).bit_length()
             weights = pows[:rows] if len(los) == 1 else np.int64(1) << b * np.arange(rows)
             for lo in los:
                 digs = np.zeros((rows, 1), dtype=np.int64)   # the images' digits so far
@@ -354,8 +343,7 @@ class FieldCtx:
         """Matrix of the GF(p)-linear map fn, an evaluator on index arrays
         (the eval_vec of a q-polynomial, say): column j holds the digits
         of fn(p^j), the image of basis vector j."""
-        pows = np.array(self._p_pows, dtype=np.int64)
-        return np.asarray(fn(pows), dtype=np.int64) // pows[:, None] % self.p
+        return self._matrix(fn(np.array(self._p_pows, dtype=np.int64)))
 
     def matpow(self, m: np.ndarray, e: int) -> np.ndarray:
         """m^e mod p, by repeated squaring: about 2 log2(e) products."""
@@ -555,8 +543,8 @@ class FieldCtx:
         return self.vpow(a, self._frob_exponent(sub_degree, i))
 
     def _trace_map(self, sub_degree: int) -> Callable[[np.ndarray], np.ndarray]:
-        return self.linear_map(self._matrix(self.trace_idx(pw, sub_degree)   # Tr(x^i)
-                                            for pw in self._p_pows))
+        return self.linear_map(self._matrix([self.trace_idx(pw, sub_degree)   # Tr(x^i)
+                                             for pw in self._p_pows]))
 
     def vtrace(self, a: np.ndarray, sub_degree: int) -> np.ndarray:
         return self._trace_map(sub_degree)(a)
@@ -785,8 +773,8 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
         raise BadParams(f"extension degree must be >= 1, got {n}")
     if p ** n > cap:
         raise CapExceeded(f"field size {p}^{n} exceeds cap {cap}")
-    chunks = -(-n // _chunk_digits(p))   # of the input digits of a linear map
-    if p != 2 and chunks > 1 and n * _field_bits(p, chunks) > 63:
+    k = -(-n // _chunk_digits(p))   # chunks of the input digits of a linear map
+    if p != 2 and k > 1 and n * (k * (p - 1)).bit_length() > 63:
         raise CapExceeded(f"the linear maps of GF({p}^{n}) pack more than 63 bits")
     # peak bytes per point while the tables are built (tracemalloc): three
     # table entries for p = 2 or n = 1 (exp, log and the arange that fills
