@@ -205,7 +205,7 @@ LINEAR = [(2, 12), (3, 11), (17, 5), (257, 2), (1021, 2), (1021, 1)]
 
 
 @pytest.mark.parametrize("p,n", LINEAR)
-def test_linear_map_matches_digit_by_digit_matrix_products(p, n):
+def test_matrix_evaluators_match_digit_by_digit_products(p, n):
     ctx = field(p, n)
     rng = np.random.default_rng(100 * p + n)
     square = [rng.integers(0, p, (n, n)) for _ in range(3)]
