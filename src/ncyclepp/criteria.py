@@ -306,17 +306,15 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
     succ = _positions(ys, ctx.vadd(phi_fn(ys), psi_fn(gv)))
     if succ is None:   # phi and psi commute, so fbar maps im(psi) into itself
         raise NcycleInternal("phi(y) + psi(g(y)) left the image of psi")
-    powers, maps = {1: m_phi}, {}
+    powers, maps = {}, {}
 
     def then(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         # a run followed by m more steps sums to phi^m(a) + b, phi additive;
         # m doubles from 1, so phi^m is the square of the last one.  Each
         # phi^m but the identity gets one evaluator, for every fold step.
         if m not in maps:
-            if m not in powers:
-                powers[m] = powers[m // 2] @ powers[m // 2] % ctx.p
-            identity = np.array_equal(powers[m], np.eye(ctx.n, dtype=np.int64))
-            maps[m] = None if identity else ctx.linear_map(powers[m])
+            pm = powers[m] = m_phi if m == 1 else powers[m // 2] @ powers[m // 2] % ctx.p
+            maps[m] = None if np.array_equal(pm, np.eye(ctx.n)) else ctx.linear_map(pm)
         return ctx.vadd(a if maps[m] is None else maps[m](a), b)
 
     acc = _orbit_fold(succ, gv, n, then)

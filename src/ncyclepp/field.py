@@ -760,7 +760,8 @@ def memory_budget(what: str, need: int):
 def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
                cap: Optional[int] = None) -> FieldCtx:
     """Construct GF(p^n), refused with CapExceeded past cap (field_cap()
-    when None) or when its tables would not fit in memory.
+    when None), when its linear maps would pack digits past 63 bits, or
+    when its tables would not fit in memory.
 
     modulus, when given, is the full coefficient list of a monic irreducible
     degree-n polynomial over GF(p), constant term first.  When omitted the

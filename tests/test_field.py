@@ -152,8 +152,7 @@ def test_packed_width_follows_p_and_n_alone(monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
 def test_trace_table_is_filled_slice_by_slice(p, n):
-    # 4 bytes a point of int32 trace values, and the buffers of one slice;
-    # a whole-field arange and its digit buffers took 24 and 42
+    # 4 bytes a point of int32 trace values, and the buffers of one slice
     ctx = make_field(p, n)
     tracemalloc.start()
     try:
