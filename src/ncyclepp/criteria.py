@@ -34,8 +34,8 @@ from .field import (
     FieldCtx, FieldElement, NcycleInternal, divisors, element_index,
 )
 from .polyperm import (
-    PermMap, SparsePoly, as_images, as_vector_fn, functional_power, is_ncycle,
-    perm_from_images, poly_add, poly_frob, require_perm,
+    PermMap, SparsePoly, as_images, as_vector_fn, functional_power, identity_perm,
+    is_ncycle, perm_from_images, poly_add, poly_frob, require_perm,
 )
 
 
@@ -111,7 +111,7 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
         raise NcycleInternal("twist must inherit the n-cycle property")
     witness = None
     if not twist_ok:
-        moved = functional_power(twist, n).images != ctx.varange()
+        moved = functional_power(twist, n).images != identity_perm(ctx).images
         witness = _element(ctx, np.flatnonzero(moved)[0])
     return CriterionVerdict(holds, witness, ctx.order,
                             extras={"twist_is_ncycle": bool(twist_ok)})

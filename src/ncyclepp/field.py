@@ -421,7 +421,11 @@ class FieldCtx:
         self._exp = exp
         self._log = log
         if self.p != 2 and self.n > 1:   # Z[k] = log(1 + g^k); x + 1 alters digit 0 only
-            self._zech = np.roll(log.reshape(-1, self.p), -1, axis=1).ravel()[exp]
+            self._zech = np.empty(q1, dtype=dtype)
+            for lo in range(0, q1, EVAL_CHUNK):
+                x = exp[lo:lo + EVAL_CHUNK] + 1
+                x -= (x // self.p * self.p == x) * self.p   # digit 0 was p - 1: it wraps
+                self._zech[lo:lo + EVAL_CHUNK] = log[x]
 
     # -- scalar index arithmetic ----------------------------------------------
 

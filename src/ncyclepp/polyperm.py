@@ -2,8 +2,9 @@
 
 Polynomials are canonical sparse sums c*x^e with strictly increasing
 exponents and no zero coefficients.  Maps over the field are materialized as
-full image tables (numpy int64 indices), so composition, inversion, iterated
-application, and cycle analysis all reduce to array gathers.
+full image tables of field.table_dtype indices (int32 up to 2^31 points), so
+composition, inversion, iterated application, and cycle analysis all reduce
+to array gathers.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import CHUNK_POINTS, EVAL_CHUNK, FieldCtx, FieldElement, memory_budget
+from .field import (CHUNK_POINTS, EVAL_CHUNK, FieldCtx, FieldElement, memory_budget,
+                    table_dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +380,21 @@ def _in_field(ctx: FieldCtx, images: np.ndarray) -> np.ndarray:
 
 
 def _checked_table(ctx: FieldCtx, fn) -> np.ndarray:
-    """The image table of a PermMap or array, not copied, once it has one
-    image per point, each inside the field."""
+    """The image table of a PermMap or array in table_dtype, once it has
+    one image per point, each inside the field; not copied when it is of
+    table_dtype already.  A wider table is narrowed only after that check,
+    so no value outside the field is wrapped into it."""
     if isinstance(fn, PermMap):
         if fn.ctx.key != ctx.key:
             raise BadParams("permutation belongs to a different field")
-        return _in_field(ctx, fn.images)
-    table = np.asarray(fn, dtype=np.int64)
-    if table.shape != (ctx.order,):
-        raise BadParams(f"image table must have length {ctx.order}")
-    return _in_field(ctx, table)
+        table = fn.images
+    else:
+        table = np.asarray(fn)
+        if table.dtype.kind not in "iu":   # floats and bools are read as int64
+            table = table.astype(np.int64)
+        if table.shape != (ctx.order,):
+            raise BadParams(f"image table must have length {ctx.order}")
+    return _in_field(ctx, table).astype(table_dtype(ctx.order), copy=False)
 
 
 def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
@@ -418,13 +425,13 @@ def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
 
 def as_images(ctx: FieldCtx, fn) -> np.ndarray:
     """Materialize fn (anything as_vector_fn accepts) over the whole field
-    as an int64 image table; a table is checked, not copied.  Anything else
-    is evaluated in slices of EVAL_CHUNK points, each made by np.arange, so
-    no q-entry array but the result is held at once."""
+    as an image table of table_dtype; a table is checked by _checked_table.
+    Anything else is evaluated in slices of EVAL_CHUNK points, each made by
+    np.arange, so no q-entry array but the result is held at once."""
     if isinstance(fn, (PermMap, np.ndarray)):
         return _checked_table(ctx, fn)
     vec = as_vector_fn(ctx, fn)
-    out = np.empty(ctx.order, dtype=np.int64)
+    out = np.empty(ctx.order, dtype=table_dtype(ctx.order))
     for lo in range(0, ctx.order, EVAL_CHUNK):
         hi = min(lo + EVAL_CHUNK, ctx.order)
         out[lo:hi] = vec(np.arange(lo, hi, dtype=np.int64))
@@ -433,13 +440,18 @@ def as_images(ctx: FieldCtx, fn) -> np.ndarray:
 
 def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
     """The permutation given by images (anything as_images accepts), or
-    evidence that it is not a bijection."""
+    evidence that it is not a bijection: q images are a bijection when
+    they reach every point, which a bool mark decides in 1 byte a point.
+    The evidence is the least point not reached and the first two inputs
+    whose image is the least one reached twice."""
     images = as_images(ctx, images)
-    counts = np.bincount(images, minlength=ctx.order)
-    if counts.max(initial=0) <= 1:
+    seen = np.zeros(ctx.order, dtype=bool)
+    seen[images] = True
+    if seen.all():
         return PermMap(ctx, images)
-    missing = int(np.flatnonzero(counts == 0)[0])
-    dup = int(np.flatnonzero(counts > 1)[0])
+    missing = int(np.argmin(seen))
+    ordered = np.sort(images)
+    dup = ordered[np.argmax(ordered[1:] == ordered[:-1])]
     pre = np.flatnonzero(images == dup)[:2]
     return NotBijective(missing, (int(pre[0]), int(pre[1])))
 
@@ -452,7 +464,7 @@ def require_perm(ctx: FieldCtx, fn) -> PermMap:
 
 
 def identity_perm(ctx: FieldCtx) -> PermMap:
-    return PermMap(ctx, ctx.varange())
+    return PermMap(ctx, np.arange(ctx.order, dtype=table_dtype(ctx.order)))
 
 
 def compose(f: PermMap, g: PermMap) -> PermMap:
@@ -463,8 +475,9 @@ def compose(f: PermMap, g: PermMap) -> PermMap:
 
 
 def invert(f: PermMap) -> PermMap:
-    inv = np.empty_like(f.images)
-    inv[f.images] = f.ctx.varange()
+    points = identity_perm(f.ctx).images
+    inv = np.empty_like(points)
+    inv[f.images] = points
     return PermMap(f.ctx, inv)
 
 
@@ -479,7 +492,7 @@ def functional_power(f: PermMap, k: int) -> PermMap:
         k >>= 1
         if k:
             b = b[b]
-    return PermMap(f.ctx, f.ctx.varange() if r is None else r)
+    return identity_perm(f.ctx) if r is None else PermMap(f.ctx, r)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +525,9 @@ def cycle_structure(pm: PermMap) -> CycleReport:
     the least point of its cycle, once label is constant along f^s for an
     s dividing w (s = 1 first, then s = w): on a cycle of more than w
     points, the w points labelled with its least point form an arc that no
-    such shift maps into itself.  The labels' counts are the cycle sizes."""
-    f, label = pm.images, pm.ctx.varange()
+    such shift maps into itself.  Sorted in place, the labels run through
+    each cycle once, and the run lengths are the cycle sizes."""
+    f, label = pm.images, identity_perm(pm.ctx).images
     np.minimum(label, f, out=label)
     if not np.array_equal(label[f], label):
         jump = f[f]
@@ -522,24 +536,33 @@ def cycle_structure(pm: PermMap) -> CycleReport:
             del shifted   # f, label, jump and jump^2: four tables at most
             jump = jump[jump]
         del jump, shifted
-    counts = np.bincount(np.bincount(label))   # counts[L]: cycles of size L
+    label.sort()
+    edge = np.ones(label.size + 1, dtype=bool)   # run bounds: 0, each new label, q
+    np.not_equal(label[1:], label[:-1], out=edge[1:-1])
+    del label   # with q cycles, as for the identity: f, edge and 8 bytes a bound
+    bounds = edge.nonzero()[0]
+    # in place, with no copy: each difference is written behind the bounds it reads
+    lengths = np.subtract(bounds[1:], bounds[:-1], out=bounds[:-1])
+    counts = np.bincount(lengths)   # counts[L]: cycles of size L
     sizes = np.flatnonzero(counts[1:]) + 1
     ctype = tuple(zip(sizes.tolist(), counts[sizes].tolist()))
     return CycleReport(True, lcm(*sizes.tolist()), ctype, dict(ctype).get(1, 0))
 
 
 # bytes per point a whole-field cycle analysis holds at once (tracemalloc):
-# four int64 arrays, the image table and the engine's label, jump and jump^2
-# (or a composed power and the identity), and a bool mask
-WHOLE_FIELD_BYTES = 33
+# four int32 arrays, the image table and the engine's label, jump and jump^2
+# (or a composed power, its square and the last power), and a bool mask;
+# twice that for a field past 2^31 points, whose tables are int64
+WHOLE_FIELD_BYTES = 17
 
 
 def whole_field_budget(ctx: FieldCtx):
     """memory_budget for a map's image table and its cycle analysis, next
     to the field's own tables."""
     tables = sum(t.nbytes for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
+    wide = np.dtype(table_dtype(ctx.order)).itemsize // 4
     return memory_budget(f"the whole-field arrays of GF({ctx.p}^{ctx.n})",
-                         WHOLE_FIELD_BYTES * ctx.order + tables)
+                         WHOLE_FIELD_BYTES * ctx.order * wide + tables)
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
@@ -549,7 +572,7 @@ def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
         images = as_images(ctx, fn)
         got = perm_from_images(ctx, images)
         if isinstance(got, NotBijective):
-            fixed = int(np.count_nonzero(images == ctx.varange()))
+            fixed = int(np.count_nonzero(images == identity_perm(ctx).images))
             return CycleReport(False, None, (), fixed)
         return cycle_structure(got)
 

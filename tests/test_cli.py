@@ -360,13 +360,22 @@ def test_tables_past_the_address_space_exit_three_at_once():
     ["verify", "--p", "2", "--n", "24", "--poly", "x^(q-2)", "--cycle", "2"],
     ["order", "--p", "2", "--n", "24", "--poly", "x^4"]], ids=["verify", "order"])
 def test_whole_field_arrays_past_the_address_space_exit_three(argv):
-    # GF(2^24)'s tables fit in a 600 MiB address space, but the oracle's
-    # image table and cycle engine (33 bytes a point) do not fit beside them:
-    # refused before the first of those arrays, not a MemoryError traceback
-    proc = run_cli(argv, address_space=600 << 20)
+    # GF(2^24)'s tables fit in a 370 MiB address space, but the oracle's
+    # image table and cycle engine (17 bytes a point) do not fit beside them,
+    # 399 MiB in all: refused before the first of those arrays, not a
+    # MemoryError traceback
+    proc = run_cli(argv, address_space=370 << 20)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: the whole-field arrays of GF(2^24) take about")
+
+
+def test_verify_at_the_cap_runs_in_600_mib():
+    # the int32 image table and cycle engine fit beside GF(2^24)'s tables
+    argv = ["verify", "--p", "2", "--n", "24", "--poly", "x^(q-2)", "--cycle", "2"]
+    capped = run_cli(argv, address_space=600 << 20)
+    assert capped.returncode == 0, capped.stderr
+    assert capped.stdout == run_cli(argv).stdout
 
 
 @pytest.mark.parametrize("poly,cycle", [("x^(9^9^9)", "2"), ("x^2", "2^(10^12)")])

@@ -1,6 +1,7 @@
 """Brute-force oracle: image-table verdicts, cross-checks, seeded fuzzing."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,9 +134,9 @@ class TestExhaustiveVerdict:
         lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
         ids=["exhaustive_verdict", "cycle_report_for_fn"])
     def test_whole_field_arrays_are_budgeted_before_the_first(self, monkeypatch, run):
-        # 33 bytes a point beside the field's tables, int32 exp and log here
+        # 17 bytes a point beside the field's tables, int32 exp and log here
         ctx = field(2, 10)
-        need = 33 * 1024 + 8 * 1023 + 4   # exp has q - 1 entries
+        need = 17 * 1024 + 8 * 1023 + 4   # exp has q - 1 entries
         calls = []
 
         def fn(xs):
@@ -149,6 +150,24 @@ class TestExhaustiveVerdict:
         monkeypatch.setattr(field_mod, "_memory_bytes", lambda: need)
         run(ctx, fn)
         assert calls == [1024]
+
+    @pytest.mark.parametrize("run", [
+        lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
+        lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
+        ids=["exhaustive_verdict", "cycle_report_for_fn"])
+    @pytest.mark.parametrize("text", ["x^(q-2)", "x^4"])
+    def test_whole_field_arrays_peak_at_18_bytes_a_point(self, run, text):
+        # int32 image table, labels and jumps: 13 and 17 bytes a point
+        # (tracemalloc), 25 and 33 when they were int64
+        ctx = field(2, 20)
+        poly = SparsePoly.from_text(ctx, text, {"q": ctx.order})
+        tracemalloc.start()
+        try:
+            run(ctx, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * ctx.order, peak / ctx.order
 
     @pytest.mark.parametrize("run", [
         lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),

@@ -12,7 +12,7 @@ from ncyclepp.criteria import (
     xh_lambda_criterion,
 )
 from ncyclepp.errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from ncyclepp.field import divisors
+from ncyclepp.field import divisors, table_dtype
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
@@ -296,6 +296,9 @@ BAD_MAPS = {
     "wrong_shape_callable": lambda ctx: (lambda v: np.zeros(3, dtype=np.int64)),
     "negative_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) - 1,
     "out_of_range_table": lambda ctx: np.arange(ctx.order, dtype=np.int64) + 1,
+    # 2^32 + 1 wraps to 1 in int32, which would make this a permutation
+    "wrapping_table": lambda ctx: np.concatenate(
+        ([2 ** 32 + 1, 0], np.arange(2, ctx.order, dtype=np.int64))),
     "foreign_polynomial": lambda ctx: SparsePoly.monomial(field(7, 1), 1),
     "foreign_permutation": lambda ctx: identity_perm(field(7, 1)),
 }
@@ -372,6 +375,51 @@ def test_as_images_holds_the_result_and_one_slice():
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * ctx.order, (text, peak / (8 * ctx.order))
         assert images[:64].tolist() == [poly.eval_idx(i) for i in range(64)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_perm_maps_hold_table_dtype(p, n):
+    # int32 image tables, from int64 input too, and from every constructor
+    ctx = field(p, n)
+    poly = SparsePoly.from_text(ctx, "x^(q-2)", {"q": ctx.order})
+    wide = poly.eval_vec(ctx.varange())
+    pm = perm_from_images(ctx, wide)
+    made = [as_images(ctx, poly), as_images(ctx, wide), as_images(ctx, PermMap(ctx, wide)),
+            as_images(ctx, lambda xs: poly.eval_vec(xs)), pm.images,
+            perm_from_images(ctx, poly).images, identity_perm(ctx).images,
+            invert(pm).images, functional_power(pm, 0).images,
+            functional_power(pm, 3).images, functional_power(pm, -2).images]
+    assert wide.dtype == np.int64
+    assert [a.dtype for a in made] == [table_dtype(ctx.order)] * len(made)
+    assert np.array_equal(pm.images, wide)
+
+
+def _bincount_witness(images: np.ndarray, q: int) -> NotBijective:
+    """The witness rule of the int64 oracle: the least count of zero, and
+    the first two inputs of the least image counted twice."""
+    counts = np.bincount(images, minlength=q)
+    dup = int(np.flatnonzero(counts > 1)[0])
+    pre = np.flatnonzero(images == dup)[:2]
+    return NotBijective(int(np.flatnonzero(counts == 0)[0]), (int(pre[0]), int(pre[1])))
+
+
+@given(st.sampled_from([(2, 8), (3, 5)]), st.data())
+def test_not_bijective_witness_matches_the_bincount_rule(pn, data):
+    # a permutation with some images overwritten by others, or any table
+    ctx = field(*pn)
+    q = ctx.order
+    if data.draw(st.booleans()):
+        images = np.array(data.draw(st.permutations(range(q))))
+        pairs = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+        for i, j in data.draw(st.lists(pairs, min_size=1, max_size=8)):
+            images[i] = images[j]
+    else:
+        images = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q)))
+    got = perm_from_images(ctx, images)
+    if np.unique(images).size == q:
+        assert isinstance(got, PermMap)
+    else:
+        assert got == _bincount_witness(images, q)
 
 
 def test_compose_invert_power_against_loops():
