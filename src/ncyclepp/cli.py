@@ -32,9 +32,10 @@ from .criteria import (
 )
 from .errors import BadParams, CapExceeded, NcycleError, NotPermutation
 from .families import (
-    build_additive, build_jieguo, build_rs_2to3m, build_shift,
-    build_trace_theta, build_xh_lambda, build_xq_h_alpha, lambda_map,
-    lambda_spec, search_k_2to3m, solve_jieguo_congruences,
+    ADDITIVE_VARIANTS, SHIFT_VARIANTS, XH_VARIANTS, build_additive, build_jieguo,
+    build_rs_2to3m, build_shift, build_trace_theta, build_xh_lambda,
+    build_xq_h_alpha, lambda_map, lambda_spec, search_k_2to3m,
+    solve_jieguo_congruences,
 )
 from .field import FieldCtx, make_field
 from .oracle import cross_check, exhaustive_verdict, random_family_fuzz
@@ -312,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = family_parser("xh_lambda")
     _add_field_opts(fp)
-    fp.add_argument("--variant", required=True,
-                    choices=("theta_cor", "involution_cor", "abc_cor",
-                             "custom_h"))
+    fp.add_argument("--variant", required=True, choices=XH_VARIANTS)
     fp.add_argument("--sub-degree", type=int, required=True)
     fp.add_argument("--lam", default="lambda1",
                     choices=("lambda1", "lambda2"))
@@ -327,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = family_parser("additive")
     _add_field_opts(fp)
-    fp.add_argument("--variant", required=True,
-                    choices=("trace_g1", "power_g2", "c_trace_q2",
-                             "xq_g_trace"))
+    fp.add_argument("--variant", required=True, choices=ADDITIVE_VARIANTS)
     fp.add_argument("--sub-degree", type=int, required=True)
     fp.add_argument("--H", default=None, help="polynomial text")
     fp.add_argument("--psi", default=None, help="polynomial text")
@@ -339,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = family_parser("shift")
     _add_field_opts(fp)
-    fp.add_argument("--variant", required=True,
-                    choices=("trace_g1", "power_g2"))
+    fp.add_argument("--variant", required=True, choices=SHIFT_VARIANTS)
     fp.add_argument("--sub-degree", type=int, required=True)
     fp.add_argument("--i", required=True)
     fp.add_argument("--delta", required=True, help="element literal")

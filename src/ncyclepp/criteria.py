@@ -14,9 +14,9 @@ decide them without whole-field arrays: a reduced polynomial is exactly one
 map of the field (Lidl & Niederreiter, Thm 7.1), so a map identity is a
 comparison of coefficients, and an additive polynomial is an n x n matrix
 over GF(p), whose rank, powers and products give bijectivity, the n-cycle
-property and commutation, and whose column space is the image.  Only a
-failed bijection or scaling law, for its witness, or a part given as a
-callable takes the whole field.  The others check by exhaustion.
+property and commutation, and whose column space is the image.  A witness
+is the first hit of a scan from 0 (polyperm.first_index); only _subfield_image
+evaluates a map on the whole field.  The others check by exhaustion.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from .field import (
     FieldCtx, FieldElement, NcycleInternal, divisors, element_index,
 )
 from .polyperm import (
-    PermMap, SparsePoly, as_images, as_vector_fn, functional_power, identity_perm,
-    is_ncycle, perm_from_images, poly_add, poly_frob, require_perm,
+    NotBijective, PermMap, SparsePoly, as_images, as_vector_fn, first_index,
+    functional_power, is_ncycle, perm_from_images, poly_add, poly_frob, require_perm,
 )
 
 
@@ -105,16 +105,14 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
     if not is_ncycle(base, n):
         raise PrereqNotNcycle(f"base map is not an n-cycle for n={n}")
     holds = (n * i) % m == 0
-    twist = PermMap(ctx, ctx.vfrob(base.images, sub_degree, i))
-    twist_ok = is_ncycle(twist, n)
-    if holds and not twist_ok:
+    twist = as_images(ctx, lambda xs: ctx.vfrob(base.images[xs], sub_degree, i))
+    power = functional_power(PermMap(ctx, twist), n).images
+    moved = first_index(ctx, lambda xs: power[xs] != xs)
+    if holds and moved is not None:
         raise NcycleInternal("twist must inherit the n-cycle property")
-    witness = None
-    if not twist_ok:
-        moved = functional_power(twist, n).images != identity_perm(ctx).images
-        witness = _element(ctx, np.flatnonzero(moved)[0])
+    witness = None if moved is None else _element(ctx, moved)
     return CriterionVerdict(holds, witness, ctx.order,
-                            extras={"twist_is_ncycle": bool(twist_ok)})
+                            extras={"twist_is_ncycle": moved is None})
 
 
 # ---------------------------------------------------------------------------
@@ -164,42 +162,30 @@ def _orbit_fold(succ: np.ndarray, vals: np.ndarray, n: int, combine):
 IMAGE_SAMPLES = 32
 
 
-def _subfield_image(ctx: FieldCtx, lam: SparsePoly) -> np.ndarray | None:
-    """The sorted image of the reduced polynomial lam when it is a whole
-    subfield GF(p^d), found without evaluating lam on the field; else None.
+def _subfield_image(ctx: FieldCtx, lam, reduced: SparsePoly | None) -> np.ndarray:
+    """The sorted image of lam, whose reduced polynomial is reduced (None
+    for a callable lam or one past the term cap).
 
     lam^(p^d) = lam as reduced polynomials puts the image inside GF(p^d),
-    for the least such d whose IMAGE_SAMPLES * p^d seeded sample points,
-    0 among them, stay fewer than the field; a preimage of every value of
-    GF(p^d) among those points makes the image all of it.  None when no
-    such d exists or when the sample misses a value."""
-    for d in divisors(ctx.n):
-        size = ctx.p ** d
-        if IMAGE_SAMPLES * size >= ctx.order:
-            return None
-        if poly_frob(lam, d).terms == lam.terms:
-            break
-    sample = random.Random(0).sample(range(1, ctx.order), IMAGE_SAMPLES * size)
-    values = np.sort(lam.eval_vec(np.array([0, *sample], dtype=np.int64)))
-    if np.count_nonzero(values[1:] != values[:-1]) + 1 < size:
-        return None
-    return ctx.subfield_indices(d)
-
-
-def _check_scaling(ctx: FieldCtx, lam_images: np.ndarray, k: SparsePoly,
-                   scalars) -> None:
-    """The scaling law on the whole field, for each scalar in turn; raises
-    at the first scalar that breaks it, with a point where it does.
-    lam_images is lam over the field, so lam(a*x) is a gather of it."""
-    allx = ctx.varange()
-    for a in scalars:
-        lhs = lam_images[ctx.vmul(np.int64(a), allx)]
-        rhs = ctx.vmul(np.int64(k.eval_idx(a)), lam_images)
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            raise HypothesisViolated(
-                "scaling law fails",
-                witness=(_element(ctx, a), _element(ctx, bad[0])))
+    for the least such d; a preimage of every value of GF(p^d) among
+    IMAGE_SAMPLES * p^d seeded sample points, 0 among them, makes the
+    image all of it.  When that many points would cover the field, the
+    sample is every point, through as_images.  An uncertified sample's
+    image, and a callable lam's, are found exactly from the whole field;
+    as_images refuses a malformed or foreign lam."""
+    if reduced is None:
+        return np.unique(as_images(ctx, lam))
+    d = next(d for d in divisors(ctx.n) if poly_frob(reduced, d).terms == reduced.terms)
+    size = ctx.p ** d
+    whole = IMAGE_SAMPLES * size >= ctx.order
+    if whole:
+        values = np.unique(as_images(ctx, lam))
+    else:
+        sample = random.Random(0).sample(range(1, ctx.order), IMAGE_SAMPLES * size)
+        values = np.unique(lam.eval_vec(np.array([0, *sample], dtype=np.int64)))
+    if len(values) == size:
+        return ctx.subfield_indices(d)
+    return values if whole else np.unique(as_images(ctx, lam))
 
 
 def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
@@ -211,12 +197,12 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
     in h(image) together with 1.  Under those, f is an n-cycle iff the
     orbit product of h along y * k(h(y)) is 1 at every nonzero image point.
 
-    When lambda is a SparsePoly its image is found by _subfield_image and
-    the scaling law is compared term by term, so nothing runs over the
-    whole field; a callable lambda (or one past the term cap), an image
-    that is no certified subfield, and a failed law (for its witness) take
-    the whole field.  The orbit products are folded by doubling,
-    O(|image| log n)."""
+    lambda's image comes from _subfield_image, which certifies a subfield
+    from a sample when lambda is a SparsePoly.  The scaling law of a
+    SparsePoly lambda is compared term by term; a scalar that fails it,
+    and a callable lambda's scalars but a = 1 with k(1) = 1, are checked
+    by first_index, whose first hit is the witness.  The orbit products
+    are folded by doubling, O(|image| log n)."""
     if n < 1:
         raise BadParams("n must be positive")
     if h.eval_idx(0) == 0:
@@ -229,11 +215,7 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
                    else None)
     except CapExceeded:
         reduced = None
-    image = None if reduced is None else _subfield_image(ctx, reduced)
-    lam_images = None
-    if image is None:   # as_images refuses a malformed or foreign lam
-        lam_images = as_images(ctx, lam)
-        image = np.unique(lam_images)
+    image = _subfield_image(ctx, lam, reduced)
 
     hv = h.eval_vec(image)
     kv = k.eval_vec(hv)
@@ -242,13 +224,18 @@ def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
         raise HypothesisViolated("y*k(h(y)) does not permute the lambda image")
 
     # lam(a*x) and k(a)*lam(x) are reduced polynomials over lam's exponents,
-    # so they agree iff c*a^e = k(a)*c, that is a^e = k(a), for each term
-    scalars = sorted(set(hv.tolist()) | {1})
-    if reduced is None or not all(ctx.pow_idx(a, e) == k.eval_idx(a)
-                                  for a in scalars for _, e in reduced.terms):
-        if lam_images is None:
-            lam_images = as_images(ctx, lam)
-        _check_scaling(ctx, lam_images, k, scalars)
+    # so they agree iff c*a^e = k(a)*c, that is a^e = k(a), for each term;
+    # at a = 1 that is k(1) = 1, whatever lam is
+    scalars = [a for a in sorted(set(hv.tolist()) | {1})
+               if (a != 1 or k.eval_idx(1) != 1) and (reduced is None or any(
+                   ctx.pow_idx(a, e) != k.eval_idx(a) for _, e in reduced.terms))]
+    lam_fn = as_vector_fn(ctx, lam)
+    for a in scalars:   # the law at each x in turn; the first failure is the witness
+        a, ka = np.int64(a), np.int64(k.eval_idx(a))
+        x = first_index(ctx, lambda xs: lam_fn(ctx.vmul(a, xs)) != ctx.vmul(ka, lam_fn(xs)))
+        if x is not None:
+            raise HypothesisViolated("scaling law fails",
+                                     witness=(_element(ctx, a), _element(ctx, x)))
 
     nonzero = image != 0
     ys = image[nonzero]
@@ -280,12 +267,14 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
     Additive maps are GF(p)-linear, so the hypotheses are decided on their
     n x n matrices M over GF(p): phi is a bijection iff rank M_phi = n, an
     n-cycle iff M_phi^n = I, and commutes with psi iff the matrices do.
-    The image of psi is the span of M_psi's columns.  A failed bijection
-    takes its witness from whole-field arrays.  A failed commutation's
-    witness is the least index outside the kernel of
-    D = M_phi M_psi - M_psi M_phi: every index below p^j lies in the span
-    of the first j basis vectors, so it is p^j for the first nonzero
-    column j of D.  The sums are folded by doubling, O(|image| log n)."""
+    The image of psi is the span of M_psi's columns.  An index below p^j
+    lies in the span of the first j basis vectors, so the least index
+    outside a subspace is p^j for its first basis vector e_j outside it:
+    the point a phi that is no bijection misses (outside M_phi's columns;
+    named with the collision of 0 and phi's least nonzero root, found by
+    first_index), and a failed commutation's witness (outside the kernel
+    of D = M_phi M_psi - M_psi M_phi: the first nonzero column j of D).
+    The sums are folded by doubling, O(|image| log n)."""
     if n < 1:
         raise BadParams("n must be positive")
     for name, poly in (("phi", phi), ("psi", psi)):
@@ -293,9 +282,14 @@ def additive_criterion(ctx: FieldCtx, phi: SparsePoly, psi: SparsePoly, g,
             raise HypothesisViolated(f"{name} is not additive")
     phi_fn, psi_fn = as_vector_fn(ctx, phi), as_vector_fn(ctx, psi)
     m_phi, m_psi = ctx.linear_matrix(phi_fn), ctx.linear_matrix(psi_fn)
-    if not np.array_equal(ctx.matpow(m_phi, n), np.eye(ctx.n, dtype=np.int64)):
-        if len(ctx.image_basis(m_phi)) < ctx.n:
-            require_perm(ctx, phi)   # raises, naming a collision
+    eye = np.eye(ctx.n, dtype=np.int64)
+    if not np.array_equal(ctx.matpow(m_phi, n), eye):
+        rank = len(ctx.image_basis(m_phi))
+        if rank < ctx.n:   # additive: 0 is reached by every root of phi
+            j = next(j for j in range(ctx.n)
+                     if len(ctx.image_basis(np.column_stack((m_phi, eye[:, j])))) > rank)
+            root = first_index(ctx, lambda xs: (phi_fn(xs) == 0) & (xs != 0))
+            raise NotPermutation(NotBijective(ctx.p ** j, (0, root)).describe())
         raise PrereqNotNcycle(f"phi is not an n-cycle for n={n}")
     cols = np.flatnonzero(((m_phi @ m_psi - m_psi @ m_phi) % ctx.p).any(axis=0))
     if cols.size:

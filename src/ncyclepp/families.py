@@ -37,7 +37,7 @@ from .field import (
     FieldCtx, FieldElement, NcycleInternal, element_index, field_cap, make_field,
 )
 from .polyperm import (
-    POLY_TERM_CAP, SparsePoly, as_images, as_vector_fn, map_exp, poly_add,
+    POLY_TERM_CAP, SparsePoly, as_vector_fn, first_index, map_exp, poly_add,
     poly_compose, poly_frob, poly_mul, poly_pow,
 )
 
@@ -483,14 +483,13 @@ def build_additive(ctx: FieldCtx, variant: str, *, sub_degree: int,
         # the cycle argument needs g's outputs inside ker(psi) on the whole
         # field, which the variant shapes guarantee; verify anyway.  g^q = g
         # as reduced polynomials (one map each, L&N Thm 7.1) puts them in
-        # GF(q), where psi vanishes; failing that, psi(g(x)) = 0 is checked
-        # on the field
+        # GF(q), where psi vanishes; failing that, the first x with
+        # psi(g(x)) != 0 is looked for on the field
         if not (isinstance(g_obj, SparsePoly)
                 and poly_frob(g_obj, sub_degree) == g_obj):
-            bad = np.flatnonzero(as_images(ctx, lambda xs: psip.eval_vec(g_fn(xs))))
-            if bad.size:
-                raise KernelViolation(
-                    "psi(g(x)) != 0", witness=ctx.element(int(bad[0])))
+            bad = first_index(ctx, lambda xs: psip.eval_vec(g_fn(xs)) != 0)
+            if bad is not None:
+                raise KernelViolation("psi(g(x)) != 0", witness=ctx.element(bad))
         psi_im = ctx.linear_image(psip.eval_vec)
         degenerate = bool((g_fn(psi_im) == 0).all())
         phi = x1

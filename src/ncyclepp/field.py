@@ -781,10 +781,10 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
     k = -(-n // _chunk_digits(p))   # chunks of the input digits of a linear map
     if p != 2 and k > 1 and n * (k * (p - 1)).bit_length() > 63:
         raise CapExceeded(f"the linear maps of GF({p}^{n}) pack more than 63 bits")
-    # peak bytes per point while the tables are built (tracemalloc): three
-    # table entries for p = 2 or n = 1 (exp, log and the arange that fills
-    # log), six for odd p and n > 1, whose exp doubling adds digits in int64
-    need = p ** n * (3 if p == 2 or n == 1 else 6) * np.dtype(table_dtype(p ** n)).itemsize
+    # peak table entries per point while the tables are built (tracemalloc):
+    # three for p = 2 or n = 1 (exp, log and the arange that fills log), five
+    # for odd p and n > 1 (4.02 at most on GF(3^12), GF(5^8), GF(7^7), GF(4093^2))
+    need = p ** n * (3 if p == 2 or n == 1 else 5) * np.dtype(table_dtype(p ** n)).itemsize
     with memory_budget(f"the tables of GF({p}^{n})", need):
         if modulus is None:
             coeffs = _first_irreducible(p, n)

@@ -438,6 +438,17 @@ def as_images(ctx: FieldCtx, fn) -> np.ndarray:
     return out
 
 
+def first_index(ctx: FieldCtx, test) -> int | None:
+    """The least index where test, a vectorized test on int64 index arrays,
+    holds, or None: scanned in slices of EVAL_CHUNK points from 0, as
+    as_images evaluates, up to the first slice with a hit."""
+    for lo in range(0, ctx.order, EVAL_CHUNK):
+        hits = np.flatnonzero(test(np.arange(lo, min(lo + EVAL_CHUNK, ctx.order))))
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
 def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
     """The permutation given by images (anything as_images accepts), or
     evidence that it is not a bijection: q images are a bijection when

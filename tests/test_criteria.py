@@ -79,6 +79,24 @@ def test_twist_insufficient_case_with_witness():
     assert int(t[int(t[w.i])]) != w.i
 
 
+def test_twist_table_is_int32_and_composed_once(monkeypatch):
+    # the twist's image table is built in table_dtype, not vfrob's int64,
+    # and its n-th power is composed once, for the verdict and the witness
+    import ncyclepp.criteria as criteria_mod
+    seen, plain = [], criteria_mod.functional_power
+
+    def spy(f, k):
+        seen.append((f.images.dtype, k))
+        return plain(f, k)
+
+    monkeypatch.setattr(criteria_mod, "functional_power", spy)
+    ctx = field(2, 6)
+    v = frobenius_twist_ncycle(ctx, SparsePoly.from_text(ctx, "x^62"), i=1, n=2,
+                               sub_degree=2)
+    assert not v.holds and v.witness is not None
+    assert seen == [(np.int32, 2)]
+
+
 def test_twist_condition_implies_twist_ncycle():
     ctx = field(2, 6)
     q1 = ctx.order - 1

@@ -5,7 +5,10 @@ their builders decide every hypothesis on coefficients and GF(p)-matrices,
 so ctx.varange and SparsePoly.eval_vec over the whole field never run inside
 them.  (On fields of at most CHUNK_POINTS points the evaluator still keeps
 each polynomial's image table; past that it keeps no q-sized array.)
-A failed commutation takes its witness from the matrices too, and it must
+On the fuzz fields GF(3^4), GF(5^2) and GF(7^2), where lambda's image is
+taken from every point, _subfield_image is the one caller of as_images, and
+no ctx.varange, require_perm or perm_from_images runs, failed hypotheses
+included.  A failed commutation takes its witness from the matrices, and it must
 be the first point where brute force sees the two maps disagree.  Their
 orbit sums are folded by doubling, which must give the old n-step loop's
 values for every n, and a claimed length like 10^40 must not hang the
@@ -20,10 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncyclepp.criteria as criteria_mod
+import ncyclepp.polyperm as polyperm_mod
 from ncyclepp.criteria import (
     ShiftParams, additive_criterion, shift_criterion, xh_lambda_criterion,
 )
-from ncyclepp.errors import HypothesisViolated
+from ncyclepp.errors import (
+    HypothesisViolated, NcycleError, NotPermutation, PrereqNotNcycle,
+)
 from ncyclepp.families import (
     build_additive, build_shift, build_xh_lambda, lambda_poly, lambda_spec,
 )
@@ -51,6 +58,73 @@ def no_whole_field(monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "varange", varange)
     monkeypatch.setattr(SparsePoly, "eval_vec", eval_vec)
+
+
+@pytest.fixture
+def no_field_scan(monkeypatch):
+    """Make ctx.varange, require_perm and perm_from_images raise, and
+    as_images too unless _subfield_image calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole-field array or permutation check ran")
+
+    plain = polyperm_mod.as_images
+
+    def as_images(ctx, fn):
+        caller = sys._getframe(1).f_code.co_name
+        assert caller == "_subfield_image", f"as_images called from {caller}"
+        return plain(ctx, fn)
+
+    monkeypatch.setattr(FieldCtx, "varange", refuse)
+    for module in (polyperm_mod, criteria_mod):
+        monkeypatch.setattr(module, "require_perm", refuse)
+        monkeypatch.setattr(module, "perm_from_images", refuse)
+    monkeypatch.setattr(polyperm_mod, "as_images", refuse)
+    monkeypatch.setattr(criteria_mod, "as_images", as_images)
+
+
+@pytest.mark.parametrize("pn", [(3, 4), (5, 2), (7, 2)])
+def test_fuzz_fields_take_no_whole_field_path_but_the_lambda_image(pn, no_field_scan):
+    # the fuzz fields, where 32*p^d covers the field, so lambda's image is
+    # taken from every point; verdicts, failed hypotheses and their
+    # witnesses alike
+    ctx = field(*pn)
+    p, m = ctx.p, ctx.n
+    x = SparsePoly.monomial(ctx, 1)
+    minus_one = SparsePoly.make(ctx, [(ctx.neg_idx(1), 0)])
+    x2 = SparsePoly.monomial(ctx, 2)
+    frob = SparsePoly.monomial(ctx, p)
+    psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, p)])
+    lam = lambda_poly(lambda_spec(ctx, "lambda1", 2, 1), ctx)
+    h = SparsePoly.make(ctx, [(1, 0), (ctx.neg_idx(2), p - 1)])
+    g_x = SparsePoly.make(ctx, [(ctx.generator.i, 1)])
+    outcomes = []
+    calls = [
+        lambda: xh_lambda_criterion(ctx, h, lam, x2, 2),
+        lambda: xh_lambda_criterion(ctx, h, lam.eval_vec, x2, 2),
+        lambda: xh_lambda_criterion(ctx, minus_one, x, x2, 2),   # scaling law
+        lambda: xh_lambda_criterion(ctx, minus_one, x.eval_vec, x2, 2),
+        lambda: xh_lambda_criterion(ctx, x2, x, x, 2),   # y*k(h(y)) = y^3
+        lambda: additive_criterion(ctx, x, psi, trace_of_square(ctx), p),
+        lambda: additive_criterion(ctx, psi, x, x, p),   # not a bijection
+        lambda: additive_criterion(ctx, frob, x, x, 1),   # not a 1-cycle
+        lambda: additive_criterion(ctx, frob, g_x, x, m),   # do not commute
+        lambda: shift_criterion(ctx, trace_of_square(ctx), ShiftParams(1, 1, 1), p),
+        lambda: shift_criterion(ctx, x2, ShiftParams(1, 1, 1), p),
+        lambda: build_xh_lambda(ctx, "involution_cor", sub_degree=1, lam="lambda2").check(),
+        lambda: build_xh_lambda(ctx, "custom_h", sub_degree=1, h="2", n=2).check(),
+        lambda: build_additive(ctx, "trace_g1", sub_degree=1).check(),
+        lambda: build_additive(ctx, "power_g2", sub_degree=1,
+                               s=(ctx.order - 1) // (p - 1)).check(),
+        lambda: build_shift(ctx, "trace_g1", i=1, delta=1, sub_degree=1).check(),
+    ]
+    for call in calls:
+        try:
+            outcomes.append(call().holds)
+        except NcycleError as exc:
+            outcomes.append(type(exc))
+    assert outcomes.count(True) >= 5
+    assert outcomes[2:5] == [HypothesisViolated] * 3
+    assert outcomes[6:9] == [NotPermutation, PrereqNotNcycle, HypothesisViolated]
 
 
 def trace_of_square(ctx):

@@ -99,7 +99,7 @@ def test_cap_is_read_from_the_environment(monkeypatch):
 
 
 def test_tables_that_cannot_fit_are_refused_before_the_modulus_search(monkeypatch):
-    # 12 bytes a point for p = 2 and for n = 1, 24 for odd p and n > 1
+    # 12 bytes a point for p = 2 and for n = 1, 20 for odd p and n > 1
     def no_search(p, n):
         raise AssertionError("the modulus search ran")
 
@@ -107,10 +107,11 @@ def test_tables_that_cannot_fit_are_refused_before_the_modulus_search(monkeypatc
     monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 12 << 16)
     with monkeypatch.context() as m:
         m.setattr(field_mod, "_first_irreducible", no_search)
-        for p, n in [(2, 17), (65537, 1), (3, 10)]:   # 12·2^17, 12·65537, 24·3^10
+        for p, n in [(2, 17), (65537, 1), (3, 10)]:   # 12·2^17, 12·65537, 20·3^10
             with pytest.raises(CapExceeded, match="MiB available"):
                 make_field(p, n, cap=1 << 30)
     assert make_field(2, 16) == (2, 16)
+    assert make_field(191, 2) == (191, 2)   # 20·191^2 fits; 24·191^2 would not
     # the field at the default cap is accepted under a 2 GB address space
     monkeypatch.setattr(field_mod, "_memory_bytes", lambda: 2 << 30)
     assert make_field(2, 24) == (2, 24)
