@@ -4,7 +4,10 @@ and print a per-family outcome summary plus a global tally.
 
 Each trial draws a valid, perturbed, or deliberately invalid parameter set,
 builds the instance, and compares the algebraic criterion's verdict with an
-exhaustive brute-force check.  A healthy run ends with zero disagreements.
+exhaustive brute-force check.  Each distinct instance is built and checked
+once per family, so "N comparisons (M distinct)" counts the trials that
+compared verdicts and the distinct instances among them.  A healthy run
+ends with zero disagreements.
 
 Usage:
     python3 scripts/fuzz_all_families.py
@@ -29,7 +32,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = perf_counter()
-    total = {"comparisons": 0, "disagreements": 0, "failures": 0}
+    total = {"comparisons": 0, "distinct": 0, "disagreements": 0,
+             "failures": 0}
     width = max(len(f) for f in args.families)
     for fam in args.families:
         summary = random_family_fuzz(fam, args.seed, args.trials)
@@ -38,14 +42,16 @@ def main(argv=None) -> int:
                 print(line)
         counts = summary.counts()
         total["comparisons"] += summary.comparisons
+        total["distinct"] += summary.distinct
         total["disagreements"] += len(summary.disagreements)
         total["failures"] += len(summary.failures)
         shown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"{fam:<{width}}  {summary.comparisons:>4} comparisons  "
-              f"[{shown}]")
+        print(f"{fam:<{width}}  {summary.comparisons:>4} comparisons "
+              f"({summary.distinct:>4} distinct)  [{shown}]")
 
     elapsed = perf_counter() - t0
-    print(f"\n{total['comparisons']} comparisons, "
+    print(f"\n{total['comparisons']} comparisons "
+          f"({total['distinct']} distinct), "
           f"{total['disagreements']} disagreements, "
           f"{total['failures']} failed trials "
           f"({elapsed:.2f}s, seed {args.seed})")

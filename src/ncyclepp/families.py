@@ -43,7 +43,8 @@ from .polyperm import (
 
 LAMBDA2_M_CAP = 24
 
-PolyLike = Union[SparsePoly, str]
+# a polynomial, its text, or its (coefficient index, exponent) terms
+PolyLike = Union[SparsePoly, str, tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,9 @@ def _as_poly(ctx: FieldCtx, v: PolyLike, what: str, env=None) -> SparsePoly:
         return v
     if isinstance(v, str):
         return SparsePoly.from_text(ctx, v, env)
-    raise BadParams(f"{what} must be a SparsePoly or polynomial text")
+    if isinstance(v, tuple):
+        return SparsePoly.make(ctx, v)
+    raise BadParams(f"{what} must be a SparsePoly, polynomial text or terms")
 
 
 def _subfield_q(ctx: FieldCtx, sub_degree: int) -> tuple[int, int]:
@@ -745,11 +748,9 @@ def build_jieguo(q: int, t: int, m: int,
                "the (q+1)-th roots of unity h is evaluated at",))
 
 
-@lru_cache(maxsize=16)
 def _squares_to_inverse(f: SparsePoly, inv: SparsePoly) -> bool:
     """f(f(x)) = inv(x) and f(inv(x)) = x as reduced polynomials, each
-    exactly one map of the field (L&N Thm 7.1).  Cached per pair, since
-    the fuzzer builds the same two instances again and again."""
+    exactly one map of the field (L&N Thm 7.1)."""
     x = SparsePoly.monomial(f.ctx, 1)
     return (poly_compose(f, f).terms == inv.terms
             and poly_compose(f, inv).terms == x.terms)
@@ -784,13 +785,14 @@ def build_trace_theta(q: int, theta=None,
     poly = poly_add(x1, poly_mul(SparsePoly.make(ctx, [(th, 0)]), T))
     inv_poly = poly_add(x1, poly_mul(SparsePoly.make(ctx, [(th2, 0)]), T))
 
+    ok = _squares_to_inverse(poly, inv_poly)
+    if not ok:
+        raise NcycleInternal("f*f must equal the closed-form inverse")
+
     def check() -> CriterionVerdict:
-        ok = _squares_to_inverse(poly, inv_poly)
         return CriterionVerdict(ok, None, ctx.order,
                                 extras={"squares_to_inverse": ok})
 
-    if not check().holds:
-        raise NcycleInternal("f*f must equal the closed-form inverse")
     return FamilyInstance(
         family="trace_theta", ctx=ctx, params={"q": q, "theta": th},
         claimed_n=3, expand=lambda: poly, fn=poly.eval_vec,

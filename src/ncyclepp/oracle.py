@@ -17,9 +17,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from time import perf_counter
 from typing import Callable, Optional
+
+import numpy as np
 
 from .criteria import RsParams, ShiftParams
 from .errors import (
@@ -220,6 +222,7 @@ class FuzzTrial:
         "invalid": ("rejected",),
         "perturbed": ("agree", "agree_false", "hypothesis_failed"),
     }
+    COMPARED = ("agree", "agree_false", "disagree")
 
     @property
     def ok(self) -> bool:
@@ -229,7 +232,7 @@ class FuzzTrial:
     def compared(self) -> bool:
         """True when both a criterion verdict and an oracle verdict were
         produced and matched against each other."""
-        return self.outcome in ("agree", "agree_false", "disagree")
+        return self.outcome in self.COMPARED
 
     def to_json(self) -> dict:
         return {
@@ -245,9 +248,15 @@ class FuzzTrial:
 
 @dataclass(frozen=True)
 class FuzzSummary:
+    """The trials of one fuzz run.  distinct is the number of distinct
+    recipes among the trials that compared, each built and cross-checked
+    once; it is kept out of to_json, whose lines are those of running every
+    trial."""
+
     family: str
     seed: int
     trials: tuple = dataclass_field(default=())
+    distinct: int = 0
 
     @property
     def failures(self) -> tuple:
@@ -303,11 +312,21 @@ def _run_build(kind: str, build: Callable[[], FamilyInstance]):
     return ("agree" if rep.criterion_holds else "agree_false"), ""
 
 
-def _trial(index: int, kind: str, ctx: FieldCtx, params: dict,
-           build: Callable[[], FamilyInstance]) -> FuzzTrial:
-    """Run one constructor attempt of the given kind and record it."""
-    return FuzzTrial(index, kind, f"GF({ctx.p}^{ctx.n})", params,
-                     *_run_build(kind, build))
+# One sampled trial: its kind, the field it is labelled with, the params its
+# line prints and its build, a partial of a module-level builder or instance
+# maker whose every argument is a plain hashable value (an int, str, None or
+# tuple, a FieldCtx, RsParams or ShiftParams).  A polynomial is passed as its
+# terms, never as a SparsePoly, which caches a whole-field table.
+Draw = tuple[str, FieldCtx, dict, partial]
+
+
+def _recipe(kind: str, build: partial) -> tuple:
+    """The fuzz memo's key: the build and every argument it gets, and whether
+    the trial is invalid (such a trial is only built).  Builders, criteria
+    and the oracle are deterministic, so equal keys give equal outcomes.  The
+    printed params are no key: some leave out an argument of the build."""
+    return (kind == "invalid", build.func, build.args,
+            tuple(sorted(build.keywords.items())))
 
 
 def _pick_kind(rng: random.Random, perturbed: bool = True) -> str:
@@ -334,17 +353,13 @@ def _random_poly(ctx: FieldCtx, rng: random.Random, max_terms: int,
     return poly
 
 
-def _perturbed_xh(ctx: FieldCtx, rng: random.Random,
-                  sub_degree: int) -> FamilyInstance:
-    """Root-of-unity twist shape with a random (not necessarily primitive,
-    not necessarily order-n) scale factor; the bound criterion still applies
-    whenever the twisted image map stays a bijection, and the verdict is an
-    honest maybe-no."""
+def _perturbed_xh_instance(ctx: FieldCtx, sub_degree: int, n: int,
+                           theta: int) -> FamilyInstance:
+    """Root-of-unity twist shape with scale factor theta (not necessarily
+    primitive, not necessarily of order n); the bound criterion still
+    applies whenever the twisted image map stays a bijection, and the
+    verdict is an honest maybe-no."""
     q = ctx.p ** sub_degree
-    choices = [n for n in divisors(q - 1) if n >= 2]
-    n = rng.choice(choices)
-    subgen = _subfield_generator(ctx, sub_degree)
-    theta = ctx.pow_idx(subgen, rng.randrange(0, q - 1))
     h = SparsePoly.make(ctx, [(1, 0), (theta, (q - 1) // n),
                               (ctx.neg_idx(1), q - 1)])
     return xh_instance(
@@ -353,7 +368,56 @@ def _perturbed_xh(ctx: FieldCtx, rng: random.Random,
                 "sub_degree": sub_degree}, map_form="x*h(lambda(x))")
 
 
-def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
+def _perturbed_additive_instance(ctx: FieldCtx, sub_degree: int,
+                                 g_terms: tuple, n: int) -> FamilyInstance:
+    """x + g(x^q - x) with g random, claimed as an n-cycle."""
+    q = ctx.p ** sub_degree
+    g = SparsePoly.make(ctx, g_terms)
+    psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, q)])
+    return additive_instance(
+        ctx, SparsePoly.monomial(ctx, 1), psi, g, n,
+        params={"variant": "random_g", "g": g.to_text(), "n": n,
+                "sub_degree": sub_degree}, map_form="x + g(x^q - x)")
+
+
+def _perturbed_shift_instance(ctx: FieldCtx, g_terms: tuple, sp: ShiftParams,
+                              n: int) -> FamilyInstance:
+    """x + g(x^(q^i) - x + delta) with g random, claimed as an n-cycle."""
+    q = ctx.p ** sp.sub_degree
+    g = SparsePoly.make(ctx, g_terms)
+    return shift_instance(
+        ctx, g, sp, n,
+        params={"variant": "random_g", "g": g.to_text(), "i": sp.i,
+                "delta": sp.delta, "n": n, "sub_degree": sp.sub_degree},
+        map_form=f"x + g(x^{q ** sp.i} - x + delta)")
+
+
+def _perturbed_rs_instance(ctx: FieldCtx, rs: RsParams, family: str,
+                           h_terms: tuple) -> FamilyInstance:
+    """x^r * h(x^s) with h random; the total criterion applies to any h, so
+    every draw yields a genuine verdict."""
+    h = SparsePoly.make(ctx, h_terms)
+    return rs_instance(
+        ctx, h, rs, family=family,
+        params={"variant": "random_h", "h": h.to_text(), "r": rs.r,
+                "s": rs.s}, map_form=f"x^{rs.r}*h(x^{rs.s})")
+
+
+def _perturbed_rs(ctx: FieldCtx, rng: random.Random, r: int, s: int,
+                  family: str) -> Draw:
+    """A random trinomial h = 1 + c1*y^e1 + c2*y^e2 in the x^r * h(x^s)
+    shape."""
+    ell = (ctx.order - 1) // s
+    e1, e2 = rng.randrange(1, ell), rng.randrange(1, ell)
+    c1, c2 = rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)
+    h = SparsePoly.make(ctx, [(1, 0), (c1, e1), (c2, e2)])
+    params = {"variant": "random_h", "h": h.to_text(), "r": r, "s": s}
+    return ("perturbed", ctx, params,
+            partial(_perturbed_rs_instance, ctx, RsParams(r, s), family,
+                    h.terms))
+
+
+def _sample_xh(rng: random.Random, variant: str) -> Draw:
     pool = [(5, 2, 1), (7, 2, 1)] if variant != "involution_cor" else \
         [(5, 2, 1), (7, 2, 1), (3, 4, 1), (3, 4, 2)]
     p, deg, sub = rng.choice(pool)
@@ -361,61 +425,67 @@ def _sample_xh(rng: random.Random, index: int, variant: str) -> FuzzTrial:
     q = p ** sub
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_xh(ctx, rng, sub)
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        n = rng.choice([n for n in divisors(q - 1) if n >= 2])
+        theta = ctx.pow_idx(_subfield_generator(ctx, sub),
+                            rng.randrange(0, q - 1))
+        params = {"variant": "perturbed_theta", "theta": theta, "n": n,
+                  "sub_degree": sub}
+        return kind, ctx, params, partial(_perturbed_xh_instance, ctx, sub,
+                                          n, theta)
     if kind == "invalid":
         if variant == "involution_cor":
-            ctx2 = _field(2, 4)
             params = {"variant": variant, "p": 2}
-            build = lambda: build_xh_lambda(ctx2, variant, sub_degree=1)
+            build = partial(build_xh_lambda, _field(2, 4), variant,
+                            sub_degree=1)
         elif variant == "theta_cor":
             bad = rng.choice(("theta_one", "n_nondiv", "theta_outside"))
             if bad == "theta_one":
                 params = {"variant": variant, "n": 2, "theta": 1}
-                build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
-                                                n=2, theta=1)
+                build = partial(build_xh_lambda, ctx, variant,
+                                sub_degree=sub, n=2, theta=1)
             elif bad == "n_nondiv":
                 n = q  # never divides q - 1
                 params = {"variant": variant, "n": n}
-                build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
-                                                n=n, theta=1)
+                build = partial(build_xh_lambda, ctx, variant,
+                                sub_degree=sub, n=n, theta=1)
             else:
                 theta = ctx.generator.i  # order Q-1, outside GF(q)
                 params = {"variant": variant, "n": 2, "theta": theta}
-                build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
-                                                n=2, theta=theta)
+                build = partial(build_xh_lambda, ctx, variant,
+                                sub_degree=sub, n=2, theta=theta)
         else:  # abc_cor
             a, b, c = rng.choice(((2, 1, 1), (1, 1, 1), (1, 3, 0)))
             params = {"variant": variant, "a": a, "b": b, "c": c}
-            build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
-                                            a=a, b=b, c=c)
-        return _trial(index, "invalid", ctx, params, build)
+            build = partial(build_xh_lambda, ctx, variant, sub_degree=sub,
+                            a=a, b=b, c=c)
+        return kind, ctx, params, build
     lam = rng.choice(("lambda1", "lambda2"))
     if variant == "involution_cor":
         params = {"variant": variant, "lambda": lam, "sub_degree": sub}
-        build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub, lam=lam)
+        build = partial(build_xh_lambda, ctx, variant, sub_degree=sub,
+                        lam=lam)
     elif variant == "theta_cor":
         n = rng.choice(divisors(q - 1))
         theta = ctx.pow_idx(_subfield_generator(ctx, sub), (q - 1) // n)
         params = {"variant": variant, "lambda": "lambda1", "n": n,
                   "theta": theta}
-        build = lambda: build_xh_lambda(ctx, variant, sub_degree=sub,
-                                        n=n, theta=theta)
+        build = partial(build_xh_lambda, ctx, variant, sub_degree=sub,
+                        n=n, theta=theta)
     else:  # abc_cor, only solvable when -1 is a square mod p
         ctx = _field(5, 2)
         a, b = rng.choice(((1, 3), (2, 4), (3, 1), (4, 2)))
         c = rng.choice((1, 2, 3))  # 4c = 0 mod 4 for every c in [1, q-2]
         params = {"variant": variant, "a": a, "b": b, "c": c}
-        build = lambda: build_xh_lambda(ctx, variant, sub_degree=1,
-                                        a=a, b=b, c=c)
-    return _trial(index, "valid", ctx, params, build)
+        build = partial(build_xh_lambda, ctx, variant, sub_degree=1,
+                        a=a, b=b, c=c)
+    return kind, ctx, params, build
 
 
 _ADDITIVE_POOL = [(3, 2, 1), (3, 4, 1), (3, 4, 2), (2, 6, 1), (2, 6, 2),
                   (2, 6, 3), (5, 2, 1), (7, 2, 1), (2, 9, 3)]
 
 
-def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_additive(rng: random.Random) -> Draw:
     p, deg, sub = rng.choice(_ADDITIVE_POOL)
     ctx = _field(p, deg)
     q = p ** sub
@@ -423,47 +493,44 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
     kind = _pick_kind(rng)
     if kind == "perturbed":
         g = _random_poly(ctx, rng, max_terms=4, max_exp=ctx.order - 1)
-        psi = SparsePoly.make(ctx, [(ctx.neg_idx(1), 1), (1, q)])
         n = rng.choice((2, 3, p))
-        inst = additive_instance(
-            ctx, SparsePoly.monomial(ctx, 1), psi, g, n,
-            params={"variant": "random_g", "g": g.to_text(), "n": n,
-                    "sub_degree": sub}, map_form="x + g(x^q - x)")
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        params = {"variant": "random_g", "g": g.to_text(), "n": n,
+                  "sub_degree": sub}
+        return kind, ctx, params, partial(_perturbed_additive_instance, ctx,
+                                          sub, g.terms, n)
     if kind == "invalid":
         bad = rng.choice(("psi_shape", "psi_kernel", "bad_s", "bad_c",
                           "bad_tower"))
         if bad == "psi_shape":
             params = {"variant": "trace_g1", "psi": "x^2"}
-            build = lambda: build_additive(ctx, "trace_g1", sub_degree=sub,
-                                           psi="1*x^2")
+            build = partial(build_additive, ctx, "trace_g1", sub_degree=sub,
+                            psi="1*x^2")
         elif bad == "psi_kernel":
             params = {"variant": "trace_g1", "psi": f"x^{q}"}
-            build = lambda: build_additive(ctx, "trace_g1", sub_degree=sub,
-                                           psi=f"1*x^{q}")
+            build = partial(build_additive, ctx, "trace_g1", sub_degree=sub,
+                            psi=f"1*x^{q}")
         elif bad == "bad_s":
             s = (ctx.order - 1) // (q - 1) + 1
             params = {"variant": "power_g2", "s": s}
-            build = lambda: build_additive(ctx, "power_g2", sub_degree=sub,
-                                           s=s)
+            build = partial(build_additive, ctx, "power_g2", sub_degree=sub,
+                            s=s)
         elif bad == "bad_c":
             params = {"variant": "c_trace_q2", "c": 0}
-            build = lambda: build_additive(ctx, "c_trace_q2", sub_degree=sub,
-                                           c=0)
+            build = partial(build_additive, ctx, "c_trace_q2",
+                            sub_degree=sub, c=0)
         else:
             badsub = sub if m == 3 else rng.choice(
                 [d for d in divisors(deg) if deg // d != 3])
             params = {"variant": "xq_g_trace", "sub_degree": badsub}
-            if m == 3:
-                outside = next(i for i in range(1, ctx.order)
-                               if ctx.trace_idx(i, sub) != 0)
-                build = lambda: build_additive(
-                    ctx, "xq_g_trace", sub_degree=sub,
-                    g=SparsePoly.make(ctx, [(outside, 1)]))
+            if m == 3:   # the least element of nonzero trace
+                outside = int(np.flatnonzero(
+                    ctx.vtrace(ctx.varange(), sub))[0])
+                build = partial(build_additive, ctx, "xq_g_trace",
+                                sub_degree=sub, g=((outside, 1),))
             else:
-                build = lambda: build_additive(ctx, "xq_g_trace",
-                                               sub_degree=badsub, g="1*x^1")
-        return _trial(index, "invalid", ctx, params, build)
+                build = partial(build_additive, ctx, "xq_g_trace",
+                                sub_degree=badsub, g="1*x^1")
+        return kind, ctx, params, build
     variants = ["trace_g1", "power_g2"]
     if m == 2:
         variants.append("c_trace_q2")
@@ -473,34 +540,38 @@ def _sample_additive(rng: random.Random, index: int) -> FuzzTrial:
     if variant == "trace_g1":
         H = _random_poly(ctx, rng, max_terms=3, max_exp=4)
         params = {"variant": variant, "H": H.to_text(), "sub_degree": sub}
-        build = lambda: build_additive(ctx, variant, sub_degree=sub, H=H)
+        build = partial(build_additive, ctx, variant, sub_degree=sub,
+                        H=H.terms)
     elif variant == "power_g2":
         H = _random_poly(ctx, rng, max_terms=3, max_exp=4)
         s = rng.randrange(1, 4) * (ctx.order - 1) // (q - 1)
         params = {"variant": variant, "H": H.to_text(), "s": s,
                   "sub_degree": sub}
-        build = lambda: build_additive(ctx, variant, sub_degree=sub, H=H, s=s)
-    elif variant == "c_trace_q2":
-        roots = [i for i in range(1, ctx.order)
-                 if ctx.add_idx(i, ctx.frob_idx(i, sub, 1)) == 0]
-        c = rng.choice(roots)
+        build = partial(build_additive, ctx, variant, sub_degree=sub,
+                        H=H.terms, s=s)
+    elif variant == "c_trace_q2":   # ascending nonzero c with c + c^q = 0
+        xs = ctx.varange()
+        roots = np.flatnonzero(ctx.vadd(xs, ctx.vfrob(xs, sub, 1)) == 0)
+        c = rng.choice(roots[1:].tolist())
         s = rng.randrange(0, 8)
         params = {"variant": variant, "c": c, "s": s, "sub_degree": sub}
-        build = lambda: build_additive(ctx, variant, sub_degree=sub, c=c, s=s)
-    else:
-        kernel = [i for i in range(ctx.order) if ctx.trace_idx(i, sub) == 0]
+        build = partial(build_additive, ctx, variant, sub_degree=sub,
+                        c=c, s=s)
+    else:   # coefficients from the ascending kernel of the trace
+        kernel = np.flatnonzero(ctx.vtrace(ctx.varange(), sub) == 0).tolist()
         terms = [(rng.choice(kernel), rng.randrange(0, 4))
                  for _ in range(rng.randrange(1, 4))]
         g = SparsePoly.make(ctx, terms)
         params = {"variant": variant, "g": g.to_text(), "sub_degree": sub}
-        build = lambda: build_additive(ctx, variant, sub_degree=sub, g=g)
-    return _trial(index, "valid", ctx, params, build)
+        build = partial(build_additive, ctx, variant, sub_degree=sub,
+                        g=g.terms)
+    return kind, ctx, params, build
 
 
 _SHIFT_POOL = [(3, 2, 1), (3, 4, 1), (2, 6, 1), (2, 6, 2), (5, 2, 1)]
 
 
-def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_shift(rng: random.Random) -> Draw:
     p, deg, sub = rng.choice(_SHIFT_POOL)
     ctx = _field(p, deg)
     q = p ** sub
@@ -511,154 +582,123 @@ def _sample_shift(rng: random.Random, index: int) -> FuzzTrial:
     if kind == "perturbed":
         g = _random_poly(ctx, rng, max_terms=4, max_exp=ctx.order - 1)
         n = rng.choice((2, 3, p))
-        inst = shift_instance(
-            ctx, g, ShiftParams(i, delta, sub), n,
-            params={"variant": "random_g", "g": g.to_text(), "i": i,
-                    "delta": delta, "n": n, "sub_degree": sub},
-            map_form=f"x + g(x^{q ** i} - x + delta)")
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        params = {"variant": "random_g", "g": g.to_text(), "i": i,
+                  "delta": delta, "n": n, "sub_degree": sub}
+        return kind, ctx, params, partial(
+            _perturbed_shift_instance, ctx, g.terms,
+            ShiftParams(i, delta, sub), n)
     if kind == "invalid":
         bad = rng.choice(("i_zero", "i_full", "bad_s", "zero_h"))
         if bad == "i_zero":
             params = {"variant": "power_g2", "i": 0}
-            build = lambda: build_shift(ctx, "power_g2", i=0, delta=delta,
-                                        sub_degree=sub, s=1)
+            build = partial(build_shift, ctx, "power_g2", i=0, delta=delta,
+                            sub_degree=sub, s=1)
         elif bad == "i_full":
             params = {"variant": "power_g2", "i": m}
-            build = lambda: build_shift(ctx, "power_g2", i=m, delta=delta,
-                                        sub_degree=sub, s=1)
+            build = partial(build_shift, ctx, "power_g2", i=m, delta=delta,
+                            sub_degree=sub, s=1)
         elif bad == "bad_s":
             g = math.gcd(q ** i - 1, ctx.order - 1)
             s = (ctx.order - 1) // g + 1
             params = {"variant": "power_g2", "i": i, "s": s}
-            build = lambda: build_shift(ctx, "power_g2", i=i, delta=delta,
-                                        sub_degree=sub, s=s)
+            build = partial(build_shift, ctx, "power_g2", i=i, delta=delta,
+                            sub_degree=sub, s=s)
         else:
             params = {"variant": "power_g2", "i": i, "H": "0"}
             g = math.gcd(q ** i - 1, ctx.order - 1)
             s = (ctx.order - 1) // g
-            build = lambda: build_shift(ctx, "power_g2", i=i, delta=delta,
-                                        sub_degree=sub, s=s, H="0")
-        return _trial(index, "invalid", ctx, params, build)
+            build = partial(build_shift, ctx, "power_g2", i=i, delta=delta,
+                            sub_degree=sub, s=s, H="0")
+        return kind, ctx, params, build
     gcd = math.gcd(q ** i - 1, ctx.order - 1)
     s = rng.randrange(1, 4) * (ctx.order - 1) // gcd
     if p != 2 and m % i == 0 and rng.random() < 0.5:
         params = {"variant": "trace_g1", "i": i, "delta": delta,
                   "sub_degree": sub}
-        build = lambda: build_shift(ctx, "trace_g1", i=i, delta=delta,
-                                    sub_degree=sub)
+        build = partial(build_shift, ctx, "trace_g1", i=i, delta=delta,
+                        sub_degree=sub)
     else:
         params = {"variant": "power_g2", "i": i, "delta": delta, "s": s,
                   "sub_degree": sub}
-        build = lambda: build_shift(ctx, "power_g2", i=i, delta=delta,
-                                    sub_degree=sub, s=s)
-    return _trial(index, "valid", ctx, params, build)
+        build = partial(build_shift, ctx, "power_g2", i=i, delta=delta,
+                        sub_degree=sub, s=s)
+    return kind, ctx, params, build
 
 
-def _perturbed_rs(ctx: FieldCtx, rng: random.Random, r: int, s: int,
-                  family: str) -> FamilyInstance:
-    """Random trinomial h in the x^r * h(x^s) shape; the total criterion
-    applies to any h, so every draw yields a genuine verdict."""
-    ell = (ctx.order - 1) // s
-    e1, e2 = rng.randrange(1, ell), rng.randrange(1, ell)
-    c1, c2 = rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)
-    h = SparsePoly.make(ctx, [(1, 0), (c1, e1), (c2, e2)])
-    return rs_instance(
-        ctx, h, RsParams(r, s), family=family,
-        params={"variant": "random_h", "h": h.to_text(), "r": r, "s": s},
-        map_form=f"x^{r}*h(x^{s})")
-
-
-def _sample_rs2to3m(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_rs2to3m(rng: random.Random) -> Draw:
     ctx = _field(2, 9)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, 1, 73, "rs2to3m")
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        return _perturbed_rs(ctx, rng, 1, 73, "rs2to3m")
     if kind == "invalid":
         q, k = rng.choice(((64, 44), (16, 45), (8, 4), (8, 11)))
-        params = {"q": q, "k": k}
-        build = lambda: build_rs_2to3m(q, k, ctx=ctx if q == 8 else None)
-        return _trial(index, "invalid", ctx, params, build)
+        return kind, ctx, {"q": q, "k": k}, partial(
+            build_rs_2to3m, q, k, ctx=ctx if q == 8 else None)
     k = rng.choice(search_k_2to3m(8))
-    params = {"q": 8, "k": k}
-    build = lambda: build_rs_2to3m(8, k, ctx=ctx)
-    return _trial(index, "valid", ctx, params, build)
+    return kind, ctx, {"q": 8, "k": k}, partial(build_rs_2to3m, 8, k,
+                                                ctx=ctx)
 
 
-def _sample_jieguo(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_jieguo(rng: random.Random) -> Draw:
     ctx = _field(2, 12)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, 1, 63, "jieguo")
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        return _perturbed_rs(ctx, rng, 1, 63, "jieguo")
     if kind == "invalid":
         pairs = set(solve_jieguo_congruences(64))
         while True:
             t, m = rng.randrange(0, 65), rng.randrange(0, 65)
             if (t, m) not in pairs:
                 break
-        params = {"q": 64, "t": t, "m": m}
-        build = lambda: build_jieguo(64, t, m, ctx=ctx)
-        return _trial(index, "invalid", ctx, params, build)
-    t, m = rng.choice(solve_jieguo_congruences(64))
-    params = {"q": 64, "t": t, "m": m}
-    build = lambda: build_jieguo(64, t, m, ctx=ctx)
-    return _trial(index, "valid", ctx, params, build)
+    else:
+        t, m = rng.choice(solve_jieguo_congruences(64))
+    return kind, ctx, {"q": 64, "t": t, "m": m}, partial(build_jieguo, 64,
+                                                         t, m, ctx=ctx)
 
 
-def _sample_xq_h_alpha(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_xq_h_alpha(rng: random.Random) -> Draw:
     q = 4  # the map lives over GF(q^3); larger q leaves the fuzz budget
     ctx = _field(2, 6)
     kind = _pick_kind(rng)
     if kind == "perturbed":
-        inst = _perturbed_rs(ctx, rng, q, q - 1, "xq_h_alpha")
-        return _trial(index, "perturbed", ctx, inst.params, lambda: inst)
+        return _perturbed_rs(ctx, rng, q, q - 1, "xq_h_alpha")
     if kind == "invalid":
         bad = rng.choice(("odd_tower", "zero", "not_root"))
         if bad == "odd_tower":
-            params = {"q": 8, "alpha": 1}
-            build = lambda: build_xq_h_alpha(8, 1)
-        elif bad == "zero":
-            params = {"q": q, "alpha": 0}
-            build = lambda: build_xq_h_alpha(q, 0, ctx=ctx)
+            return kind, ctx, {"q": 8, "alpha": 1}, partial(build_xq_h_alpha,
+                                                            8, 1)
+        if bad == "zero":
+            alpha = 0
         else:
-            notroot = next(i for i in range(2, ctx.order)
-                           if ctx.pow_idx(i, 3) != 1)
-            params = {"q": q, "alpha": notroot}
-            build = lambda: build_xq_h_alpha(q, notroot, ctx=ctx)
-        return _trial(index, "invalid", ctx, params, build)
-    subgen = ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // (q - 1))
-    cube = ctx.pow_idx(subgen, (q - 1) // 3)
-    alpha = rng.choice((1, cube, ctx.mul_idx(cube, cube)))
-    params = {"q": q, "alpha": alpha}
-    build = lambda: build_xq_h_alpha(q, alpha, ctx=ctx)
-    return _trial(index, "valid", ctx, params, build)
+            alpha = next(i for i in range(2, ctx.order)
+                         if ctx.pow_idx(i, 3) != 1)
+    else:
+        subgen = ctx.pow_idx(ctx.generator.i, (ctx.order - 1) // (q - 1))
+        cube = ctx.pow_idx(subgen, (q - 1) // 3)
+        alpha = rng.choice((1, cube, ctx.mul_idx(cube, cube)))
+    return kind, ctx, {"q": q, "alpha": alpha}, partial(build_xq_h_alpha, q,
+                                                        alpha, ctx=ctx)
 
 
-def _sample_trace_theta(rng: random.Random, index: int) -> FuzzTrial:
+def _sample_trace_theta(rng: random.Random) -> Draw:
     ctx = _field(2, 6)
     kind = _pick_kind(rng, perturbed=False)
     if kind == "invalid":
-        bad = rng.choice(("odd_tower", "theta_one"))
-        if bad == "odd_tower":
-            params = {"q": 8, "theta": None}
-            build = lambda: build_trace_theta(8)
-        else:
-            params = {"q": 4, "theta": 1}
-            build = lambda: build_trace_theta(4, 1, ctx=ctx)
-        return _trial(index, "invalid", ctx, params, build)
-    cube = ctx.pow_idx(ctx.generator.i, 21)
-    theta = rng.choice((cube, ctx.mul_idx(cube, cube), None))
-    params = {"q": 4, "theta": theta}
-    build = lambda: build_trace_theta(4, theta, ctx=ctx)
-    return _trial(index, "valid", ctx, params, build)
+        if rng.choice(("odd_tower", "theta_one")) == "odd_tower":
+            return kind, ctx, {"q": 8, "theta": None}, partial(
+                build_trace_theta, 8)
+        theta = 1
+    else:
+        cube = ctx.pow_idx(ctx.generator.i, 21)
+        theta = rng.choice((cube, ctx.mul_idx(cube, cube), None))
+    return kind, ctx, {"q": 4, "theta": theta}, partial(build_trace_theta, 4,
+                                                        theta, ctx=ctx)
 
 
-FUZZ_FAMILIES: dict[str, Callable[[random.Random, int], FuzzTrial]] = {
-    "involution_cor": lambda rng, i: _sample_xh(rng, i, "involution_cor"),
-    "theta_cor": lambda rng, i: _sample_xh(rng, i, "theta_cor"),
-    "abc_cor": lambda rng, i: _sample_xh(rng, i, "abc_cor"),
+FUZZ_FAMILIES: dict[str, Callable[[random.Random], Draw]] = {
+    "involution_cor": lambda rng: _sample_xh(rng, "involution_cor"),
+    "theta_cor": lambda rng: _sample_xh(rng, "theta_cor"),
+    "abc_cor": lambda rng: _sample_xh(rng, "abc_cor"),
     "additive": _sample_additive,
     "shift": _sample_shift,
     "rs2to3m": _sample_rs2to3m,
@@ -672,7 +712,13 @@ def random_family_fuzz(family_id: str, seed: int, trials: int) -> FuzzSummary:
     """Run seeded randomized trials for one family: valid tuples must build
     and cross-check AGREE, invalid tuples must be rejected by the
     constructor, perturbed instances must still produce matching verdicts
-    from the criterion and the brute-force oracle."""
+    from the criterion and the brute-force oracle.
+
+    Each distinct instance is built, checked by its criterion and checked
+    by the oracle once per call: a trial whose recipe (see _recipe) ran
+    before in the same call takes that run's outcome.  Every trial still
+    makes its random draws and gets its own line, so the lines are those
+    of running every trial."""
     if family_id not in FUZZ_FAMILIES:
         raise BadParams(f"unknown family {family_id!r}; choose from "
                         f"{sorted(FUZZ_FAMILIES)}")
@@ -680,5 +726,14 @@ def random_family_fuzz(family_id: str, seed: int, trials: int) -> FuzzSummary:
         raise BadParams("trials must be nonnegative")
     sampler = FUZZ_FAMILIES[family_id]
     rng = random.Random(seed)
-    return FuzzSummary(family_id, seed,
-                       tuple(sampler(rng, i) for i in range(trials)))
+    outcomes: dict[tuple, tuple[str, str]] = {}
+    out = []
+    for index in range(trials):
+        kind, ctx, params, build = sampler(rng)
+        key = _recipe(kind, build)
+        if key not in outcomes:
+            outcomes[key] = _run_build(kind, build)
+        out.append(FuzzTrial(index, kind, f"GF({ctx.p}^{ctx.n})", params,
+                             *outcomes[key]))
+    return FuzzSummary(family_id, seed, tuple(out), distinct=sum(
+        outcome in FuzzTrial.COMPARED for outcome, _ in outcomes.values()))

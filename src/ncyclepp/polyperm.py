@@ -302,6 +302,9 @@ def poly_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 def poly_pow(f: SparsePoly, e: int) -> SparsePoly:
     if e < 0:
         raise BadParams("negative polynomial power")
+    if len(f.terms) == 1:   # (c*x^d)^e = c^e * x^(d*e), no squaring
+        (c, d), = f.terms
+        return _merged(f.ctx, [(f.ctx.pow_idx(c, e), d * e)])
     acc = SparsePoly.make(f.ctx, [(1, 0)])
     base = f
     while e:

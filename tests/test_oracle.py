@@ -1,6 +1,10 @@
 """Brute-force oracle: image-table verdicts, cross-checks, seeded fuzzing."""
+import dataclasses
+import hashlib
+import inspect
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -307,3 +311,100 @@ class TestFuzz:
             random_family_fuzz("no_such_family", 0, 5)
         with pytest.raises(BadParams):
             random_family_fuzz("shift", 0, -1)
+
+
+def _leaves(obj):
+    """The plain values a memo key is made of: tuples and the frozen
+    parameter dataclasses are opened, anything else is a leaf."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _leaves(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name))
+    else:
+        yield obj
+
+
+class TestFuzzMemo:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each recipe _run_build gets, each builder call and each
+        cross_check call, and each outcome _run_build returns."""
+        log = {"runs": [], "builds": [], "checks": [], "outcomes": []}
+        run_build, check = oracle._run_build, oracle.cross_check
+
+        def counted_run(kind, build):
+            log["runs"].append(oracle._recipe(kind, build))
+            result = run_build(kind, lambda: log["builds"].append(1) or build())
+            log["outcomes"].append(result)
+            return result
+
+        def counted_check(inst, walsh=True):
+            log["checks"].append(1)
+            return check(inst, walsh)
+
+        monkeypatch.setattr(oracle, "_run_build", counted_run)
+        monkeypatch.setattr(oracle, "cross_check", counted_check)
+        return log
+
+    @pytest.mark.parametrize("fam", sorted(oracle.FUZZ_FAMILIES))
+    def test_each_distinct_recipe_is_built_and_checked_once(self, monkeypatch,
+                                                            fam):
+        log = self.spy(monkeypatch)
+        s = random_family_fuzz(fam, 3, 150)
+        assert s.failures == ()
+        runs = log["runs"]
+        assert len(runs) == len(set(runs)) == len(log["builds"]) < len(s.trials)
+        # a clean run has no build_error, so every non-invalid recipe is
+        # cross-checked, and only those
+        assert len(log["checks"]) == sum(1 for invalid, *_ in runs
+                                         if not invalid)
+        assert s.distinct == sum(1 for outcome, _ in log["outcomes"]
+                                 if outcome in oracle.FuzzTrial.COMPARED)
+        assert s.distinct <= s.comparisons
+
+    def test_recipes_keep_what_the_params_leave_out(self):
+        # shift's i_zero line leaves out delta (GF(3^2) has one subfield in
+        # the pool), and additive's psi_shape line on GF(3^4) leaves out
+        # whether the subfield is GF(3) or GF(9)
+        def recipes(sampler, field_label, params):
+            rng, found = random.Random(0), {}
+            for _ in range(3000):
+                kind, ctx, got, build = sampler(rng)
+                if got == params and f"GF({ctx.p}^{ctx.n})" == field_label:
+                    found[oracle._recipe(kind, build)] = build.keywords
+            return found
+
+        shift = recipes(oracle._sample_shift, "GF(3^2)",
+                        {"variant": "power_g2", "i": 0})
+        deltas = {kw["delta"] for kw in shift.values()}
+        assert len(deltas) >= 2 and len(shift) == len(deltas)
+        additive = recipes(oracle._sample_additive, "GF(3^4)",
+                           {"variant": "trace_g1", "psi": "x^2"})
+        assert sorted(kw["sub_degree"] for kw in additive.values()) == [1, 2]
+
+    @pytest.mark.parametrize("fam", ["shift", "additive", "jieguo"])
+    def test_the_memo_lives_for_one_call(self, monkeypatch, fam):
+        from test_fuzz_golden import GOLDEN, TRIALS
+        log = self.spy(monkeypatch)
+        counts = []
+        for seed in (0, 1, 0):
+            lines = random_family_fuzz(fam, seed, TRIALS).to_json_lines()
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            assert digest == GOLDEN[(fam, seed)]
+            counts.append(len(log["runs"]) - sum(counts))
+        assert counts[2] == counts[0] > 0
+
+    def test_keys_and_values_hold_only_plain_values(self, monkeypatch):
+        log = self.spy(monkeypatch)
+        for fam in sorted(oracle.FUZZ_FAMILIES):
+            random_family_fuzz(fam, 2, 40)
+        plain = (int, str, type(None), field_mod.FieldCtx)
+        for invalid, func, *args in log["runs"]:
+            assert isinstance(invalid, bool) and inspect.isfunction(func)
+            for leaf in _leaves(tuple(args)):
+                assert isinstance(leaf, plain), leaf
+                assert not isinstance(leaf, (np.ndarray, SparsePoly))
+        for outcome, detail in log["outcomes"]:
+            assert isinstance(outcome, str) and isinstance(detail, str)

@@ -244,6 +244,24 @@ def test_poly_mul_refuses_past_the_term_cap_before_multiplying(monkeypatch):
         polyperm.poly_mul(f, g)
 
 
+@pytest.mark.parametrize("pn", [(2, 4), (3, 3), (7, 1)])
+def test_poly_pow_of_a_monomial_matches_repeated_products(pn):
+    # the closed form (c*x^d)^e = c^e * x^(d*e) against e products, with
+    # e = 0, d = 0, c != 1 and d*e far past q - 1 among the cases
+    ctx = field(*pn)
+    rng = np.random.default_rng(sum(pn))
+    cases = [(1, 0, 0), (2, 0, 5), (2, 3, 0), (1, ctx.order - 1, 3),
+             (ctx.order - 1, ctx.order - 2, 7)]
+    cases += [(int(rng.integers(1, ctx.order)), int(rng.integers(0, 2 * ctx.order)),
+               int(rng.integers(0, 40))) for _ in range(25)]
+    for c, d, e in cases:
+        f = SparsePoly.monomial(ctx, d, c)
+        ref = SparsePoly.make(ctx, [(1, 0)])
+        for _ in range(e):
+            ref = polyperm.poly_mul(ref, f)
+        assert polyperm.poly_pow(f, e) == ref, (c, d, e)
+
+
 def test_call_and_ctx_guard():
     ctx, other = field(2, 2), field(2, 3)
     poly = SparsePoly.from_text(ctx, "x^2")

@@ -1,12 +1,15 @@
 """Command-line scripts under scripts/."""
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+
+from ncyclepp.oracle import random_family_fuzz
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,6 +34,23 @@ def test_fuzz_all_families_lines_are_json(capsys):
         assert [t["index"] for t in trials] == [0, 1]
         assert json.loads(block[2])["summary"]["family"] == fam
         assert block[3].startswith(fam)
+
+
+def test_fuzz_all_families_counts_distinct_instances(capsys):
+    fuzz = load_script("fuzz_all_families")
+    families = ["shift", "trace_theta"]
+    assert fuzz.main(["--trials", "30", "--seed", "2",
+                      "--families", *families]) == 0
+    out = capsys.readouterr().out
+    rows = re.findall(r"^(\w+) +(\d+) comparisons \( *(\d+) distinct\)", out,
+                      re.M)
+    summaries = [random_family_fuzz(fam, 2, 30) for fam in families]
+    assert rows == [(s.family, str(s.comparisons), str(s.distinct))
+                    for s in summaries]
+    assert summaries[1].distinct < summaries[1].comparisons
+    total = re.search(r"^(\d+) comparisons \((\d+) distinct\), ", out, re.M)
+    assert total.groups() == (str(sum(s.comparisons for s in summaries)),
+                              str(sum(s.distinct for s in summaries)))
 
 
 @pytest.mark.parametrize("q", ["6", "16"])
