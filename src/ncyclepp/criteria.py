@@ -162,6 +162,15 @@ def _orbit_fold(succ: np.ndarray, vals: np.ndarray, n: int, combine):
 IMAGE_SAMPLES = 32
 
 
+def _sorted_unique(a) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique gives them, without
+    np.unique's masked-array check, which imports numpy.ma (about 10 ms)."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _subfield_image(ctx: FieldCtx, lam, reduced: SparsePoly | None) -> np.ndarray:
     """The sorted image of lam, whose reduced polynomial is reduced (None
     for a callable lam or one past the term cap).
@@ -174,18 +183,18 @@ def _subfield_image(ctx: FieldCtx, lam, reduced: SparsePoly | None) -> np.ndarra
     image, and a callable lam's, are found exactly from the whole field;
     as_images refuses a malformed or foreign lam."""
     if reduced is None:
-        return np.unique(as_images(ctx, lam))
+        return _sorted_unique(as_images(ctx, lam))
     d = next(d for d in divisors(ctx.n) if poly_frob(reduced, d).terms == reduced.terms)
     size = ctx.p ** d
     whole = IMAGE_SAMPLES * size >= ctx.order
     if whole:
-        values = np.unique(as_images(ctx, lam))
+        values = _sorted_unique(as_images(ctx, lam))
     else:
         sample = random.Random(0).sample(range(1, ctx.order), IMAGE_SAMPLES * size)
-        values = np.unique(lam.eval_vec(np.array([0, *sample], dtype=np.int64)))
+        values = _sorted_unique(lam.eval_vec(np.array([0, *sample], dtype=np.int64)))
     if len(values) == size:
         return ctx.subfield_indices(d)
-    return values if whole else np.unique(as_images(ctx, lam))
+    return values if whole else _sorted_unique(as_images(ctx, lam))
 
 
 def xh_lambda_criterion(ctx: FieldCtx, h: SparsePoly, lam, k: SparsePoly,
@@ -470,14 +479,16 @@ def agw_commute_check(ctx: FieldCtx, f, lam, lam_bar, g,
     f_im = as_images(ctx, f)
     lam_im = as_images(ctx, lam)
     lam_bar_im = as_images(ctx, lam_bar)
-    s_set = np.unique(lam_im)
-    s_bar_set = np.unique(lam_bar_im)
+    s_set = _sorted_unique(lam_im)
+    s_bar_set = _sorted_unique(lam_bar_im)
     if S is not None:
-        declared = np.unique(np.array([element_index(ctx, t) for t in S], dtype=np.int64))
+        declared = _sorted_unique(np.array([element_index(ctx, t) for t in S],
+                                           dtype=np.int64))
         if not np.array_equal(declared, s_set):
             raise NotSurjective("lam does not map onto the declared S")
     if S_bar is not None:
-        declared = np.unique(np.array([element_index(ctx, t) for t in S_bar], dtype=np.int64))
+        declared = _sorted_unique(np.array([element_index(ctx, t) for t in S_bar],
+                                           dtype=np.int64))
         if not np.array_equal(declared, s_bar_set):
             raise NotSurjective("lam_bar does not map onto the declared S_bar")
     if len(s_set) != len(s_bar_set):
@@ -486,9 +497,9 @@ def agw_commute_check(ctx: FieldCtx, f, lam, lam_bar, g,
     if not np.array_equal(lam_bar_im[f_im], g_fn(lam_im)):
         return False
     g_on_s = g_fn(s_set)
-    g_bij = np.array_equal(np.unique(g_on_s), s_bar_set)
+    g_bij = np.array_equal(_sorted_unique(g_on_s), s_bar_set)
     pairs = lam_im * np.int64(ctx.order) + f_im
-    fiber_inj = len(np.unique(pairs)) == ctx.order
+    fiber_inj = len(_sorted_unique(pairs)) == ctx.order
     result = bool(g_bij and fiber_inj)
     f_bij = isinstance(perm_from_images(ctx, f_im), PermMap)
     if result != f_bij:

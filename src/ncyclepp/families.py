@@ -587,7 +587,6 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
     p = ctx.p
     env = {"q": q, "p": p}
     di = element_index(ctx, delta)
-    shifted = shift_domain(ctx, sub_degree, i, di)
     params: dict = {"variant": variant, "sub_degree": sub_degree,
                     "i": i, "delta": di}
 
@@ -597,7 +596,7 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
         Hp = (SparsePoly.monomial(ctx, 2) if H is None
               else _as_poly(ctx, H, "H", env))
         g_obj = _trace_expand(Hp, sub_degree * i, m // i)
-        if not np.any(g_obj.eval_vec(shifted)):
+        if not np.any(g_obj.eval_vec(shift_domain(ctx, sub_degree, i, di))):
             raise DegenerateH("trace of H vanishes on the shifted set")
     else:
         if s is None or s < 1:
@@ -607,7 +606,7 @@ def build_shift(ctx: FieldCtx, variant: str, *, i: int, delta,
                 f"s(q^i-1) = {s * (q ** i - 1)} != 0 mod {ctx.order - 1}")
         Hp = (SparsePoly.monomial(ctx, 1) if H is None
               else _as_poly(ctx, H, "H", env))
-        if not np.any(Hp.eval_vec(shifted)):
+        if not np.any(Hp.eval_vec(shift_domain(ctx, sub_degree, i, di))):
             raise DegenerateH("H vanishes on the shifted set")
         g_obj = _power_g(Hp, s)
         params.update(s=s)

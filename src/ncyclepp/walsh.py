@@ -6,10 +6,14 @@ absolute trace.  A single value is kept exact as a length-p count vector (how
 often each trace residue occurs), canonicalized modulo the all-ones vector,
 the kernel of the count-to-value evaluation.
 
-A permutation equals its own inverse exactly when its Walsh matrix is
-symmetric in (u, v); walsh_involution_test checks that a band of rows at a time,
-each held exactly as p - 1 float32 coordinates in Z[w] (basis 1, w, ..., w^(p-2)).
-One engine serves every p: x in dual-basis order puts W(u, v) in column u of
+A map equals its own inverse exactly when its Walsh matrix is symmetric
+in (u, v); walsh_involution_test checks that a band of rows at a time, each
+computed exactly as p - 1 float32 coordinates in Z[w] (basis 1, w, ...,
+w^(p-2)).  The first band is compared in full with the same rows of the
+transposed spectrum, so a map whose least mismatching index lies in it,
+every map that is not a bijection among them, returns from there; later
+bands are compared with int16 blocks that earlier bands left behind.  One
+engine serves every p: x in dual-basis order puts W(u, v) in column u of
 F_(p^n)[u, y] = w^<u, y>, a Kronecker product of two small factors, each
 applied as p - 1 products with 0/+-1 matrices and shifts of the coordinates;
 for p = 2 that is one Hadamard product per factor.
@@ -110,48 +114,74 @@ def _times_factor(B: np.ndarray, product, out: np.ndarray, tmp: np.ndarray):
 def _involution(ctx: FieldCtx, imgs: np.ndarray):
     p, q, a = ctx.p, ctx.order, ctx.n // 2
     c, pa, pb = p - 1, p ** a, p ** (ctx.n - a)
-    # tr(u*x) = <u, sigma(x)> as sigma's Gram matrix is symmetric, so on the
-    # columns y = sigma(x) the transform lands W(u, v) at M[v, :, u].
-    imgs = imgs[np.argsort(_digit_dot_relabel(ctx))]
+    # tr(u*x) = <u, sigma(x)> as sigma's Gram matrix is symmetric, so row v of the
+    # transform lands W(u, v) at M[v, :, u] from w^tr(v*F(x)) in the columns
+    # sigma(x), and W(v, u) there from w^tr(v*x) in the columns sigma(F(x)).
+    sigma = _digit_dot_relabel(ctx)
     # Coordinates of w^tr(g^k) for k in [0, 2q - 3], so log v + log F(x) needs
     # no reduction, then of w^0: e_t, or all -1 for t = p - 1.  With log 0 set
     # to 2q - 2, every sum with a zero term clips to that last entry.
     tr = np.append(np.tile(ctx.tr1_table()[ctx._exp], 2), 0)
     enc = (tr == np.arange(c)[:, None]).astype(np.float32) - (tr == c)
     log = np.concatenate(([2 * q - 2], ctx._log[1:]))
-    log_f = log[imgs]
+    log_f = log[imgs[np.argsort(sigma)]]
+    log_x = log[np.argsort(sigma[imgs])]   # x = F^-1(sigma^-1(y)) for a bijection
     # F_(p^n) = F_(p^a) (x) F_(p^(n-a)) (Good, 1958); for n = 1 the first
     # factor is empty.  Blocks of r rows keep each buffer near 128 q coordinates.
     Ba, Bb = _factor(p, a), _factor(p, ctx.n - a)
     r = max(1, _ROW_BLOCK // c)
-    t = np.empty((r, q), dtype=np.int64)   # log v + log F(x), reused
+    t = np.empty((r, q), dtype=np.int64)   # log v + the input's logs, reused
     X, Y, Z = (np.empty((r, c, q), dtype=np.float32) for _ in range(3))
-    bad = np.empty((r, q), dtype=bool)   # band cells with M[v, :, u] != M[u, :, v]
-    # Band i < j leaves its columns in band j, transposed, in a pool block [v - j, :,
-    # u - i] = M[u, :, v] that band j compares and frees: at most a quarter of the
-    # blocks, (p - 1) q^2 / 4 coordinates, are held at once, and slots are reused.
-    pool = np.empty(((q // r + 1) ** 2 // 4, r, c, r), dtype=np.float32)
-    free, slot, first = list(range(len(pool))), {}, (q, q)
-    for lo in range(0, q, r):
-        k = min(r, q - lo)
-        np.add(log[lo:lo + k, None], log_f[None, :], out=t[:k])
+    H = np.empty((r, c, q), dtype=np.int16)   # coordinates lie in [-q, q], q <= 2^12
+
+    def band(lo, k, logs, row0=None):
+        """Rows lo .. lo + k - 1 of M into H; row0, if given, is row 0's input."""
+        np.add(log[lo:lo + k, None], logs[None, :], out=t[:k])
         for m in range(c):
             np.take(enc[m], t[:k], mode="clip", out=X[:k, m])
+        if row0 is not None:
+            X[0] = 0
+            X[0, 0] = row0
         _times_factor(Bb, lambda B, o: np.matmul(X[:k].reshape(-1, pb), B,
                                                  out=o.reshape(-1, pb)), Z[:k], Y[:k])
         if a:
             _times_factor(Ba, lambda B, o: np.matmul(B, Z[:k].reshape(k, c, pa, pb),
                                                      out=o.reshape(k, c, pa, pb)),
                           X[:k], Y[:k])
-        M = X[:k] if a else Z[:k]
-        for i in range(0, lo, r):
+        H[:k] = X[:k] if a else Z[:k]
+        return H[:k]
+
+    # Band 0 against its transposed rows W(v, u), whose input needs F^-1 past
+    # row 0; row 0 takes the number of preimages of y in column sigma(y), right
+    # for every map.  A map that is not a bijection has a W(0, u) != 0 = W(u, 0),
+    # so it mismatches first in row 0.  The first mismatching row holds the
+    # least index of the mismatch set, and its first mismatch the least partner.
+    k = min(r, q)
+    transposed = band(0, k, log_x, np.bincount(sigma[imgs], minlength=q)).copy()
+    bad = np.any(band(0, k, log_f) != transposed, axis=1)
+    del transposed
+    if bad.any():
+        u = int(bad.any(axis=1).argmax())
+        return False, (ctx.element(u), ctx.element(int(bad[u].argmax())))
+    # Every pair with an index below r is settled.  Band i >= r leaves its columns
+    # in band j > i, transposed, in a pool block [v - j, :, u - i] = M[u, :, v]
+    # that band j compares and frees: of the nb later bands' nb^2 blocks at
+    # most nb^2 / 4 are held at once, and slots are reused.
+    nb = -(-q // r) - 1
+    pool = np.empty((nb * nb // 4, r, c, r), dtype=np.int16)
+    bad = np.empty((r, q), dtype=bool)   # band cells with M[v, :, u] != M[u, :, v]
+    free, slot, first = list(range(len(pool))), {}, (q, q)
+    for lo in range(r, q, r):
+        k = min(r, q - lo)
+        M = band(lo, k, log_f)
+        for i in range(r, lo, r):
             free.append(slot.pop((i, lo)))
             np.any(pool[free[-1], :k] != M[:, :, i:i + r], axis=1, out=bad[:k, i:i + r])
         diag = M[:, :, lo:lo + k]
         np.any(diag != diag.transpose(2, 1, 0), axis=1, out=bad[:k, lo:lo + k])
         # Each mismatching pair u < v shows up here once, in the band of v; the
         # first row-major cell of the symmetric mismatch set is the least (u, v).
-        u = int(bad[:k, :lo + k].any(axis=0).argmax())
+        u = r + int(bad[:k, r:lo + k].any(axis=0).argmax())
         if bad[:k, u].any():
             first = min(first, (u, lo + int(bad[:k, u].argmax())))
         for j in range(lo + k, q, r):
@@ -164,8 +194,9 @@ def _involution(ctx: FieldCtx, imgs: np.ndarray):
 def within_walsh_cap(ctx: FieldCtx) -> bool:
     """q <= WALSH_CAP and at most 2^28 spectrum coordinates (1 GiB), which keeps
     every partial sum, at most 2 (p - 1) q <= min(2 q^2, 2^29 / q) < 2^20, exact.
-    It counts all (p - 1) q^2 coordinates, of which at most a quarter is resident;
-    over GF(p) the factor matrices of _factor(p, 1) are as large as all of them."""
+    It counts all (p - 1) q^2 coordinates, though at most a quarter of them is
+    held at once, as int16; over GF(p) the factor matrices of _factor(p, 1),
+    float32, are as large as all of them."""
     return ctx.order <= WALSH_CAP and (ctx.p - 1) * ctx.order ** 2 <= _SPECTRUM_CAP
 
 

@@ -457,6 +457,30 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["p"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "xh_lambda", "--p", "5", "--n", "7", "--variant", "involution_cor",
+     "--sub-degree", "1", "--lam", "lambda2", "--verify"],
+    ["construct", "xh_lambda", "--p", "3", "--n", "6", "--variant", "involution_cor",
+     "--sub-degree", "1", "--lam", "lambda2", "--verify"],
+    ["fuzz", "abc_cor", "--seed", "0", "--trials", "20"],
+    ["fuzz", "involution_cor", "--seed", "0", "--trials", "20"],
+    ["fuzz", "theta_cor", "--seed", "0", "--trials", "20"],
+], ids=["xh_lambda_5_7", "xh_lambda_3_6", "abc_cor", "involution_cor", "theta_cor"])
+def test_commands_leave_numpy_ma_unimported(argv):
+    # np.unique's masked-array check imports numpy.ma, about 10 ms of every
+    # process that runs a subfield image or a commuting-square check
+    script = ("import runpy, sys\n"
+              f"sys.argv = ['ncyclepp', *{argv!r}]\n"
+              "try:\n"
+              "    runpy.run_module('ncyclepp.cli', run_name='__main__')\n"
+              "finally:\n"
+              "    print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv,code", [
     (["construct", "xh_lambda", "--p", "3", "--n", "4", "--variant",
       "involution_cor", "--sub-degree", "1", "--lam", "lambda2", "--verify"],

@@ -7,7 +7,7 @@ from ncyclepp.criteria import (
     CriterionVerdict, RsParams, ShiftParams, agw_commute_check,
     additive_criterion, frobenius_twist_ncycle, monomial_ncycle,
     rs_single_criterion, rs_triple_criterion, shift_criterion,
-    xh_lambda_criterion,
+    xh_lambda_criterion, _sorted_unique,
 )
 from ncyclepp.errors import (
     BadParams, HypothesisViolated, NotPermutation, NotSurjective,
@@ -323,6 +323,16 @@ def test_rs_single_validation_and_hypothesis():
 
 
 # --- commuting-square bijectivity transfer ---------------------------------
+
+@pytest.mark.parametrize("a", [
+    np.array([], dtype=np.int64), np.array([7], dtype=np.int32),
+    np.array([5, 1, 5, 0, 1, 9], dtype=np.int64),
+    np.random.default_rng(3).integers(0, 40, 500).astype(np.int32),
+])
+def test_sorted_unique_is_np_unique(a):
+    got, want = _sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 def test_agw_transfer_true_case():
     ctx = field(5, 2)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ncyclepp.families as families
 import ncyclepp.polyperm as polyperm
 from ncyclepp.criteria import RsParams
 from ncyclepp.errors import (
@@ -372,6 +373,26 @@ class TestShift:
             build_shift(ctx, "power_g2", i=1, delta=0, sub_degree=1, s=3)
         with pytest.raises(BadParams):
             build_shift(field(2, 6), "trace_g1", i=4, delta=0, sub_degree=1)
+
+    def test_bad_parameters_refused_before_the_shifted_set(self, monkeypatch):
+        # a bad i or s is refused with its own message before any work on
+        # the shifted set S = {x^(q^i) - x + delta}
+        calls = []
+        real = families.shift_domain
+        monkeypatch.setattr(families, "shift_domain",
+                            lambda *a: calls.append(a) or real(*a))
+        cases = [
+            (field(3, 2), "power_g2", dict(i=0, s=4), r"need 1 <= i <= 1"),
+            (field(3, 2), "power_g2", dict(i=1, s=0), "power variant needs a positive s"),
+            (field(3, 2), "power_g2", dict(i=1, s=3), r"s\(q\^i-1\) = 6 != 0 mod 8"),
+            (field(2, 6), "trace_g1", dict(i=4), r"trace target GF\(q\^4\) needs 4 \| 6"),
+        ]
+        for ctx, variant, kw, message in cases:
+            with pytest.raises(BadParams, match=message):
+                build_shift(ctx, variant, delta=1, sub_degree=1, **kw)
+        assert calls == []
+        build_shift(field(3, 2), "power_g2", i=1, delta=1, sub_degree=1, s=4)
+        assert len(calls) == 1
 
     def test_geometric_exponent_matches_power_rule(self):
         # s = 1 + q^i + ... + q^(m-i) satisfies s(q^i - 1) = q^m - 1

@@ -276,6 +276,56 @@ def test_involution_witness_is_least_over_all_bands(pn, cycles, least, earlier):
     assert not flag and (witness[0].i, witness[1].i) == least
 
 
+@pytest.mark.parametrize("pn", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                (2, 8), (3, 4), (5, 2), (7, 2)])
+def test_involution_test_on_maps_that_are_not_bijections(pn):
+    # random functions, and a forced involution, each with point 0 sent to
+    # another point's image: W(u, 0) = q [u = 0] while W(0, u) counts
+    # preimages, so no such map has a symmetric spectrum
+    ctx = field(*pn)
+    q = ctx.order
+    rng = np.random.default_rng(q + 1)
+    maps = [rng.integers(0, q, q) for _ in range(3)] + [_involution_variants(q, rng)[1]]
+    for imgs in maps:
+        imgs[0] = imgs[rng.integers(1, q)]
+        _, bad = dense_mismatches(ctx, imgs)
+        assert len(np.unique(imgs)) < q and bad.size
+        flag, witness = walsh_involution_test(ctx, imgs)
+        assert not flag and (witness[0].i, witness[1].i) == tuple(bad[0])
+
+
+def _traced_peak(ctx, poly):
+    ctx.tr1_table()   # cached field tables, not part of the test's memory
+    f = PermMap(ctx, as_images(ctx, SparsePoly.from_text(ctx, poly, {"q": ctx.order})))
+    tracemalloc.start()
+    try:
+        result = walsh_involution_test(ctx, f)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pn", [(2, 12), (3, 7)])
+def test_involution_witness_path_holds_one_band(pn):
+    # x^2 is not an involution, and its witness lies in the first band of
+    # rows, which is compared in full with its transposed rows: the rest of
+    # the spectrum is never computed
+    ctx = field(*pn)
+    (flag, _), peak = _traced_peak(ctx, "x^2")
+    assert not flag
+    assert peak <= 0.25 * 4 * (ctx.p - 1) * ctx.order ** 2
+
+
+@pytest.mark.parametrize("pn", [(2, 12), (3, 7)])
+def test_involution_pass_path_pool_is_int16(pn):
+    # x^(q-2) passes every band; the pool of transposed blocks holds int16
+    # coordinates and none of the first band's
+    ctx = field(*pn)
+    (flag, _), peak = _traced_peak(ctx, "x^(q-2)")
+    assert flag
+    assert peak <= 0.4 * 4 * (ctx.p - 1) * ctx.order ** 2
+
+
 def test_involution_test_residues_past_127():
     # x + 1 over GF(131): W(u, v) = q w^v [u + v = 0], so the first pair with
     # W(u, v) != W(v, u) is (1, 130); residues above 127 must not wrap
