@@ -411,12 +411,18 @@ class FieldCtx:
             cols = [a]   # a * x^j, the images of the basis under multiplication by a
             while len(cols) < self.n:
                 cols.append(self._cmul(cols[-1], x))
-            exp[filled:filled + take] = self.linear_map(np.array(cols).T)(exp[:take])
+            times_a = self.linear_map(np.array(cols).T)
+            for lo in range(0, take, EVAL_CHUNK):   # the map's buffers span one slice
+                hi = min(lo + EVAL_CHUNK, take)
+                exp[filled + lo:filled + hi] = times_a(exp[lo:hi])
             a = self._cmul(a, a)
             filled += take
         log = np.full(self.order, -1, dtype=dtype)
-        log[exp] = np.arange(q1, dtype=dtype)
-        if int(np.count_nonzero(log == -1)) != 1:  # only the zero element has no log
+        for lo in range(0, q1, EVAL_CHUNK):
+            log[exp[lo:lo + EVAL_CHUNK]] = np.arange(lo, min(lo + EVAL_CHUNK, q1), dtype=dtype)
+        unlogged = sum(int(np.count_nonzero(log[lo:lo + EVAL_CHUNK] == -1))
+                       for lo in range(0, self.order, EVAL_CHUNK))
+        if unlogged != 1:  # only the zero element has no log
             raise NcycleInternal("generator order check failed")  # pragma: no cover
         self._exp = exp
         self._log = log
@@ -781,9 +787,12 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
     k = -(-n // _chunk_digits(p))   # chunks of the input digits of a linear map
     if p != 2 and k > 1 and n * (k * (p - 1)).bit_length() > 63:
         raise CapExceeded(f"the linear maps of GF({p}^{n}) pack more than 63 bits")
-    # peak table entries per point while the tables are built (tracemalloc):
-    # three for p = 2 or n = 1 (exp, log and the arange that fills log), five
-    # for odd p and n > 1 (4.02 at most on GF(3^12), GF(5^8), GF(7^7), GF(4093^2))
+    # table entries per point allowed while the tables are built, an upper
+    # bound: three for p = 2 or n = 1, five for odd p and n > 1.  Each exp
+    # doubling and the fill of log run slice by slice, so the peak is exp,
+    # log, the Zech table for odd p and n > 1, and one slice's buffers
+    # (tracemalloc: 2.0-2.3 entries a point on GF(2^18)-GF(2^22) and
+    # GF(1048573), 3.0-3.9 on GF(3^12), GF(5^8), GF(7^7), GF(11^5), GF(4093^2))
     need = p ** n * (3 if p == 2 or n == 1 else 5) * np.dtype(table_dtype(p ** n)).itemsize
     with memory_budget(f"the tables of GF({p}^{n})", need):
         if modulus is None:

@@ -37,8 +37,8 @@ from .families import (
 )
 from .field import FieldCtx, NcycleInternal, divisors, field_cap, make_field
 from .polyperm import (
-    NotBijective, SparsePoly, cycle_structure, functional_power,
-    identity_perm, perm_from_images, whole_field_budget,
+    NotBijective, SparsePoly, cycle_structure, first_index, functional_power,
+    perm_from_images, whole_field_budget,
 )
 from .walsh import walsh_involution_test, within_walsh_cap
 
@@ -112,8 +112,10 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns) -> OracleVerdict:
                 and _walked_cycles(pm.images.tolist()) != dict(rep.cycle_type)):
             raise NcycleInternal("the cycle engine disagrees with the cycle walk")
         answers: dict[int, bool] = {}
-        for n in ns:   # the identity is made once the power is, not beside it
-            direct = functional_power(pm, n) == identity_perm(ctx)
+        for n in ns:   # f^n = id, checked slice by slice
+            power = functional_power(pm, n).images
+            direct = first_index(ctx, lambda xs: power[xs] != xs) is None
+            del power   # freed before the next power is composed
             if direct != (n % rep.order == 0):
                 raise NcycleInternal("cycle type disagrees with direct composition")
             answers[n] = direct

@@ -540,34 +540,52 @@ def cycle_structure(pm: PermMap) -> CycleReport:
     s dividing w (s = 1 first, then s = w): on a cycle of more than w
     points, the w points labelled with its least point form an arc that no
     such shift maps into itself.  Sorted in place, the labels run through
-    each cycle once, and the run lengths are the cycle sizes."""
-    f, label = pm.images, identity_perm(pm.ctx).images
+    each cycle once, and the run lengths are the cycle sizes.  Both the
+    stop test and the run count go slice by slice, so f, label, jump and
+    jump^2 (or label along jump) are the only whole-field arrays."""
+    f, q = pm.images, pm.ctx.order
+    label = identity_perm(pm.ctx).images
     np.minimum(label, f, out=label)
-    if not np.array_equal(label[f], label):
+    slices = [slice(lo, lo + EVAL_CHUNK) for lo in range(0, q, EVAL_CHUNK)]
+    if any((label[f[s]] != label[s]).any() for s in slices):
         jump = f[f]
-        while not np.array_equal(shifted := label[jump], label):
+        shifted = label[jump]
+        while any((shifted[s] != label[s]).any() for s in slices):
             np.minimum(label, shifted, out=label)
             del shifted   # f, label, jump and jump^2: four tables at most
             jump = jump[jump]
+            shifted = label[jump]
         del jump, shifted
     label.sort()
-    edge = np.ones(label.size + 1, dtype=bool)   # run bounds: 0, each new label, q
-    np.not_equal(label[1:], label[:-1], out=edge[1:-1])
-    del label   # with q cycles, as for the identity: f, edge and 8 bytes a bound
-    bounds = edge.nonzero()[0]
-    # in place, with no copy: each difference is written behind the bounds it reads
-    lengths = np.subtract(bounds[1:], bounds[:-1], out=bounds[:-1])
-    counts = np.bincount(lengths)   # counts[L]: cycles of size L
-    sizes = np.flatnonzero(counts[1:]) + 1
-    ctype = tuple(zip(sizes.tolist(), counts[sizes].tolist()))
-    return CycleReport(True, lcm(*sizes.tolist()), ctype, dict(ctype).get(1, 0))
+    # the runs, slice by slice: new holds the offsets from lo where a run
+    # starts.  The runs between two of them are shorter than a slice and are
+    # tallied in hist; the first run a slice closes, which may have begun
+    # slices before, and the last run are tallied one by one in edge_runs
+    hist, edge_runs, start = np.zeros(0, dtype=np.int64), [], 0
+    for lo in range(1, q, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, q)
+        new = (label[lo:hi] != label[lo - 1:hi - 1]).nonzero()[0]   # runs from lo + new
+        if new.size:
+            edge_runs.append(lo + new[0].item() - start)
+            inner = np.bincount(new[1:] - new[:-1])
+            if inner.size > hist.size:
+                hist, inner = inner, hist
+            hist[:inner.size] += inner
+            start = lo + new[-1].item()
+    edge_runs.append(q - start)
+    sizes = hist.nonzero()[0]
+    counts = dict(zip(sizes.tolist(), hist[sizes].tolist()))
+    for length in edge_runs:
+        counts[length] = counts.get(length, 0) + 1
+    ctype = tuple(sorted(counts.items()))
+    return CycleReport(True, lcm(*counts), ctype, counts.get(1, 0))
 
 
 # bytes per point a whole-field cycle analysis holds at once (tracemalloc):
 # four int32 arrays, the image table and the engine's label, jump and jump^2
-# (or a composed power, its square and the last power), and a bool mask;
-# twice that for a field past 2^31 points, whose tables are int64
-WHOLE_FIELD_BYTES = 17
+# (or a composed power, its square and the last power); twice that for a
+# field past 2^31 points, whose tables are int64
+WHOLE_FIELD_BYTES = 16
 
 
 def whole_field_budget(ctx: FieldCtx):
@@ -586,7 +604,10 @@ def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
         images = as_images(ctx, fn)
         got = perm_from_images(ctx, images)
         if isinstance(got, NotBijective):
-            fixed = int(np.count_nonzero(images == identity_perm(ctx).images))
+            fixed = 0
+            for lo in range(0, ctx.order, EVAL_CHUNK):
+                part = images[lo:lo + EVAL_CHUNK]
+                fixed += int(np.count_nonzero(part == np.arange(lo, lo + part.size)))
             return CycleReport(False, None, (), fixed)
         return cycle_structure(got)
 
@@ -596,7 +617,9 @@ def perm_order(pm: PermMap) -> int:
 
 
 def is_ncycle(pm: PermMap, n: int) -> bool:
-    """True when the n-fold composition of the map is the identity."""
+    """True when the n-fold composition of the map is the identity, which
+    first_index checks slice by slice."""
     if n < 1:
         raise BadParams("n must be a positive integer")
-    return functional_power(pm, n) == identity_perm(pm.ctx)
+    power = functional_power(pm, n).images
+    return first_index(pm.ctx, lambda xs: power[xs] != xs) is None

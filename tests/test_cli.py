@@ -361,8 +361,8 @@ def test_tables_past_the_address_space_exit_three_at_once():
     ["order", "--p", "2", "--n", "24", "--poly", "x^4"]], ids=["verify", "order"])
 def test_whole_field_arrays_past_the_address_space_exit_three(argv):
     # GF(2^24)'s tables fit in a 370 MiB address space, but the oracle's
-    # image table and cycle engine (17 bytes a point) do not fit beside them,
-    # 399 MiB in all: refused before the first of those arrays, not a
+    # image table and cycle engine (16 bytes a point) do not fit beside them,
+    # 384 MiB in all: refused before the first of those arrays, not a
     # MemoryError traceback
     proc = run_cli(argv, address_space=370 << 20)
     assert proc.returncode == 3 and proc.stdout == ""

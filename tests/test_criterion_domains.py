@@ -220,6 +220,21 @@ def test_xh_orbit_doubling_equals_the_loop(pn):
     assert compared > 100
 
 
+def test_orbit_fold_equals_the_n_step_loop():
+    # a fold that advances its position by succ instead of the doubled step
+    # differs from the loop at n = 6, 7, 10-15 and 18-20 on these points
+    rng = np.random.default_rng(27)
+    succ = rng.permutation(50)
+    vals = rng.integers(0, 1000, 50)
+    for n in range(1, 21):
+        want, pos = np.zeros(50, dtype=np.int64), np.arange(50)
+        for _ in range(n):
+            want += vals[pos]
+            pos = succ[pos]
+        got = criteria_mod._orbit_fold(succ, vals, n, lambda a, b, m: a + b)
+        assert np.array_equal(got, want), n
+
+
 def test_huge_claimed_cycle_length_returns_at_once():
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(ROOT / "src")

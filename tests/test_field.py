@@ -177,6 +177,18 @@ def test_tables_hold_eight_bytes_a_point():
     assert held <= 8.5 * ctx.order
 
 
+def test_tables_are_built_in_eight_and_a_half_bytes_a_point():
+    # exp and log, and the buffers of one slice: each exp doubling and the
+    # fill of log run slice by slice (12.07 bytes a point when they did not)
+    tracemalloc.start()
+    try:
+        ctx = make_field(2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * ctx.order, peak / ctx.order
+
+
 def test_memory_error_while_building_the_tables_is_cap_exceeded(monkeypatch):
     def out_of_memory(self):
         raise MemoryError

@@ -138,9 +138,9 @@ class TestExhaustiveVerdict:
         lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
         ids=["exhaustive_verdict", "cycle_report_for_fn"])
     def test_whole_field_arrays_are_budgeted_before_the_first(self, monkeypatch, run):
-        # 17 bytes a point beside the field's tables, int32 exp and log here
+        # 16 bytes a point beside the field's tables, int32 exp and log here
         ctx = field(2, 10)
-        need = 17 * 1024 + 8 * 1023 + 4   # exp has q - 1 entries
+        need = 16 * 1024 + 8 * 1023 + 4   # exp has q - 1 entries
         calls = []
 
         def fn(xs):
@@ -172,6 +172,67 @@ class TestExhaustiveVerdict:
         finally:
             tracemalloc.stop()
         assert peak <= 18 * ctx.order, peak / ctx.order
+
+    @pytest.mark.parametrize("run", [
+        lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
+        lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
+        ids=["exhaustive_verdict", "cycle_report_for_fn"])
+    @pytest.mark.parametrize("text,bound", [("x^(q-2)", 9), ("x^4", 16.5), ("x^7", 16.5)])
+    def test_whole_field_checks_hold_no_whole_field_temporary(self, run, text, bound):
+        # f^n = id and the stop tests are scanned slice by slice, and the
+        # runs counted so: x^(q-2) holds its table and f^2 (8.57 bytes a
+        # point), x^4 and x^7 the engine's four tables (16.07)
+        ctx = field(2, 20)
+        poly = SparsePoly.from_text(ctx, text, {"q": ctx.order})
+        tracemalloc.start()
+        try:
+            run(ctx, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * ctx.order, peak / ctx.order
+
+    @pytest.mark.parametrize("shape", [
+        "identity", "one q-cycle", "random", "40000-cycle and 3-cycle", "x^(q-2)"])
+    def test_cycles_that_cross_slice_edges(self, shape):
+        # 2^17 points are four EVAL_CHUNK slices: runs of sorted labels
+        # that cross a slice's edge are carried into the next slice
+        ctx = field(2, 17)
+        q, rng = ctx.order, np.random.default_rng(27)
+        assert q == 4 * polyperm.EVAL_CHUNK
+        images = np.arange(q)
+        if shape == "one q-cycle":
+            images = np.roll(images, 1)
+        elif shape == "random":
+            images = rng.permutation(q)
+        elif shape == "40000-cycle and 3-cycle":
+            # on points past the first slice, whose points are all fixed
+            pts = polyperm.EVAL_CHUNK + rng.permutation(q - polyperm.EVAL_CHUNK)
+            for cyc in (pts[:40_000], pts[40_000:40_003]):
+                images[cyc] = np.roll(cyc, -1)
+        elif shape == "x^(q-2)":
+            images = polyperm.as_images(ctx, SparsePoly.monomial(ctx, q - 2))
+        walked = oracle._walked_cycles(images.tolist())
+        order = math.lcm(*walked)
+        rep = polyperm.cycle_structure(polyperm.PermMap(ctx, images))
+        assert rep == CycleReport(True, order, tuple(sorted(walked.items())),
+                                  walked.get(1, 0))
+        assert polyperm.cycle_report_for_fn(ctx, images) == rep
+        v = exhaustive_verdict(ctx, images, [2, order])
+        assert v.cycle_type == walked and v.order == order
+        assert v.is_ncycle_at == {2: 2 % order == 0, order: True}
+
+    def test_non_bijection_fixed_points_across_slice_edges(self):
+        ctx = field(2, 17)
+        q = ctx.order
+        images = np.arange(q)
+        chunk = polyperm.EVAL_CHUNK
+        moved = [0, 5, chunk - 1, chunk, 3 * chunk + 7, q - 1]
+        images[moved] = 1   # 1 is reached seven times, and 0 is not reached
+        fixed = sum(i == v for i, v in enumerate(images.tolist()))
+        assert fixed == q - len(moved)
+        rep = polyperm.cycle_report_for_fn(ctx, images)
+        assert rep == CycleReport(False, None, (), fixed)
 
     @pytest.mark.parametrize("run", [
         lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
