@@ -34,7 +34,7 @@ from .field import (
     FieldCtx, FieldElement, NcycleInternal, divisors, element_index,
 )
 from .polyperm import (
-    NotBijective, PermMap, SparsePoly, as_images, as_vector_fn, first_index,
+    NotBijective, PermMap, SparsePoly, as_images, as_vector_fn, first_index, first_moved,
     functional_power, is_ncycle, perm_from_images, poly_add, poly_frob, require_perm,
 )
 
@@ -106,8 +106,7 @@ def frobenius_twist_ncycle(ctx: FieldCtx, poly: SparsePoly, i: int, n: int,
         raise PrereqNotNcycle(f"base map is not an n-cycle for n={n}")
     holds = (n * i) % m == 0
     twist = as_images(ctx, lambda xs: ctx.vfrob(base.images[xs], sub_degree, i))
-    power = functional_power(PermMap(ctx, twist), n).images
-    moved = first_index(ctx, lambda xs: power[xs] != xs)
+    moved = first_moved(ctx, functional_power(PermMap(ctx, twist), n).images)
     if holds and moved is not None:
         raise NcycleInternal("twist must inherit the n-cycle property")
     witness = None if moved is None else _element(ctx, moved)

@@ -37,7 +37,7 @@ from .families import (
 )
 from .field import FieldCtx, NcycleInternal, divisors, field_cap, make_field
 from .polyperm import (
-    NotBijective, SparsePoly, cycle_structure, first_index, functional_power,
+    NotBijective, SparsePoly, cycle_structure, first_moved, functional_power,
     perm_from_images, whole_field_budget,
 )
 from .walsh import walsh_involution_test, within_walsh_cap
@@ -113,9 +113,7 @@ def exhaustive_verdict(ctx: FieldCtx, f, ns) -> OracleVerdict:
             raise NcycleInternal("the cycle engine disagrees with the cycle walk")
         answers: dict[int, bool] = {}
         for n in ns:   # f^n = id, checked slice by slice
-            power = functional_power(pm, n).images
-            direct = first_index(ctx, lambda xs: power[xs] != xs) is None
-            del power   # freed before the next power is composed
+            direct = first_moved(ctx, functional_power(pm, n).images) is None
             if direct != (n % rep.order == 0):
                 raise NcycleInternal("cycle type disagrees with direct composition")
             answers[n] = direct
@@ -590,6 +588,11 @@ def _sample_shift(rng: random.Random) -> Draw:
             _perturbed_shift_instance, ctx, g.terms,
             ShiftParams(i, delta, sub), n)
     if kind == "invalid":
+        # delta cannot change the rejection: build_shift's checks of i and s
+        # do not involve it, and H = 0 vanishes on every shifted set.  So each
+        # build takes delta = 0, and recipes that differ only in delta share
+        # one memo key.
+        delta = 0
         bad = rng.choice(("i_zero", "i_full", "bad_s", "zero_h"))
         if bad == "i_zero":
             params = {"variant": "power_g2", "i": 0}

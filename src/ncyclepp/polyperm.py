@@ -452,6 +452,12 @@ def first_index(ctx: FieldCtx, test) -> int | None:
     return None
 
 
+def first_moved(ctx: FieldCtx, images: np.ndarray) -> int | None:
+    """The least point that an image table does not fix, or None: each slice
+    of the table, a view, is compared with the slice's own indices."""
+    return first_index(ctx, lambda xs: images[xs[0]:xs[0] + xs.size] != xs)
+
+
 def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
     """The permutation given by images (anything as_images accepts), or
     evidence that it is not a bijection: q images are a bijection when
@@ -618,8 +624,7 @@ def perm_order(pm: PermMap) -> int:
 
 def is_ncycle(pm: PermMap, n: int) -> bool:
     """True when the n-fold composition of the map is the identity, which
-    first_index checks slice by slice."""
+    first_moved checks slice by slice."""
     if n < 1:
         raise BadParams("n must be a positive integer")
-    power = functional_power(pm, n).images
-    return first_index(pm.ctx, lambda xs: power[xs] != xs) is None
+    return first_moved(pm.ctx, functional_power(pm, n).images) is None

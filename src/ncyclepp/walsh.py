@@ -17,6 +17,12 @@ engine serves every p: x in dual-basis order puts W(u, v) in column u of
 F_(p^n)[u, y] = w^<u, y>, a Kronecker product of two small factors, each
 applied as p - 1 products with 0/+-1 matrices and shifts of the coordinates;
 for p = 2 that is one Hadamard product per factor.
+
+Rows transform independently, so a band is transformed a slice of rows at
+a time.  At once the engine holds the pool of blocks (about (p - 1) q^2 / 4
+int16 coordinates), one int16 band and one slice of float32 scratch, beside
+the factor matrices, which set the peak over GF(p).  Their bytes are
+estimated from (p, n) and checked against memory before any table is built.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .field import FieldCtx, element_index
+from .field import EVAL_CHUNK, FieldCtx, element_index, memory_budget
 from .polyperm import as_images
 
 WALSH_CAP = 1 << 12
@@ -95,8 +101,10 @@ def _factor(p: int, k: int) -> np.ndarray:
     to 0, so F_(p^k) = sum_j B_j w^j.  For p = 2, B_0 is Sylvester's H_(2^k)."""
     digits = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
     dot = digits @ digits.T % p
-    return np.stack([(dot == j).astype(np.float32) - (dot == p - 1)
-                     for j in range(p - 1)])
+    B = np.empty((p - 1, p ** k, p ** k), dtype=np.float32)   # no second copy
+    for j in range(p - 1):
+        np.subtract(dot == j, dot == p - 1, out=B[j], dtype=np.float32)
+    return B
 
 
 def _times_factor(B: np.ndarray, product, out: np.ndarray, tmp: np.ndarray):
@@ -127,28 +135,32 @@ def _involution(ctx: FieldCtx, imgs: np.ndarray):
     log_f = log[imgs[np.argsort(sigma)]]
     log_x = log[np.argsort(sigma[imgs])]   # x = F^-1(sigma^-1(y)) for a bijection
     # F_(p^n) = F_(p^a) (x) F_(p^(n-a)) (Good, 1958); for n = 1 the first
-    # factor is empty.  Blocks of r rows keep each buffer near 128 q coordinates.
+    # factor is empty.  Bands of r rows keep H near 128 q coordinates; each row
+    # transforms on its own, sub rows at a time, so the float32 scratch spans
+    # about EVAL_CHUNK coordinates per residue.
     Ba, Bb = _factor(p, a), _factor(p, ctx.n - a)
-    r = max(1, _ROW_BLOCK // c)
-    t = np.empty((r, q), dtype=np.int64)   # log v + the input's logs, reused
-    X, Y, Z = (np.empty((r, c, q), dtype=np.float32) for _ in range(3))
+    r, sub = _rows(p, q)
+    t = np.empty((sub, q), dtype=np.int64)   # log v + the input's logs, reused
+    X, Y, Z = (np.empty((sub, c, q), dtype=np.float32) for _ in range(3))
     H = np.empty((r, c, q), dtype=np.int16)   # coordinates lie in [-q, q], q <= 2^12
 
     def band(lo, k, logs, row0=None):
         """Rows lo .. lo + k - 1 of M into H; row0, if given, is row 0's input."""
-        np.add(log[lo:lo + k, None], logs[None, :], out=t[:k])
-        for m in range(c):
-            np.take(enc[m], t[:k], mode="clip", out=X[:k, m])
-        if row0 is not None:
-            X[0] = 0
-            X[0, 0] = row0
-        _times_factor(Bb, lambda B, o: np.matmul(X[:k].reshape(-1, pb), B,
-                                                 out=o.reshape(-1, pb)), Z[:k], Y[:k])
-        if a:
-            _times_factor(Ba, lambda B, o: np.matmul(B, Z[:k].reshape(k, c, pa, pb),
-                                                     out=o.reshape(k, c, pa, pb)),
-                          X[:k], Y[:k])
-        H[:k] = X[:k] if a else Z[:k]
+        for i in range(0, k, sub):
+            j = min(sub, k - i)
+            np.add(log[lo + i:lo + i + j, None], logs[None, :], out=t[:j])
+            for m in range(c):
+                np.take(enc[m], t[:j], mode="clip", out=X[:j, m])
+            if row0 is not None and i == 0:
+                X[0] = 0
+                X[0, 0] = row0
+            _times_factor(Bb, lambda B, o: np.matmul(X[:j].reshape(-1, pb), B,
+                                                     out=o.reshape(-1, pb)), Z[:j], Y[:j])
+            if a:
+                _times_factor(Ba, lambda B, o: np.matmul(B, Z[:j].reshape(j, c, pa, pb),
+                                                         out=o.reshape(j, c, pa, pb)),
+                              X[:j], Y[:j])
+            H[i:i + j] = X[:j] if a else Z[:j]
         return H[:k]
 
     # Band 0 against its transposed rows W(v, u), whose input needs F^-1 past
@@ -191,20 +203,49 @@ def _involution(ctx: FieldCtx, imgs: np.ndarray):
     return (True, None) if u == q else (False, (ctx.element(u), ctx.element(v)))
 
 
+def _rows(p: int, q: int) -> tuple[int, int]:
+    """Rows of a band and rows of one slice of its float32 scratch."""
+    r = max(1, _ROW_BLOCK // (p - 1))
+    return r, max(1, min(r, EVAL_CHUNK // q))
+
+
+def _engine_bytes(p: int, n: int) -> int:
+    """Bytes the engine holds at once over GF(p^n), an upper bound computed
+    before any table: the float32 factor matrices, the int16 pool with each
+    slot's key and list entries, the int16 band with band 0's transposed copy
+    and their bool compare, bad, one slice of scratch, the q-entry index
+    arrays with the trace encoding, and 64 KiB for sigma's linear-map tables
+    and the small arrays."""
+    q, a, c = p ** n, n // 2, p - 1
+    r, sub = _rows(p, q)
+    nb = -(-q // r) - 1
+    factors = 4 * c * (p ** (2 * a) + p ** (2 * (n - a)))
+    pool = nb * nb // 4 * (2 * r * c * r + 256)
+    band = 5 * r * c * q + r * q
+    scratch = 8 * sub * q + 12 * sub * c * q
+    return factors + pool + band + scratch + q * (80 + 16 * c) + (1 << 16)
+
+
 def within_walsh_cap(ctx: FieldCtx) -> bool:
     """q <= WALSH_CAP and at most 2^28 spectrum coordinates (1 GiB), which keeps
     every partial sum, at most 2 (p - 1) q <= min(2 q^2, 2^29 / q) < 2^20, exact.
-    It counts all (p - 1) q^2 coordinates, though at most a quarter of them is
-    held at once, as int16; over GF(p) the factor matrices of _factor(p, 1),
-    float32, are as large as all of them."""
+    It counts all (p - 1) q^2 coordinates, though the engine holds at once only
+    the pool, about a quarter of them as int16, one int16 band and one slice
+    of float32 scratch; over GF(p) the factor matrices of _factor(p, 1),
+    float32, are as large as all of them.  What fits in memory is decided
+    apart, by _engine_bytes."""
     return ctx.order <= WALSH_CAP and (ctx.p - 1) * ctx.order ** 2 <= _SPECTRUM_CAP
 
 
 def walsh_involution_test(ctx: FieldCtx, fn):
     """Decide whether a permutation is its own inverse from its Walsh
     spectrum alone.  Returns (flag, witness); the witness is a pair (u, v)
-    with W(u, v) != W(v, u) when the answer is no."""
+    with W(u, v) != W(v, u) when the answer is no.  Refused with CapExceeded
+    past the cap, or when the engine's bytes (_engine_bytes) do not fit in
+    memory."""
     if not within_walsh_cap(ctx):
         raise CapExceeded(f"Walsh spectrum of GF({ctx.p}^{ctx.n}) above cap: it needs "
                           f"q <= {WALSH_CAP} and (p - 1) q^2 <= 2^28")
-    return _involution(ctx, as_images(ctx, fn))
+    with memory_budget(f"the Walsh test's arrays over GF({ctx.p}^{ctx.n})",
+                       _engine_bytes(ctx.p, ctx.n)):
+        return _involution(ctx, as_images(ctx, fn))

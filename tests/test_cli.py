@@ -433,6 +433,18 @@ def test_walsh_spectrum_cap_exits_three_before_allocating():
     assert report["status"] == "AGREE" and report["walsh_checked"] is False
 
 
+def test_walsh_arrays_past_the_address_space_exit_three_at_once():
+    # GF(643) is within the spectrum cap, but its q x q factor matrices alone
+    # are 1 GiB of float32: refused before any is built, not a MemoryError
+    # traceback
+    argv = ["walsh", "--p", "643", "--n", "1", "--poly", "x^2", "--check-involution"]
+    proc = run_cli(argv, address_space=600 << 20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    error, elapsed = proc.stderr.splitlines()
+    assert error.startswith("error: the Walsh test's arrays over GF(643^1) take about")
+    assert float(elapsed.split()[1]) < 1.0
+
+
 @pytest.mark.parametrize("poly,cycle", [("x^(2^-1)", "2"), ("x^2", "2^-1")])
 def test_negative_power_exits_two(capsys, poly, cycle):
     # 2^-1 is no integer: it must not be truncated to x^0 or a 0-cycle

@@ -426,9 +426,8 @@ class TestFuzzMemo:
         assert s.distinct <= s.comparisons
 
     def test_recipes_keep_what_the_params_leave_out(self):
-        # shift's i_zero line leaves out delta (GF(3^2) has one subfield in
-        # the pool), and additive's psi_shape line on GF(3^4) leaves out
-        # whether the subfield is GF(3) or GF(9)
+        # shift's i_zero line and additive's psi_shape line leave out whether
+        # the subfield of GF(2^6) is GF(2) or GF(4), and of GF(3^4) GF(3) or GF(9)
         def recipes(sampler, field_label, params):
             rng, found = random.Random(0), {}
             for _ in range(3000):
@@ -437,13 +436,37 @@ class TestFuzzMemo:
                     found[oracle._recipe(kind, build)] = build.keywords
             return found
 
-        shift = recipes(oracle._sample_shift, "GF(3^2)",
+        shift = recipes(oracle._sample_shift, "GF(2^6)",
                         {"variant": "power_g2", "i": 0})
-        deltas = {kw["delta"] for kw in shift.values()}
-        assert len(deltas) >= 2 and len(shift) == len(deltas)
+        assert {kw["sub_degree"] for kw in shift.values()} == {1, 2}
         additive = recipes(oracle._sample_additive, "GF(3^4)",
                            {"variant": "trace_g1", "psi": "x^2"})
         assert sorted(kw["sub_degree"] for kw in additive.values()) == [1, 2]
+
+    def test_shift_recipes_leave_delta_out_only_when_invalid(self):
+        # build_shift rejects an invalid tuple whatever delta is, so two
+        # invalid recipes that differ only in delta share a key; two valid
+        # ones build different maps and keep apart
+        class Recorded(random.Random):
+            def randrange(self, *args):
+                got = super().randrange(*args)
+                self.draws.append((args, got))
+                return got
+
+        groups: dict[tuple, dict] = {}
+        for seed in range(400):
+            rng = Recorded(seed)
+            rng.draws = []
+            kind, ctx, _, build = oracle._sample_shift(rng)
+            delta = next(got for args, got in rng.draws if args == (0, ctx.order))
+            rest = sorted((k, v) for k, v in build.keywords.items() if k != "delta")
+            key = (kind, build.func, build.args, tuple(rest))
+            groups.setdefault(key, {})[delta] = oracle._recipe(kind, build)
+        for kind in ("invalid", "valid"):
+            apart = [g for key, g in groups.items() if key[0] == kind and len(g) >= 2]
+            assert len(apart) >= 3
+            for g in apart:
+                assert len(set(g.values())) == (1 if kind == "invalid" else len(g))
 
     @pytest.mark.parametrize("fam", ["shift", "additive", "jieguo"])
     def test_the_memo_lives_for_one_call(self, monkeypatch, fam):

@@ -1,9 +1,11 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ncyclepp import field as field_mod, walsh
 from ncyclepp.errors import BadParams, CapExceeded
 from ncyclepp.field import make_field
 from ncyclepp.polyperm import (
@@ -11,7 +13,7 @@ from ncyclepp.polyperm import (
     invert, perm_order, require_perm,
 )
 from ncyclepp.walsh import (
-    WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
+    WALSH_CAP, WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
 )
 from conftest import field
 
@@ -149,6 +151,21 @@ def _involution_variants(q, rng):
     return maps
 
 
+def _traced_peak(ctx, f):
+    """walsh_involution_test's result on f, an image table or a polynomial's
+    text, and its tracemalloc peak."""
+    ctx.tr1_table()   # cached field tables, not part of the test's memory
+    if isinstance(f, str):
+        f = as_images(ctx, SparsePoly.from_text(ctx, f, {"q": ctx.order}))
+    f = PermMap(ctx, f)
+    tracemalloc.start()
+    try:
+        result = walsh_involution_test(ctx, f)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
 def test_char2_involution_test_matches_dense_spectrum(n):
     # W(u, v) = sum_x (-1)^(tr(u x) + tr(v F(x))) = (T @ S.T)[u, v], built
@@ -186,14 +203,7 @@ def test_char2_involution_test_memory_at_cap(which):
     # it on the witness path (random permutation) and the pass path alike
     ctx = field(2, 12)
     q = ctx.order
-    ctx.tr1_table()   # cached field tables, not part of the test's memory
-    f = PermMap(ctx, _involution_variants(q, np.random.default_rng(12))[which])
-    tracemalloc.start()
-    try:
-        walsh_involution_test(ctx, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(ctx, _involution_variants(q, np.random.default_rng(12))[which])
     assert peak <= 1.5 * 4 * q * q
 
 
@@ -294,17 +304,6 @@ def test_involution_test_on_maps_that_are_not_bijections(pn):
         assert not flag and (witness[0].i, witness[1].i) == tuple(bad[0])
 
 
-def _traced_peak(ctx, poly):
-    ctx.tr1_table()   # cached field tables, not part of the test's memory
-    f = PermMap(ctx, as_images(ctx, SparsePoly.from_text(ctx, poly, {"q": ctx.order})))
-    tracemalloc.start()
-    try:
-        result = walsh_involution_test(ctx, f)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("pn", [(2, 12), (3, 7)])
 def test_involution_witness_path_holds_one_band(pn):
     # x^2 is not an involution, and its witness lies in the first band of
@@ -326,6 +325,23 @@ def test_involution_pass_path_pool_is_int16(pn):
     assert peak <= 0.4 * 4 * (ctx.p - 1) * ctx.order ** 2
 
 
+@pytest.mark.parametrize("pn", [(2, 9), (2, 10), (3, 6)])
+def test_involution_test_over_several_slices_matches_dense_spectrum(pn):
+    # the first fields whose bands are transformed in more than one slice of
+    # rows (64, 32 and 44 of a band's 128, 128 and 64): flag and witness
+    # against the dense spectrum, for bijections and a map that is not one
+    ctx = field(*pn)
+    q = ctx.order
+    rng = np.random.default_rng(q + 2)
+    for imgs in _involution_variants(q, rng) + [rng.integers(0, q, q)]:
+        _, bad = dense_mismatches(ctx, imgs)
+        flag, witness = walsh_involution_test(ctx, imgs)
+        assert flag == (bad.size == 0)
+        if not flag:
+            assert (witness[0].i, witness[1].i) == tuple(bad[0])
+    assert not flag   # the last map was not a bijection
+
+
 def test_involution_test_residues_past_127():
     # x + 1 over GF(131): W(u, v) = q w^v [u + v = 0], so the first pair with
     # W(u, v) != W(v, u) is (1, 130); residues above 127 must not wrap
@@ -342,14 +358,7 @@ def test_oddp_involution_test_memory_at_cap(which):
     # bytes; the test may hold little beyond it on either path
     ctx = field(3, 7)
     q = ctx.order
-    ctx.tr1_table()   # cached field tables, not part of the test's memory
-    f = PermMap(ctx, _involution_variants(q, np.random.default_rng(37))[which])
-    tracemalloc.start()
-    try:
-        walsh_involution_test(ctx, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(ctx, _involution_variants(q, np.random.default_rng(37))[which])
     assert peak <= 1.5 * 4 * (ctx.p - 1) * q * q
 
 
@@ -359,16 +368,20 @@ def test_involution_test_holds_a_fraction_of_the_spectrum(pn, poly):
     # the (p - 1) q^2 spectrum coordinates are never all held at once: each
     # band of rows is compared with blocks that earlier bands left behind
     ctx = field(*pn)
-    q = ctx.order
-    ctx.tr1_table()   # cached field tables, not part of the test's memory
-    f = PermMap(ctx, as_images(ctx, SparsePoly.from_text(ctx, poly, {"q": q})))
-    tracemalloc.start()
-    try:
-        walsh_involution_test(ctx, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.8 * 4 * (ctx.p - 1) * q * q
+    _, peak = _traced_peak(ctx, poly)
+    assert peak <= 0.8 * 4 * (ctx.p - 1) * ctx.order ** 2
+
+
+@pytest.mark.parametrize("poly,share", [("x^(q-2)", 0.2), ("x^2", 0.1)])
+def test_involution_test_holds_one_slice_of_float32_scratch(poly, share):
+    # at GF(2^12) the float32 scratch and the gather index span 8 of a band's
+    # 128 rows: the pass path holds the int16 pool and band (10.4 MB), the
+    # witness path band 0 twice (3.9 MB), against 19.8 and 13.3 MB with
+    # band-sized scratch
+    ctx = field(2, 12)
+    (flag, _), peak = _traced_peak(ctx, poly)
+    assert flag == (poly == "x^(q-2)")
+    assert peak <= share * 4 * ctx.order ** 2
 
 
 @pytest.mark.parametrize("pn,fits", [((643, 1), True), ((647, 1), False),
@@ -381,6 +394,55 @@ def test_spectrum_cap(pn, fits):
     if not fits:
         with pytest.raises(CapExceeded):
             walsh_involution_test(ctx, identity_perm(ctx))
+
+
+@pytest.mark.parametrize("pn,poly", [((2, 12), "x^(q-2)"), ((2, 12), "x^2"),
+                                     ((3, 7), "x^(q-2)"), ((5, 4), "x^(q-2)"),
+                                     ((13, 2), "x^(q-2)"), ((131, 1), "x^(q-2)")])
+def test_engine_bytes_bound_the_traced_peak(pn, poly):
+    # the byte estimate, made from (p, n) alone, bounds both paths, and the
+    # pass path, which fills the pool, by less than twice its peak
+    ctx = field(*pn)
+    (flag, _), peak = _traced_peak(ctx, poly)
+    need = walsh._engine_bytes(*pn)
+    assert peak <= need
+    assert not flag or need <= 2 * peak
+
+
+def test_every_admitted_field_fits_in_1_2_gib():
+    # GF(643) sets the largest estimate, with its q x q factor matrices
+    # (1 GiB of float32), so every field within the cap runs on a machine
+    # with room for that
+    primes = [p for p in range(2, WALSH_CAP + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    admitted = [(p, n) for p in primes for n in range(1, 13)
+                if within_walsh_cap(SimpleNamespace(p=p, order=p ** n))]
+    assert max(admitted, key=lambda pn: walsh._engine_bytes(*pn)) == (643, 1)
+    assert walsh._engine_bytes(643, 1) < 1.2 * 2 ** 30
+
+
+def test_engine_arrays_are_budgeted_before_the_first(monkeypatch):
+    ctx = field(2, 8)
+    need, calls = walsh._engine_bytes(2, 8), []
+
+    def fn(xs):
+        calls.append(len(xs))
+        return xs
+
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: need - 1)
+    with pytest.raises(CapExceeded, match=r"Walsh test's arrays over GF\(2\^8\) take about"):
+        walsh_involution_test(ctx, fn)
+    assert calls == []
+    monkeypatch.setattr(field_mod, "_memory_bytes", lambda: need)
+    assert walsh_involution_test(ctx, fn) == (True, None)
+    assert calls == [ctx.order]
+
+
+def test_memory_error_inside_is_cap_exceeded():
+    def fn(xs):
+        raise MemoryError
+
+    with pytest.raises(CapExceeded, match=r"Walsh test's arrays over GF\(2\^4\) do not fit"):
+        walsh_involution_test(field(2, 4), fn)
 
 
 def test_cap_enforced():
