@@ -13,12 +13,13 @@ Construction is deterministic:
   1, 2, 3, ..., whose order is exactly p^n - 1.
 
 Products, powers, inverses and odd-p sums (Zech logarithms) run on
-precomputed discrete-log tables, int32 while every index fits int32
-(q <= 2^31), so the whole field is materialized at construction time; the
+discrete-log tables, int32 while every index fits int32 (q <= 2^31); the
 vector operations add and multiply logs in int64 and return int64 arrays.
-A size cap (default 2^24 elements, or the environment variable NCYC_CAP,
-read by make_field) keeps that tractable, and a field whose tables would
-not fit in memory is refused before they are allocated.
+Construction builds exp (exp[k] = g^k); log and, for odd p and n > 1, the
+Zech table are built from it on first use, by the first operation that
+reads them.  A size cap (default 2^24 elements, or the environment variable
+NCYC_CAP, read by make_field) keeps that tractable, and a field whose
+tables would not fit in memory is refused before they are allocated.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
 the trace) given by their matrices over GF(p): FieldCtx.linear_map looks
@@ -32,6 +33,7 @@ import math
 import os
 import resource
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -221,7 +223,6 @@ class FieldCtx:
         self._table_size = sum(p ** len(self._p_pows[lo:lo + self._chunk])
                                for lo in range(0, n, self._chunk))
         self._gen_idx = self._find_generator()
-        self._zech: Optional[np.ndarray] = None
         self._build_tables()
         self._subfield_cache: dict[int, np.ndarray] = {}
         self._image_cache: dict[bytes, np.ndarray] = {}
@@ -417,21 +418,52 @@ class FieldCtx:
                 exp[filled + lo:filled + hi] = times_a(exp[lo:hi])
             a = self._cmul(a, a)
             filled += take
-        log = np.full(self.order, -1, dtype=dtype)
+        seen = np.zeros(self.order, dtype=bool)   # exp's values, marked
         for lo in range(0, q1, EVAL_CHUNK):
-            log[exp[lo:lo + EVAL_CHUNK]] = np.arange(lo, min(lo + EVAL_CHUNK, q1), dtype=dtype)
-        unlogged = sum(int(np.count_nonzero(log[lo:lo + EVAL_CHUNK] == -1))
-                       for lo in range(0, self.order, EVAL_CHUNK))
-        if unlogged != 1:  # only the zero element has no log
+            seen[exp[lo:lo + EVAL_CHUNK]] = True
+        if self.order - np.count_nonzero(seen) != 1:  # only zero has no log
             raise NcycleInternal("generator order check failed")  # pragma: no cover
         self._exp = exp
-        self._log = log
-        if self.p != 2 and self.n > 1:   # Z[k] = log(1 + g^k); x + 1 alters digit 0 only
-            self._zech = np.empty(q1, dtype=dtype)
-            for lo in range(0, q1, EVAL_CHUNK):
-                x = exp[lo:lo + EVAL_CHUNK] + 1
+
+    @cached_property
+    def _log(self) -> np.ndarray:
+        """log[x] = k where x = g^k, and log[0] = -1."""
+        with memory_budget(f"the log table of GF({self.p}^{self.n})", self._exp.nbytes):
+            return self._build_log()
+
+    def _build_log(self) -> np.ndarray:
+        log, q1 = np.full(self.order, -1, dtype=self._exp.dtype), self.order - 1
+        for lo in range(0, q1, EVAL_CHUNK):
+            log[self._exp[lo:lo + EVAL_CHUNK]] = np.arange(lo, min(lo + EVAL_CHUNK, q1))
+        return log
+
+    @cached_property
+    def _zech(self) -> Optional[np.ndarray]:
+        """Z[k] = log(1 + g^k) for odd p and n > 1, else None."""
+        if self.p == 2 or self.n == 1:
+            return None
+        with memory_budget(f"the Zech table of GF({self.p}^{self.n})", self._exp.nbytes):
+            zech = np.empty_like(self._exp)
+            for lo in range(0, zech.size, EVAL_CHUNK):   # x + 1 alters digit 0 only
+                x = self._exp[lo:lo + EVAL_CHUNK] + 1
                 x -= (x // self.p * self.p == x) * self.p   # digit 0 was p - 1: it wraps
-                self._zech[lo:lo + EVAL_CHUNK] = log[x]
+                zech[lo:lo + EVAL_CHUNK] = self._log[x]
+        return zech
+
+    def logs(self, values) -> dict[int, int]:
+        """{x: log x} for the nonzero x in values: from the log table once it
+        is built, else from one scan of exp, up to the slice of the last."""
+        want = np.array(sorted(set(values)), dtype=np.int64)
+        if "_log" in self.__dict__:
+            return dict(zip(want.tolist(), self._log[want].tolist()))
+        found: dict[int, int] = {}
+        for lo in range(0, self.order - 1, EVAL_CHUNK):
+            if len(found) == want.size:
+                break
+            part = self._exp[lo:lo + EVAL_CHUNK]
+            hits = np.flatnonzero(want[np.searchsorted(want, part) % want.size] == part)
+            found.update(zip(part[hits].tolist(), (hits + lo).tolist()))
+        return found
 
     # -- scalar index arithmetic ----------------------------------------------
 
@@ -787,12 +819,12 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None,
     k = -(-n // _chunk_digits(p))   # chunks of the input digits of a linear map
     if p != 2 and k > 1 and n * (k * (p - 1)).bit_length() > 63:
         raise CapExceeded(f"the linear maps of GF({p}^{n}) pack more than 63 bits")
-    # table entries per point allowed while the tables are built, an upper
-    # bound: three for p = 2 or n = 1, five for odd p and n > 1.  Each exp
-    # doubling and the fill of log run slice by slice, so the peak is exp,
-    # log, the Zech table for odd p and n > 1, and one slice's buffers
-    # (tracemalloc: 2.0-2.3 entries a point on GF(2^18)-GF(2^22) and
-    # GF(1048573), 3.0-3.9 on GF(3^12), GF(5^8), GF(7^7), GF(11^5), GF(4093^2))
+    # table entries per point allowed for the tables, an upper bound: three
+    # for p = 2 or n = 1, five for odd p and n > 1.  Construction holds exp,
+    # a 1-byte mark of its values and one slice's buffers (tracemalloc: 1.3-1.6
+    # entries a point on GF(2^18)-GF(2^22) and GF(1048573), 1.3-2.3 on GF(3^12),
+    # GF(5^8), GF(7^7), GF(11^5), GF(4093^2)); building log and Zech on first
+    # use adds 1.0-1.4 and 2.0-2.9 entries
     need = p ** n * (3 if p == 2 or n == 1 else 5) * np.dtype(table_dtype(p ** n)).itemsize
     with memory_budget(f"the tables of GF({p}^{n})", need):
         if modulus is None:

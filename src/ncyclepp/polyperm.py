@@ -86,6 +86,17 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
 # sparse polynomials
 # ---------------------------------------------------------------------------
 
+def _power(ctx: FieldCtx, lx: np.ndarray, lc: int, e: int,
+           t=None, s=None, out=None) -> np.ndarray:
+    """g^(lc + e*l) for each log l in lx: c*x^e, lc = log c, at nonzero x;
+    t, s (int64) and out (exp's dtype) are buffers, allocated if not given."""
+    q1 = ctx.order - 1
+    t = np.multiply(lx, e % q1, out=t, dtype=np.int64)
+    t += lc
+    t -= np.multiply(np.floor_divide(t, q1, out=s), q1, out=s)   # t % q1, in half the time
+    return np.take(ctx._exp, t, mode="clip", out=out)
+
+
 @dataclass(frozen=True)
 class SparsePoly:
     """Canonical sparse polynomial: terms are (coefficient index, exponent)."""
@@ -169,71 +180,85 @@ class SparsePoly:
             acc = self.ctx.add_idx(acc, self.ctx.mul_idx(c, self.ctx.pow_idx(i, e)))
         return acc
 
-    def _term(self, c: int, e: int, xs: np.ndarray) -> np.ndarray:
-        t = xs if e == 1 else self.ctx.vpow(xs, e)   # x^1 = x, 0 included
-        return t if c == 1 else self.ctx.vmul(np.int64(c), t)
+    @cached_property
+    def _logged(self) -> list[tuple[int, int, None]]:
+        """The terms as a plan for _from_logs, the logs from one ctx.logs."""
+        logs = self.ctx.logs(c for c, _ in self.terms)
+        return [(logs[c], e, None) for c, e in self.terms]
 
     @cached_property
-    def _plan(self) -> list[tuple[int, list[tuple[int, int]], Callable | None]]:
-        """The terms as (e0, terms, L), one entry per Frobenius orbit of
-        exponents mod q - 1; e0 is the orbit's least member in [1, q - 1], or
-        0 for the constant, so x^(q-1) stays apart from it.  The terms
-        c*x^(e0*p^k) sum to L(x^e0), L the GF(p)-linear y -> sum of
-        c*y^(p^k); an orbit of two or more terms carries L's evaluator."""
-        ctx, groups = self.ctx, {}
-        for c, e in self.terms:
+    def _plan(self) -> list[tuple[int, int, Callable | None]]:
+        """_logged with each Frobenius orbit of exponents mod q - 1 of two or
+        more terms merged into (0, e0, L): e0 is its least member in
+        [1, q - 1] (0 for the constant, so x^(q-1) stays apart), and its
+        terms c*x^(e0*p^k) sum to L(x^e0), L the GF(p)-linear y -> sum of
+        c*y^(p^k), from L's images of the basis."""
+        ctx, groups, plan = self.ctx, {}, []
+        for lc, e, _ in self._logged:
             e0 = min(map_exp(ctx, map_exp(ctx, e) * ctx.p ** k) for k in range(ctx.n))
-            groups.setdefault(e0, []).append((c, e))
-        plan = []
+            groups.setdefault(e0, []).append((lc, e, None))
         for e0, group in groups.items():
-            lin = None
-            if len(group) > 1:   # L's matrix, from its images of the basis
+            if len(group) > 1:
                 frob = {map_exp(ctx, e0 * ctx.p ** k): ctx.p ** k for k in range(ctx.n)}
-                lin = ctx.linear_map(ctx.linear_matrix(lambda basis: reduce(
-                    ctx.vadd, (self._term(c, frob[map_exp(ctx, e)], basis) for c, e in group))))
-            plan.append((e0, group, lin))
+                logs = ctx.logs(ctx._p_pows)
+                basis = np.array([logs[b] for b in ctx._p_pows])
+                group = [(0, e0, ctx.linear_map(ctx._matrix(reduce(ctx.vadd, (
+                    _power(ctx, basis, lc, frob[map_exp(ctx, e)]) for lc, e, _ in group)))))]
+            plan += group
         return plan
+
+    def _from_logs(self, lx: np.ndarray, plan, t=None, s=None, out=None) -> np.ndarray:
+        """The polynomial at the nonzero points of logs lx: the sum of the
+        plan's parts g^(l + e*log x), each mapped by its L if it has one;
+        t, s and out are _power's buffers, out for the first part only."""
+        ctx, acc = self.ctx, None
+        for lc, e, lin in plan:
+            part = _power(ctx, lx, lc, e, t, s, out if acc is None else None)
+            part = part if lin is None else lin(part)
+            acc = part if acc is None else ctx.vadd(acc, part)
+        return acc
+
+    def _images(self, dtype) -> np.ndarray:
+        """The image of every point, of dtype, in log order: _from_logs of k
+        for k over EVAL_CHUNK slices, with one set of buffers, scattered to
+        exp[k]; orbits are merged when the field spans two or more chunks."""
+        ctx, q1 = self.ctx, self.ctx.order - 1
+        out = np.zeros(ctx.order, dtype=dtype)
+        if not self.terms:
+            return out
+        plan = self._plan if ctx.n > ctx._chunk else self._logged
+        k = np.arange(min(EVAL_CHUNK, q1), dtype=np.int64)
+        t, s, idx = np.empty_like(k), np.empty_like(k), np.empty(k.size, dtype=np.intp)
+        v = np.empty(k.size, dtype=ctx._exp.dtype)
+        for lo in range(0, q1, k.size):
+            m = min(k.size, q1 - lo)
+            idx[:m] = ctx._exp[lo:lo + m]
+            out[idx[:m]] = self._from_logs(k[:m], plan, t[:m], s[:m], v[:m])
+            k += k.size
+        c0, e0 = self.terms[0]   # exponents ascend: a constant comes first
+        out[0] = c0 if e0 == 0 else 0
+        return out
 
     @cached_property
     def _table(self) -> np.ndarray:
-        """The image of every point of the field: a reduced polynomial is
-        exactly one map of the field, so this table is the polynomial.  It
-        is built term by term in log order, where the term c*x^e at x = g^k
-        is g^(log c + k*e), then scattered to index order.  Read-only:
-        eval_vec hands out gathers of it."""
-        ctx, q1 = self.ctx, self.ctx.order - 1
-        k = np.arange(q1, dtype=np.int64)
-
-        def term(c: int, e: int) -> np.ndarray:
-            t = k * (e % q1) + ctx._log[c]
-            return ctx._exp[t - t // q1 * q1]   # t % q1, in half the time
-
-        table = np.empty(ctx.order, dtype=np.int64)
-        table[ctx._exp] = reduce(ctx.vadd, (term(c, e) for c, e in self.terms))
-        c0, e0 = self.terms[0]   # exponents ascend: a constant comes first
-        table[0] = c0 if e0 == 0 else 0
+        """_images in int64, read-only: eval_vec hands out gathers of it."""
+        table = self._images(np.int64)
         table.flags.writeable = False
         return table
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Image of every index in xs, a fresh array of xs's shape.  On a
-        field of at most CHUNK_POINTS points it is one gather from _table,
-        which the first call builds.  On larger fields an orbit group of
-        _plan is one table lookup of x^e0 when xs is as large as the tables
-        and the field spans more than one chunk; otherwise, as on GF(p)
-        with p > CHUNK_POINTS, each term is evaluated on xs."""
+        """Image of every index in xs, a fresh int64 array of xs's shape: a
+        gather from _table on a field of at most CHUNK_POINTS points, else
+        _from_logs of log[xs], with orbits merged when xs is as large as the
+        tables and the field spans two or more chunks."""
         xs, ctx = np.asarray(xs, dtype=np.int64), self.ctx
         if not self.terms:
             return np.zeros(xs.shape, dtype=np.int64)
         if ctx.order <= CHUNK_POINTS:
             return self._table[xs.ravel()].reshape(xs.shape)
-        if ctx.n <= ctx._chunk or xs.size < ctx._table_size:
-            parts = (self._term(c, e, xs) for c, e in self.terms)
-        else:
-            parts = (self._term(*group[0], xs) if lin is None else lin(self._term(1, e0, xs))
-                     for e0, group, lin in self._plan)
-        acc = reduce(ctx.vadd, parts)
-        return acc.copy() if acc is xs else acc
+        grouped = ctx.n > ctx._chunk and xs.size >= ctx._table_size
+        acc = self._from_logs(ctx._log[xs], self._plan if grouped else self._logged)
+        return np.where(xs != 0, acc, np.int64(self.eval_idx(0)))
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.ctx.key != self.ctx.key:
@@ -428,12 +453,15 @@ def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
 
 def as_images(ctx: FieldCtx, fn) -> np.ndarray:
     """Materialize fn (anything as_vector_fn accepts) over the whole field
-    as an image table of table_dtype; a table is checked by _checked_table.
-    Anything else is evaluated in slices of EVAL_CHUNK points, each made by
-    np.arange, so no q-entry array but the result is held at once."""
+    as an image table of table_dtype; a table is checked by _checked_table,
+    and a polynomial built in log order (SparsePoly._images).  Anything else
+    is evaluated in slices of EVAL_CHUNK points, each made by np.arange,
+    so no q-entry array but the result is held at once."""
     if isinstance(fn, (PermMap, np.ndarray)):
         return _checked_table(ctx, fn)
     vec = as_vector_fn(ctx, fn)
+    if isinstance(fn, SparsePoly):   # of ctx's field, as as_vector_fn checked
+        return fn._images(table_dtype(ctx.order))
     out = np.empty(ctx.order, dtype=table_dtype(ctx.order))
     for lo in range(0, ctx.order, EVAL_CHUNK):
         hi = min(lo + EVAL_CHUNK, ctx.order)
@@ -463,17 +491,25 @@ def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
     evidence that it is not a bijection: q images are a bijection when
     they reach every point, which a bool mark decides in 1 byte a point.
     The evidence is the least point not reached and the first two inputs
-    whose image is the least one reached twice."""
+    whose image is the least one reached twice, from a second mark filled
+    slice by slice and two first_index scans: no whole-field copy."""
     images = as_images(ctx, images)
     seen = np.zeros(ctx.order, dtype=bool)
     seen[images] = True
     if seen.all():
         return PermMap(ctx, images)
     missing = int(np.argmin(seen))
-    ordered = np.sort(images)
-    dup = ordered[np.argmax(ordered[1:] == ordered[:-1])]
-    pre = np.flatnonzero(images == dup)[:2]
-    return NotBijective(missing, (int(pre[0]), int(pre[1])))
+    seen[:] = False
+    twice = np.zeros(ctx.order, dtype=bool)
+    for lo in range(0, ctx.order, EVAL_CHUNK):
+        part = np.sort(images[lo:lo + EVAL_CHUNK])
+        twice[part[1:][part[1:] == part[:-1]]] = True
+        twice[part[seen[part]]] = True   # reached in an earlier slice
+        seen[part] = True
+    dup = int(np.argmax(twice))
+    hit = lambda xs: images[xs[0]:xs[0] + xs.size] == dup
+    a = first_index(ctx, hit)
+    return NotBijective(missing, (a, first_index(ctx, lambda xs: hit(xs) & (xs > a))))
 
 
 def require_perm(ctx: FieldCtx, fn) -> PermMap:
@@ -596,11 +632,12 @@ WHOLE_FIELD_BYTES = 16
 
 def whole_field_budget(ctx: FieldCtx):
     """memory_budget for a map's image table and its cycle analysis, next
-    to the field's own tables."""
-    tables = sum(t.nbytes for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
-    wide = np.dtype(table_dtype(ctx.order)).itemsize // 4
+    to the field's tables, built or not: exp (q - 1 entries), log (q) and,
+    for odd p and n > 1, Zech (q - 1)."""
+    q, wide = ctx.order, np.dtype(table_dtype(ctx.order)).itemsize // 4
+    entries = 2 * q - 1 + (q - 1 if ctx.p != 2 and ctx.n > 1 else 0)
     return memory_budget(f"the whole-field arrays of GF({ctx.p}^{ctx.n})",
-                         WHOLE_FIELD_BYTES * ctx.order * wide + tables)
+                         (WHOLE_FIELD_BYTES * q + 4 * entries) * wide)
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:

@@ -153,8 +153,10 @@ def test_packed_width_follows_p_and_n_alone(monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
 def test_trace_table_is_filled_slice_by_slice(p, n):
-    # 4 bytes a point of int32 trace values, and the buffers of one slice
+    # 4 bytes a point of int32 trace values, and the buffers of one slice;
+    # the log and Zech tables that the scalar trace reads are built first
     ctx = make_field(p, n)
+    ctx._log, ctx._zech
     tracemalloc.start()
     try:
         tr1 = ctx.tr1_table()
@@ -187,6 +189,20 @@ def test_tables_are_built_in_eight_and_a_half_bytes_a_point():
     finally:
         tracemalloc.stop()
     assert peak <= 8.5 * ctx.order, peak / ctx.order
+
+
+@pytest.mark.parametrize("p,n,op", [(2, 5, lambda ctx: ctx.mul_idx(3, 5)),
+                                    (3, 4, lambda ctx: ctx.add_idx(3, 5))])
+def test_memory_error_while_building_the_log_table_is_cap_exceeded(monkeypatch, p, n, op):
+    # the log table is built on first use: by mul_idx, and by add_idx
+    # through the Zech table for odd p
+    def out_of_memory(self):
+        raise MemoryError
+
+    ctx = make_field(p, n)
+    monkeypatch.setattr(field_mod.FieldCtx, "_build_log", out_of_memory)
+    with pytest.raises(CapExceeded, match="log table of GF.* do not fit in memory"):
+        op(ctx)
 
 
 def test_memory_error_while_building_the_tables_is_cap_exceeded(monkeypatch):
@@ -409,8 +425,10 @@ def test_vtrace_matches_scalar():
 
 def test_scalar_ops_copy_no_table():
     # mul_idx, inv_idx and pow_idx read the exp and log tables in place; a
-    # Python-list copy of both would take about 4.7 MB on GF(2^16)
+    # Python-list copy of both would take about 4.7 MB on GF(2^16).  The log
+    # table, built on first use, is built before the window
     ctx = make_field(2, 16)
+    ctx._log
     tracemalloc.start()
     try:
         got = (ctx.mul_idx(3, 5), ctx.inv_idx(7), ctx.pow_idx(11, 1000))

@@ -22,7 +22,7 @@ from ncyclepp.families import (
 from ncyclepp.oracle import (
     cross_check, exhaustive_verdict, random_family_fuzz,
 )
-from ncyclepp.field import NcycleInternal
+from ncyclepp.field import NcycleInternal, make_field
 from ncyclepp.polyperm import CycleReport, SparsePoly
 
 from conftest import field, naive_cycle_type
@@ -177,11 +177,14 @@ class TestExhaustiveVerdict:
         lambda ctx, fn: exhaustive_verdict(ctx, fn, [2]),
         lambda ctx, fn: polyperm.cycle_report_for_fn(ctx, fn)],
         ids=["exhaustive_verdict", "cycle_report_for_fn"])
-    @pytest.mark.parametrize("text,bound", [("x^(q-2)", 9), ("x^4", 16.5), ("x^7", 16.5)])
+    @pytest.mark.parametrize("text,bound", [("x^(q-2)", 9), ("x^4", 16.5), ("x^7", 16.5),
+                                            ("x^3", 7)])
     def test_whole_field_checks_hold_no_whole_field_temporary(self, run, text, bound):
         # f^n = id and the stop tests are scanned slice by slice, and the
         # runs counted so: x^(q-2) holds its table and f^2 (8.57 bytes a
-        # point), x^4 and x^7 the engine's four tables (16.07)
+        # point), x^4 and x^7 the engine's four tables (16.07).  x^3 is no
+        # bijection: its table and two bool marks (6.47; 10.0 when the
+        # evidence came from a sorted copy of the table)
         ctx = field(2, 20)
         poly = SparsePoly.from_text(ctx, text, {"q": ctx.order})
         tracemalloc.start()
@@ -191,6 +194,26 @@ class TestExhaustiveVerdict:
         finally:
             tracemalloc.stop()
         assert peak <= bound * ctx.order, peak / ctx.order
+
+    def test_x_to_the_q_minus_2_from_a_new_field_peaks_at_13_5_bytes_a_point(self):
+        # exp, the image table and f^2, 4 bytes a point each (12.4 in all),
+        # and no log table: 17.5 bytes a point when make_field built it
+        tracemalloc.start()
+        try:
+            ctx = make_field(2, 20)
+            exhaustive_verdict(ctx, SparsePoly.from_text(ctx, "x^(q-2)", {"q": ctx.order}), [2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.5 * ctx.order, peak / ctx.order
+
+    def test_polynomial_verdicts_on_gf2_build_no_log_table(self):
+        # the oracle evaluates a polynomial in log order, from exp alone
+        ctx = make_field(2, 16)
+        for text, order in (("x^(q-2)", 2), ("x^3+x^5+g^7*x^9", None), ("x^2+x^4+x^8", 8)):
+            poly = SparsePoly.from_text(ctx, text, {"q": ctx.order})
+            assert exhaustive_verdict(ctx, poly, [2]).order == order
+            assert "_log" not in ctx.__dict__ and "_zech" not in ctx.__dict__
 
     @pytest.mark.parametrize("shape", [
         "identity", "one q-cycle", "random", "40000-cycle and 3-cycle", "x^(q-2)"])

@@ -12,7 +12,7 @@ from ncyclepp.criteria import (
     xh_lambda_criterion,
 )
 from ncyclepp.errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from ncyclepp.field import divisors, table_dtype
+from ncyclepp.field import CHUNK_POINTS, divisors, make_field, table_dtype
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
@@ -156,20 +156,29 @@ def _spy(monkeypatch, ctx, name):
     return calls
 
 
+def _spy_power(monkeypatch):
+    """Record the number of points of every term evaluated from logs."""
+    calls, power = [], polyperm._power
+    monkeypatch.setattr(polyperm, "_power", lambda ctx, lx, *rest:
+                        calls.append(np.size(lx)) or power(ctx, lx, *rest))
+    return calls
+
+
 @pytest.mark.parametrize("pn,chunks", [((2, 6), 1), ((2, 13), 2), ((3, 8), 2), ((7, 5), 2)])
 def test_eval_vec_takes_the_linear_path_only_on_large_arrays(monkeypatch, pn, chunks):
-    # Tr(x^(p+1)) is one orbit group: one vpow on a whole field of two
-    # chunks, n below the table size.  A field of one chunk sums its n
-    # terms once into a whole-field table, with no vpow, and gathers after
+    # Tr(x^(p+1)) is one orbit group: one power from the logs on a whole
+    # field of two chunks, n below the table size.  A field of one chunk
+    # sums its n terms once into a whole-field table, in log order (q - 1
+    # points), and gathers after
     ctx = field(*pn)
     assert -(-ctx.n // ctx._chunk) == chunks
     trace = SparsePoly.make(ctx, [(1, (ctx.p + 1) * ctx.p ** k) for k in range(ctx.n)])
-    pows, sums = _spy(monkeypatch, ctx, "vpow"), _spy(monkeypatch, ctx, "vadd")
+    pows, sums = _spy_power(monkeypatch), _spy(monkeypatch, ctx, "vadd")
     trace.eval_vec(ctx.varange())
     if chunks > 1:
         assert pows.count(ctx.order) == 1
     else:
-        assert pows == [] and sums == [ctx.order - 1] * (ctx.n - 1)
+        assert pows == [ctx.order - 1] * ctx.n and sums == [ctx.order - 1] * (ctx.n - 1)
     pows.clear(), sums.clear()
     trace.eval_vec(ctx.varange()[:ctx._table_size - 1])
     assert len(pows) == (ctx.n if chunks > 1 else 0)
@@ -221,7 +230,7 @@ def test_eval_vec_on_a_large_prime_field_caches_nothing_of_its_size(monkeypatch)
     # is evaluated on the given points, and no q-sized table is kept
     ctx = field(4099, 1)
     poly = SparsePoly.make(ctx, [(5, 0), (2, 3), (1, 4098)])
-    pows = _spy(monkeypatch, ctx, "vpow")
+    pows = _spy_power(monkeypatch)
     xs = np.array([0, 1, 2, 4098, 77])
     for _ in range(2):
         assert poly.eval_vec(xs).tolist() == [poly.eval_idx(int(i)) for i in xs]
@@ -376,6 +385,55 @@ def test_as_images_slices_agree_with_one_slice(monkeypatch):
         got = as_images(ctx, lambda v: sizes.append(v.size) or vec(v))
         assert np.array_equal(got, want)
     assert sizes == [512] * 32 * len(fns)
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (2, 13), (3, 9), (5, 6), (7, 1), (4093, 1)])
+def test_log_order_images_match_scalar_eval(monkeypatch, pn):
+    # as_images walks the logs k in slices (1000 points here, the last one
+    # short) and scatters to exp[k]; on a fresh field its coefficient logs
+    # come from a scan of exp, and once eval_idx has built the log table,
+    # from that table.  Past CHUNK_POINTS an orbit of non-unit terms is one
+    # lookup of its linear map
+    monkeypatch.setattr(polyperm, "EVAL_CHUNK", 1000)
+    ctx = make_field(*pn)
+    p, n, q = ctx.p, ctx.n, ctx.order
+    rng = np.random.default_rng(q)
+    coeff = lambda: int(rng.integers(1, q))
+    texts = [(), [(1, 0)], [(coeff(), 0)], [(1, q - 1)], [(coeff(), q - 1), (coeff(), 1)],
+             [(coeff(), 3 * p ** k) for k in range(n)] + [(coeff(), 0)]]
+    if q > 3:
+        texts.append(_orbit_poly(ctx, rng).terms)
+    polys = [SparsePoly.make(ctx, terms) for terms in texts]
+    scanned = [as_images(ctx, poly) for poly in polys]
+    assert "_log" not in ctx.__dict__ or p != 2
+    for terms, got in zip(texts, scanned):
+        poly = SparsePoly.make(ctx, terms)
+        want = [poly.eval_idx(i) for i in range(q)]
+        assert got.tolist() == want, terms
+        assert as_images(ctx, SparsePoly.make(ctx, terms)).tolist() == want, terms
+    if q > CHUNK_POINTS and n > 1:
+        assert any(lin is not None for *_, lin in polys[5]._plan)
+
+
+@pytest.mark.parametrize("shape", ["within a slice", "across slices", "random"])
+def test_not_bijective_evidence_equals_a_count_reference(monkeypatch, shape):
+    # 16 slices of 64 points: the least value reached twice may be reached
+    # twice inside one slice, or in two slices
+    monkeypatch.setattr(polyperm, "EVAL_CHUNK", 64)
+    ctx = field(2, 10)
+    rng = np.random.default_rng(len(shape))
+    images = rng.permutation(ctx.order)
+    if shape == "within a slice":
+        images[200] = images[170]
+    elif shape == "across slices":
+        images[900] = images[3]
+    else:
+        images = rng.integers(0, ctx.order, ctx.order)
+    counts = np.bincount(images, minlength=ctx.order)
+    dup = int(np.flatnonzero(counts > 1)[0])
+    a, b = np.flatnonzero(images == dup)[:2].tolist()
+    want = NotBijective(int(np.flatnonzero(counts == 0)[0]), (a, b))
+    assert perm_from_images(ctx, images) == want
 
 
 def test_as_images_holds_the_result_and_one_slice():
