@@ -16,10 +16,9 @@ Products, powers, inverses and odd-p sums (Zech logarithms) run on
 discrete-log tables, int32 while every index fits int32 (q <= 2^31); the
 vector operations add and multiply logs in int64 and return int64 arrays.
 Construction builds exp (exp[k] = g^k); log and, for odd p and n > 1, the
-Zech table are built from it on first use, by the first operation that
-reads them.  A size cap (default 2^24 elements, or the environment variable
-NCYC_CAP, read by make_field) keeps that tractable, and a field whose
-tables would not fit in memory is refused before they are allocated.
+Zech table are built from it by the first operation that reads them.  A
+size cap (default 2^24 elements, or NCYC_CAP, read by make_field) keeps that
+tractable, and tables that would not fit in memory are refused beforehand.
 
 The tables are built by GF(p)-linear maps (multiplication by a constant,
 the trace) given by their matrices over GF(p): FieldCtx.linear_map looks
@@ -429,12 +428,9 @@ class FieldCtx:
     def _log(self) -> np.ndarray:
         """log[x] = k where x = g^k, and log[0] = -1."""
         with memory_budget(f"the log table of GF({self.p}^{self.n})", self._exp.nbytes):
-            return self._build_log()
-
-    def _build_log(self) -> np.ndarray:
-        log, q1 = np.full(self.order, -1, dtype=self._exp.dtype), self.order - 1
-        for lo in range(0, q1, EVAL_CHUNK):
-            log[self._exp[lo:lo + EVAL_CHUNK]] = np.arange(lo, min(lo + EVAL_CHUNK, q1))
+            log, q1 = np.full(self.order, -1, dtype=self._exp.dtype), self.order - 1
+            for lo in range(0, q1, EVAL_CHUNK):
+                log[self._exp[lo:lo + EVAL_CHUNK]] = np.arange(lo, min(lo + EVAL_CHUNK, q1))
         return log
 
     @cached_property
@@ -453,10 +449,9 @@ class FieldCtx:
     def logs(self, values) -> dict[int, int]:
         """{x: log x} for the nonzero x in values: from the log table once it
         is built, else from one scan of exp, up to the slice of the last."""
-        want = np.array(sorted(set(values)), dtype=np.int64)
         if "_log" in self.__dict__:
-            return dict(zip(want.tolist(), self._log[want].tolist()))
-        found: dict[int, int] = {}
+            return {x: self._log.item(x) for x in values}
+        want, found = np.array(sorted(set(values)), dtype=np.int64), {}
         for lo in range(0, self.order - 1, EVAL_CHUNK):
             if len(found) == want.size:
                 break

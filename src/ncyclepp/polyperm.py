@@ -11,7 +11,8 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import chain, islice
 from math import lcm
 from typing import Callable, Iterable, Mapping
 
@@ -85,17 +86,6 @@ def eval_int_expr(text: str, variables: Mapping[str, int] | None = None) -> int:
 # ---------------------------------------------------------------------------
 # sparse polynomials
 # ---------------------------------------------------------------------------
-
-def _power(ctx: FieldCtx, lx: np.ndarray, lc: int, e: int,
-           t=None, s=None, out=None) -> np.ndarray:
-    """g^(lc + e*l) for each log l in lx: c*x^e, lc = log c, at nonzero x;
-    t, s (int64) and out (exp's dtype) are buffers, allocated if not given."""
-    q1 = ctx.order - 1
-    t = np.multiply(lx, e % q1, out=t, dtype=np.int64)
-    t += lc
-    t -= np.multiply(np.floor_divide(t, q1, out=s), q1, out=s)   # t % q1, in half the time
-    return np.take(ctx._exp, t, mode="clip", out=out)
-
 
 @dataclass(frozen=True)
 class SparsePoly:
@@ -192,40 +182,44 @@ class SparsePoly:
         more terms merged into (0, e0, L): e0 is its least member in
         [1, q - 1] (0 for the constant, so x^(q-1) stays apart), and its
         terms c*x^(e0*p^k) sum to L(x^e0), L the GF(p)-linear y -> sum of
-        c*y^(p^k), from L's images of the basis."""
+        c*y^(p^k), from L at the basis; one ctx.logs gives every log."""
         ctx, groups, plan = self.ctx, {}, []
-        for lc, e, _ in self._logged:
+        for c, e in self.terms:
             e0 = min(map_exp(ctx, map_exp(ctx, e) * ctx.p ** k) for k in range(ctx.n))
-            groups.setdefault(e0, []).append((lc, e, None))
+            groups.setdefault(e0, []).append((c, e))
+        basis = ctx._p_pows if any(len(group) > 1 for group in groups.values()) else []
+        logs = ctx.logs([c for c, _ in self.terms] + basis)
+        basis = np.array([logs[b] for b in basis], dtype=np.int64)
         for e0, group in groups.items():
-            if len(group) > 1:
+            part = [(logs[c], e, None) for c, e in group]
+            if len(part) > 1:
                 frob = {map_exp(ctx, e0 * ctx.p ** k): ctx.p ** k for k in range(ctx.n)}
-                logs = ctx.logs(ctx._p_pows)
-                basis = np.array([logs[b] for b in ctx._p_pows])
-                group = [(0, e0, ctx.linear_map(ctx._matrix(reduce(ctx.vadd, (
-                    _power(ctx, basis, lc, frob[map_exp(ctx, e)]) for lc, e, _ in group)))))]
-            plan += group
+                part = [(0, e0, ctx.linear_map(ctx._matrix(self._from_logs(
+                    basis, [(lc, frob[map_exp(ctx, e)], None) for lc, e, _ in part]))))]
+            plan += part
         return plan
 
     def _from_logs(self, lx: np.ndarray, plan, t=None, s=None, out=None) -> np.ndarray:
-        """The polynomial at the nonzero points of logs lx: the sum of the
-        plan's parts g^(l + e*log x), each mapped by its L if it has one;
-        t, s and out are _power's buffers, out for the first part only."""
-        ctx, acc = self.ctx, None
+        """The sum of the plan's parts g^(lc + e*l) at the logs l in lx, each
+        mapped by its L if it has one; t, s (int64) and out (exp's dtype, the
+        first part's) are buffers, allocated if not given."""
+        ctx, q1, acc = self.ctx, self.ctx.order - 1, None
         for lc, e, lin in plan:
-            part = _power(ctx, lx, lc, e, t, s, out if acc is None else None)
+            t = np.multiply(lx, e % q1, out=t, dtype=np.int64)
+            t += lc
+            s = np.floor_divide(t, q1, out=s)
+            t -= np.multiply(s, q1, out=s)   # t % q1, in half the time
+            part = ctx._exp.take(t, mode="clip", out=out if acc is None else None)
             part = part if lin is None else lin(part)
             acc = part if acc is None else ctx.vadd(acc, part)
-        return acc
+        return np.zeros(np.shape(lx), dtype=np.int64) if acc is None else acc   # 0 has no terms
 
     def _images(self, dtype) -> np.ndarray:
         """The image of every point, of dtype, in log order: _from_logs of k
         for k over EVAL_CHUNK slices, with one set of buffers, scattered to
         exp[k]; orbits are merged when the field spans two or more chunks."""
         ctx, q1 = self.ctx, self.ctx.order - 1
-        out = np.zeros(ctx.order, dtype=dtype)
-        if not self.terms:
-            return out
+        out = np.empty(ctx.order, dtype=dtype)
         plan = self._plan if ctx.n > ctx._chunk else self._logged
         k = np.arange(min(EVAL_CHUNK, q1), dtype=np.int64)
         t, s, idx = np.empty_like(k), np.empty_like(k), np.empty(k.size, dtype=np.intp)
@@ -235,8 +229,7 @@ class SparsePoly:
             idx[:m] = ctx._exp[lo:lo + m]
             out[idx[:m]] = self._from_logs(k[:m], plan, t[:m], s[:m], v[:m])
             k += k.size
-        c0, e0 = self.terms[0]   # exponents ascend: a constant comes first
-        out[0] = c0 if e0 == 0 else 0
+        out[0] = next((c for c, e in self.terms if e == 0), 0)   # the constant term
         return out
 
     @cached_property
@@ -252,13 +245,11 @@ class SparsePoly:
         _from_logs of log[xs], with orbits merged when xs is as large as the
         tables and the field spans two or more chunks."""
         xs, ctx = np.asarray(xs, dtype=np.int64), self.ctx
-        if not self.terms:
-            return np.zeros(xs.shape, dtype=np.int64)
         if ctx.order <= CHUNK_POINTS:
             return self._table[xs.ravel()].reshape(xs.shape)
         grouped = ctx.n > ctx._chunk and xs.size >= ctx._table_size
-        acc = self._from_logs(ctx._log[xs], self._plan if grouped else self._logged)
-        return np.where(xs != 0, acc, np.int64(self.eval_idx(0)))
+        acc = self._from_logs(ctx._log[xs.ravel()], self._plan if grouped else self._logged)
+        return np.where(xs != 0, acc.reshape(xs.shape), np.int64(self.eval_idx(0)))
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.ctx.key != self.ctx.key:
@@ -454,9 +445,8 @@ def as_vector_fn(ctx: FieldCtx, fn) -> Callable[[np.ndarray], np.ndarray]:
 def as_images(ctx: FieldCtx, fn) -> np.ndarray:
     """Materialize fn (anything as_vector_fn accepts) over the whole field
     as an image table of table_dtype; a table is checked by _checked_table,
-    and a polynomial built in log order (SparsePoly._images).  Anything else
-    is evaluated in slices of EVAL_CHUNK points, each made by np.arange,
-    so no q-entry array but the result is held at once."""
+    a polynomial is SparsePoly._images, and anything else is evaluated in
+    slices of EVAL_CHUNK points, so no q-entry array but the result is held."""
     if isinstance(fn, (PermMap, np.ndarray)):
         return _checked_table(ctx, fn)
     vec = as_vector_fn(ctx, fn)
@@ -491,25 +481,26 @@ def perm_from_images(ctx: FieldCtx, images) -> PermMap | NotBijective:
     evidence that it is not a bijection: q images are a bijection when
     they reach every point, which a bool mark decides in 1 byte a point.
     The evidence is the least point not reached and the first two inputs
-    whose image is the least one reached twice, from a second mark filled
-    slice by slice and two first_index scans: no whole-field copy."""
+    whose image is the least one reached twice: the mark is refilled slice
+    by slice to find it, so no whole-field copy is made."""
     images = as_images(ctx, images)
     seen = np.zeros(ctx.order, dtype=bool)
     seen[images] = True
     if seen.all():
         return PermMap(ctx, images)
-    missing = int(np.argmin(seen))
+    missing, dup = int(np.argmin(seen)), ctx.order
     seen[:] = False
-    twice = np.zeros(ctx.order, dtype=bool)
     for lo in range(0, ctx.order, EVAL_CHUNK):
         part = np.sort(images[lo:lo + EVAL_CHUNK])
-        twice[part[1:][part[1:] == part[:-1]]] = True
-        twice[part[seen[part]]] = True   # reached in an earlier slice
-        seen[part] = True
-    dup = int(np.argmax(twice))
-    hit = lambda xs: images[xs[0]:xs[0] + xs.size] == dup
-    a = first_index(ctx, hit)
-    return NotBijective(missing, (a, first_index(ctx, lambda xs: hit(xs) & (xs > a))))
+        again = seen[part] if lo else np.zeros(part.size, dtype=bool)   # in an earlier slice
+        again[1:] |= part[1:] == part[:-1]   # or twice in this one
+        dup = int(part[again].min(initial=dup))
+        if lo + EVAL_CHUNK < ctx.order:
+            seen[part] = True
+    hits = (lo + np.flatnonzero(images[lo:lo + EVAL_CHUNK] == dup)
+            for lo in range(0, ctx.order, EVAL_CHUNK))
+    a, b = islice(chain.from_iterable(hits), 2)   # up to the slice of the second
+    return NotBijective(missing, (int(a), int(b)))
 
 
 def require_perm(ctx: FieldCtx, fn) -> PermMap:
@@ -632,12 +623,11 @@ WHOLE_FIELD_BYTES = 16
 
 def whole_field_budget(ctx: FieldCtx):
     """memory_budget for a map's image table and its cycle analysis, next
-    to the field's tables, built or not: exp (q - 1 entries), log (q) and,
-    for odd p and n > 1, Zech (q - 1)."""
-    q, wide = ctx.order, np.dtype(table_dtype(ctx.order)).itemsize // 4
-    entries = 2 * q - 1 + (q - 1 if ctx.p != 2 and ctx.n > 1 else 0)
+    to the field's tables, built or not: exp, log and the Zech table."""
+    exp, wide = ctx._exp, np.dtype(table_dtype(ctx.order)).itemsize // 4
+    tables = exp.nbytes * (2 if ctx.p == 2 or ctx.n == 1 else 3) + exp.itemsize   # log: q entries
     return memory_budget(f"the whole-field arrays of GF({ctx.p}^{ctx.n})",
-                         (WHOLE_FIELD_BYTES * q + 4 * entries) * wide)
+                         WHOLE_FIELD_BYTES * ctx.order * wide + tables)
 
 
 def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:

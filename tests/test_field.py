@@ -195,12 +195,12 @@ def test_tables_are_built_in_eight_and_a_half_bytes_a_point():
                                     (3, 4, lambda ctx: ctx.add_idx(3, 5))])
 def test_memory_error_while_building_the_log_table_is_cap_exceeded(monkeypatch, p, n, op):
     # the log table is built on first use: by mul_idx, and by add_idx
-    # through the Zech table for odd p
-    def out_of_memory(self):
+    # through the Zech table for odd p; its first allocation fails
+    def out_of_memory(*args, **kwargs):
         raise MemoryError
 
     ctx = make_field(p, n)
-    monkeypatch.setattr(field_mod.FieldCtx, "_build_log", out_of_memory)
+    monkeypatch.setattr(field_mod.np, "full", out_of_memory)
     with pytest.raises(CapExceeded, match="log table of GF.* do not fit in memory"):
         op(ctx)
 

@@ -158,9 +158,9 @@ def _spy(monkeypatch, ctx, name):
 
 def _spy_power(monkeypatch):
     """Record the number of points of every term evaluated from logs."""
-    calls, power = [], polyperm._power
-    monkeypatch.setattr(polyperm, "_power", lambda ctx, lx, *rest:
-                        calls.append(np.size(lx)) or power(ctx, lx, *rest))
+    calls, from_logs = [], SparsePoly._from_logs
+    monkeypatch.setattr(SparsePoly, "_from_logs", lambda poly, lx, plan, *rest:
+                        calls.extend([np.size(lx)] * len(plan)) or from_logs(poly, lx, plan, *rest))
     return calls
 
 
