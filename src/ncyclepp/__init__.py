@@ -52,10 +52,8 @@ from .families import (
     build_trace_theta,
     build_xh_lambda,
     build_xq_h_alpha,
-    eval_lambda,
     lambda_poly,
     lambda_spec,
-    lambda_vector_fn,
     search_k_2to3m,
     solve_jieguo_congruences,
 )
@@ -63,11 +61,7 @@ from .field import (
     DEFAULT_CAP,
     FieldCtx,
     FieldElement,
-    frobenius,
     make_field,
-    subfield_members,
-    subgroup_mu,
-    trace,
 )
 from .oracle import (
     CrossCheckReport,
@@ -88,10 +82,8 @@ from .polyperm import (
     eval_int_expr,
     functional_power,
     identity_perm,
-    invert,
     is_ncycle,
     perm_from_images,
-    perm_order,
 )
 from .walsh import WALSH_CAP, WalshValue, walsh_coefficient, walsh_involution_test
 
@@ -103,11 +95,10 @@ __all__ = [
     "InvalidSubfield", "KernelViolation", "NcycleError", "NotDivisor",
     "NotIrreducible", "NotPermutation", "NotPrime", "NotSurjective",
     "PrereqNotNcycle",
-    "DEFAULT_CAP", "FieldCtx", "FieldElement", "frobenius", "make_field",
-    "subfield_members", "subgroup_mu", "trace",
+    "DEFAULT_CAP", "FieldCtx", "FieldElement", "make_field",
     "CycleReport", "PermMap", "SparsePoly", "compose", "cycle_report_for_fn",
     "cycle_structure", "eval_int_expr", "functional_power", "identity_perm",
-    "invert", "is_ncycle", "perm_from_images", "perm_order",
+    "is_ncycle", "perm_from_images",
     "WALSH_CAP", "WalshValue", "walsh_coefficient", "walsh_involution_test",
     "CriterionVerdict", "RsParams", "ShiftParams", "additive_criterion",
     "agw_commute_check", "frobenius_twist_ncycle", "monomial_ncycle",
@@ -115,8 +106,8 @@ __all__ = [
     "xh_lambda_criterion",
     "FamilyInstance", "LambdaSpec", "build_additive", "build_jieguo",
     "build_rs_2to3m", "build_shift", "build_trace_theta", "build_xh_lambda",
-    "build_xq_h_alpha", "eval_lambda", "lambda_poly", "lambda_spec",
-    "lambda_vector_fn", "search_k_2to3m", "solve_jieguo_congruences",
+    "build_xq_h_alpha", "lambda_poly", "lambda_spec", "search_k_2to3m",
+    "solve_jieguo_congruences",
     "CrossCheckReport", "FuzzSummary", "FuzzTrial", "OracleVerdict",
     "cross_check", "exhaustive_verdict", "random_family_fuzz",
     "__version__",

@@ -34,7 +34,7 @@ from .errors import (
     KernelViolation,
 )
 from .field import (
-    FieldCtx, FieldElement, NcycleInternal, element_index, field_cap, make_field,
+    FieldCtx, NcycleInternal, element_index, field_cap, make_field,
 )
 from .polyperm import (
     POLY_TERM_CAP, SparsePoly, as_vector_fn, first_index, map_exp, poly_add,
@@ -262,19 +262,6 @@ def _lambda2_exponents(spec: LambdaSpec, q: int):
         yield sum(q ** i for i in combo)
 
 
-def eval_lambda(spec: LambdaSpec, x: FieldElement) -> FieldElement:
-    ctx = x.ctx
-    _check_lambda(ctx, spec)
-    if spec.variant == "lambda1":
-        return ctx.element(
-            ctx.trace_idx(ctx.pow_idx(x.i, spec.n), spec.sub_degree))
-    q = ctx.p ** spec.sub_degree
-    acc = 0
-    for e in _lambda2_exponents(spec, q):
-        acc = ctx.add_idx(acc, ctx.pow_idx(x.i, e))
-    return ctx.element(acc)
-
-
 def lambda_poly(spec: LambdaSpec, ctx: FieldCtx) -> SparsePoly:
     _check_lambda(ctx, spec)
     q = ctx.p ** spec.sub_degree
@@ -303,11 +290,6 @@ def lambda_map(spec: LambdaSpec, ctx: FieldCtx):
             return acc
 
         return fn
-
-
-def lambda_vector_fn(spec: LambdaSpec,
-                     ctx: FieldCtx) -> Callable[[np.ndarray], np.ndarray]:
-    return as_vector_fn(ctx, lambda_map(spec, ctx))
 
 
 # ---------------------------------------------------------------------------

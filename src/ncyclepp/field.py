@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     BadParams,
     CapExceeded,
-    CtxMismatch,
     DivisionByZero,
     InvalidSubfield,
     NotDivisor,
@@ -623,14 +622,6 @@ class FieldCtx:
         return FieldElement(self, int(i))
 
     @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
     def generator(self) -> "FieldElement":
         return FieldElement(self, self._gen_idx)
 
@@ -661,78 +652,16 @@ class NcycleInternal(RuntimeError):
 
 
 class FieldElement:
-    """An element of a FieldCtx, identified by its integer index.
-
-    Supports +, -, *, /, unary -, ** and equality.  Mixing elements of
-    contexts with different (p, n, modulus) raises CtxMismatch.
-    """
+    """An element of a FieldCtx, identified by its integer index: a handle
+    that witnesses and literals hand out, compared by (field, index), with
+    ints compared through the prime subfield.  Arithmetic goes through the
+    context's *_idx and v* operations on indices."""
 
     __slots__ = ("ctx", "i")
 
     def __init__(self, ctx: FieldCtx, i: int):
         self.ctx = ctx
         self.i = i
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx.key != self.ctx.key:
-                raise CtxMismatch(f"{self.ctx} vs {other.ctx}")
-            return other.i
-        if isinstance(other, int):
-            # small rational integers embed via the prime subfield
-            return other % self.ctx.p
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add_idx(self.i, j))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub_idx(self.i, j))
-
-    def __rsub__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub_idx(j, self.i))
-
-    def __mul__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul_idx(self.i, j))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul_idx(self.i, self.ctx.inv_idx(j)))
-
-    def __rtruediv__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul_idx(j, self.ctx.inv_idx(self.i)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg_idx(self.i))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(self.ctx, self.ctx.pow_idx(self.ctx.inv_idx(self.i), -e))
-        return FieldElement(self.ctx, self.ctx.pow_idx(self.i, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_idx(self.i))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -850,23 +779,3 @@ def element_index(ctx: FieldCtx, v) -> int:
     if not 0 <= iv < ctx.order:
         raise BadParams(f"element index {iv} out of range")
     return iv
-
-
-def frobenius(a: FieldElement, sub_degree: int, i: int = 1) -> FieldElement:
-    """a^(q^i) where q = p^sub_degree."""
-    return FieldElement(a.ctx, a.ctx.frob_idx(a.i, sub_degree, i))
-
-
-def trace(a: FieldElement, sub_degree: int) -> FieldElement:
-    """Trace of a onto GF(p^sub_degree)."""
-    return FieldElement(a.ctx, a.ctx.trace_idx(a.i, sub_degree))
-
-
-def subfield_members(ctx: FieldCtx, sub_degree: int) -> set[FieldElement]:
-    """The subfield GF(p^sub_degree) as a set of elements."""
-    return {FieldElement(ctx, int(i)) for i in ctx.subfield_indices(sub_degree)}
-
-
-def subgroup_mu(ctx: FieldCtx, ell: int) -> list[FieldElement]:
-    """The multiplicative subgroup of order ell, as generator powers."""
-    return [FieldElement(ctx, int(i)) for i in ctx.mu_indices(ell)]

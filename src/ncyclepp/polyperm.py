@@ -3,8 +3,8 @@
 Polynomials are canonical sparse sums c*x^e with strictly increasing
 exponents and no zero coefficients.  Maps over the field are materialized as
 full image tables of field.table_dtype indices (int32 up to 2^31 points), so
-composition, inversion, iterated application, and cycle analysis all reduce
-to array gathers.
+composition, iterated application, and cycle analysis all reduce to array
+gathers.
 """
 from __future__ import annotations
 
@@ -377,9 +377,6 @@ class PermMap:
     ctx: FieldCtx
     images: np.ndarray
 
-    def apply_idx(self, i: int) -> int:
-        return int(self.images[i])
-
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.ctx.key != self.ctx.key:
             raise CtxMismatch("element from a different field")
@@ -521,17 +518,10 @@ def compose(f: PermMap, g: PermMap) -> PermMap:
     return PermMap(f.ctx, f.images[g.images])
 
 
-def invert(f: PermMap) -> PermMap:
-    points = identity_perm(f.ctx).images
-    inv = np.empty_like(points)
-    inv[f.images] = points
-    return PermMap(f.ctx, inv)
-
-
 def functional_power(f: PermMap, k: int) -> PermMap:
-    """k-fold composition of f with itself; negative k uses the inverse."""
+    """k-fold composition of f with itself, k >= 0."""
     if k < 0:
-        return functional_power(invert(f), -k)
+        raise BadParams(f"the power of a map must be >= 0, got {k}")
     r, b = None, f.images
     while k:
         if k & 1:
@@ -643,10 +633,6 @@ def cycle_report_for_fn(ctx: FieldCtx, fn) -> CycleReport:
                 fixed += int(np.count_nonzero(part == np.arange(lo, lo + part.size)))
             return CycleReport(False, None, (), fixed)
         return cycle_structure(got)
-
-
-def perm_order(pm: PermMap) -> int:
-    return cycle_structure(pm).order
 
 
 def is_ncycle(pm: PermMap, n: int) -> bool:

@@ -26,7 +26,6 @@ estimated from (p, n) and checked against memory before any table is built.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +59,6 @@ class WalshValue:
         if self.p != 2:
             raise ValueError("signed value only exists for p = 2")
         return self.counts[0] - self.counts[1]
-
-    def approx(self) -> complex:
-        w = cmath.exp(2j * cmath.pi / self.p)
-        return sum(c * w ** k for k, c in enumerate(self.counts))
 
     def to_json(self) -> dict:
         out: dict = {"counts": list(self.counts)}

@@ -363,7 +363,7 @@ def test_agw_transfer_false_and_errors():
     shifted = lambda ys: ctx.vadd(ys, np.int64(1))
     assert agw_commute_check(ctx, f, lam, lam, shifted) is False
     with pytest.raises(NotSurjective):
-        agw_commute_check(ctx, f, lam, lam, shifted, S=[ctx.zero])
+        agw_commute_check(ctx, f, lam, lam, shifted, S=[ctx.element(0)])
     with pytest.raises(BadParams):
         agw_commute_check(ctx, f, lam, SparsePoly.from_text(ctx, "x"),
                           shifted)

@@ -5,6 +5,7 @@ verdict, and an independent exhaustive order computation on the materialized
 map.  Frozen parameter lists (congruence solutions, exponent values) were
 derived once by the independent scans coded inline in this file.
 """
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -21,12 +22,13 @@ from ncyclepp.errors import (
 from ncyclepp.families import (
     FamilyInstance, LambdaSpec, build_additive, build_jieguo, build_rs_2to3m,
     build_shift, build_trace_theta, build_xh_lambda, build_xq_h_alpha,
-    eval_lambda, lambda_map, lambda_poly, lambda_spec, lambda_vector_fn,
+    lambda_map, lambda_poly, lambda_spec,
     rs_instance, search_k_2to3m, solve_jieguo_congruences,
 )
 from ncyclepp.oracle import cross_check
 from ncyclepp.polyperm import (
-    POLY_TERM_CAP, SparsePoly, cycle_report_for_fn, perm_from_images,
+    POLY_TERM_CAP, SparsePoly, as_vector_fn, cycle_report_for_fn,
+    perm_from_images,
 )
 
 from conftest import field
@@ -54,6 +56,20 @@ def check_instance(inst: FamilyInstance, expect_order):
 # the subfield-collapsing inner maps
 # ---------------------------------------------------------------------------
 
+def lambda_ref(ctx, spec, x):
+    """lam(x) as a scalar sum of pow_idx over lam's exponents: n*q^j for
+    lambda1 (the trace of x^n), sum of q^i over each n-subset for lambda2."""
+    q = ctx.p ** spec.sub_degree
+    if spec.variant == "lambda1":
+        exps = [spec.n * q ** j for j in range(spec.m)]
+    else:
+        exps = [sum(q ** i for i in c) for c in combinations(range(spec.m), spec.n)]
+    acc = 0
+    for e in exps:
+        acc = ctx.add_idx(acc, ctx.pow_idx(x, e))
+    return acc
+
+
 class TestLambda:
     def test_trace_variant_matches_direct_formula(self):
         ctx = field(5, 3)
@@ -61,7 +77,7 @@ class TestLambda:
         po = lambda_poly(spec, ctx)
         for i in range(0, 125, 7):
             direct = ctx.trace_idx(ctx.pow_idx(i, 2), 1)
-            assert eval_lambda(spec, ctx.element(i)).i == direct
+            assert lambda_ref(ctx, spec, i) == direct
             assert po.eval_idx(i) == direct
 
     def test_combination_variant_matches_inline_enumeration(self):
@@ -73,8 +89,8 @@ class TestLambda:
             direct = 0
             for e in exps:
                 direct = ctx.add_idx(direct, ctx.pow_idx(i, e))
-            assert eval_lambda(spec, ctx.element(i)).i == direct
-        fn = lambda_vector_fn(spec, ctx)
+            assert lambda_ref(ctx, spec, i) == direct
+        fn = as_vector_fn(ctx, lambda_map(spec, ctx))
         xs = ctx.varange()
         assert np.array_equal(fn(xs), lambda_poly(spec, ctx).eval_vec(xs))
 
@@ -84,21 +100,20 @@ class TestLambda:
         spec = lambda_spec(ctx, "lambda2", 3, 1)
         norm_exp = (27 - 1) // (3 - 1)
         for i in range(27):
-            assert eval_lambda(spec, ctx.element(i)).i == ctx.pow_idx(i, norm_exp)
+            assert lambda_ref(ctx, spec, i) == ctx.pow_idx(i, norm_exp)
 
     def test_image_in_subfield_and_scaling_law(self):
         ctx = field(5, 2)
         sub = set(int(v) for v in ctx.subfield_indices(1))
         for variant, n in (("lambda1", 2), ("lambda2", 2), ("lambda1", 3)):
             spec = lambda_spec(ctx, variant, n, 1)
-            fn = lambda_vector_fn(spec, ctx)
+            fn = as_vector_fn(ctx, lambda_map(spec, ctx))
             vals = fn(ctx.varange())
             assert set(int(v) for v in vals) <= sub
             for a in sorted(sub):
                 for x in range(0, 25, 3):
-                    lhs = eval_lambda(spec, ctx.element(ctx.mul_idx(a, x))).i
-                    rhs = ctx.mul_idx(ctx.pow_idx(a, n),
-                                      eval_lambda(spec, ctx.element(x)).i)
+                    lhs = int(vals[ctx.mul_idx(a, x)])
+                    rhs = ctx.mul_idx(ctx.pow_idx(a, n), lambda_ref(ctx, spec, x))
                     assert lhs == rhs
 
     def test_spec_validation(self):
@@ -112,7 +127,7 @@ class TestLambda:
         with pytest.raises(InvalidSpec):
             lambda_spec(ctx, "lambda1", 2, 3)   # 3 does not divide 2
         with pytest.raises(InvalidSpec):
-            eval_lambda(LambdaSpec("lambda1", 2, 1, 7), ctx.element(3))
+            lambda_map(LambdaSpec("lambda1", 2, 1, 7), ctx)
 
     def test_lambda2_past_the_term_cap_is_an_evaluator(self):
         # C(15, 7) = 6,435 terms: no polynomial, a sum of powers instead
@@ -123,7 +138,7 @@ class TestLambda:
         xs = np.array([0, 1, 2, 3, ctx.generator.i, ctx.order - 1]
                       + list(range(1001, ctx.order, 1777)))
         assert [int(v) for v in lam(xs)] == \
-            [eval_lambda(spec, ctx.element(int(x))).i for x in xs]
+            [lambda_ref(ctx, spec, int(x)) for x in xs]
 
 
 # ---------------------------------------------------------------------------

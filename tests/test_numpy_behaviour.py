@@ -26,7 +26,7 @@ def test_int32_indexed_gather_allocates_only_its_result():
 
 
 def test_int32_indexed_scatter_allocates_nothing():
-    # the bool mark of perm_from_images and the table of invert
+    # the bool mark of perm_from_images and the fill of the log table
     idx = np.random.default_rng(1).permutation(Q).astype(np.int32)
     seen = np.zeros(Q, dtype=bool)
     inv = np.empty(Q, dtype=np.int32)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,7 @@ from ncyclepp.field import CHUNK_POINTS, divisors, make_field, table_dtype
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
-    identity_perm, invert, is_ncycle, perm_from_images, perm_order,
-    require_perm,
+    identity_perm, is_ncycle, perm_from_images, require_perm,
 )
 from ncyclepp.walsh import walsh_involution_test
 from conftest import field, naive_cycle_type
@@ -103,12 +103,12 @@ def test_from_text_round_trip():
 def test_eval_against_elementwise_oracle():
     ctx = field(3, 2)
     poly = SparsePoly.from_text(ctx, "2*x^4 + x^2 + 2*x + 1")
-    for i in range(ctx.order):
-        a = ctx.element(i)
-        # oracle: plain element arithmetic, repeated multiplication
-        want = (ctx.element(2) * (a * a * a * a) + a * a
-                + ctx.element(2) * a + ctx.one)
-        assert poly.eval_idx(i) == want.i
+    add, mul = ctx.add_idx, ctx.mul_idx
+    for a in range(ctx.order):
+        # oracle: scalar index arithmetic, repeated multiplication
+        want = add(add(mul(2, mul(mul(a, a), mul(a, a))), mul(a, a)),
+                   add(mul(2, a), 1))
+        assert poly.eval_idx(a) == want
     vec = poly.eval_vec(ctx.varange())
     assert vec.tolist() == [poly.eval_idx(i) for i in range(ctx.order)]
 
@@ -301,7 +301,7 @@ def test_perm_from_poly_bijective():
     ctx = field(2, 3)
     sq = require_perm(ctx, SparsePoly.from_text(ctx, "x^2"))
     for i in range(ctx.order):
-        assert sq.apply_idx(i) == ctx.mul_idx(i, i)
+        assert sq.images[i] == ctx.mul_idx(i, i)
 
 
 def test_perm_from_poly_collision():
@@ -463,8 +463,7 @@ def test_perm_maps_hold_table_dtype(p, n):
     made = [as_images(ctx, poly), as_images(ctx, wide), as_images(ctx, PermMap(ctx, wide)),
             as_images(ctx, lambda xs: poly.eval_vec(xs)), pm.images,
             perm_from_images(ctx, poly).images, identity_perm(ctx).images,
-            invert(pm).images, functional_power(pm, 0).images,
-            functional_power(pm, 3).images, functional_power(pm, -2).images]
+            functional_power(pm, 0).images, functional_power(pm, 3).images]
     assert wide.dtype == np.int64
     assert [a.dtype for a in made] == [table_dtype(ctx.order)] * len(made)
     assert np.array_equal(pm.images, wide)
@@ -504,20 +503,37 @@ def test_compose_invert_power_against_loops():
     g = require_perm(ctx, SparsePoly.from_text(ctx, "2*x + 1"))
     fg = compose(f, g)
     for i in range(5):
-        assert fg.apply_idx(i) == f.apply_idx(g.apply_idx(i))
-    finv = invert(f)
+        assert fg.images[i] == f.images[g.images[i]]
+    finv = PermMap(ctx, np.argsort(f.images))
     assert compose(f, finv) == identity_perm(ctx)
     assert compose(finv, f) == identity_perm(ctx)
-    for k in range(-4, 7):
+    for k in range(7):
         pk = functional_power(g, k)
         # oracle: step one application at a time
         want = identity_perm(ctx)
-        step = g if k >= 0 else invert(g)
-        for _ in range(abs(k)):
-            want = compose(step, want)
+        for _ in range(k):
+            want = compose(g, want)
         assert pk == want
     with pytest.raises(CtxMismatch):
         compose(f, identity_perm(field(7, 1)))
+
+
+def test_negative_power_is_bad_params_at_once():
+    # -1 >> 1 == -1: a negative k left to the squaring loop never ends, so
+    # an alarm turns a hang into a failure
+    def hung(signum, frame):
+        raise AssertionError("functional_power did not return on a negative k")
+
+    pm = identity_perm(field(2, 4))
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for k in (-1, -2, -(1 << 40)):
+            with pytest.raises(BadParams):
+                functional_power(pm, k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # --- cycle analysis ----------------------------------------------------------
@@ -548,7 +564,7 @@ def test_is_ncycle_semantics():
     swap = np.arange(7, dtype=np.int64)
     swap[[2, 3]] = swap[[3, 2]]
     t = PermMap(ctx, swap)
-    assert perm_order(t) == 2
+    assert cycle_structure(t).order == 2
     assert is_ncycle(t, 2) and is_ncycle(t, 4) and is_ncycle(t, 6)
     assert not is_ncycle(t, 1) and not is_ncycle(t, 3)
     with pytest.raises(BadParams):
@@ -561,13 +577,12 @@ def test_perm_algebra_random(seed):
     rng = np.random.default_rng(seed)
     f = PermMap(ctx, rng.permutation(ctx.order).astype(np.int64))
     g = PermMap(ctx, rng.permutation(ctx.order).astype(np.int64))
-    assert compose(f, invert(f)) == identity_perm(ctx)
-    assert invert(invert(f)) == f
+    assert compose(f, PermMap(ctx, np.argsort(f.images))) == identity_perm(ctx)
     assert compose(compose(f, g), f) == compose(f, compose(g, f))
     a, b = int(rng.integers(0, 6)), int(rng.integers(0, 6))
     assert functional_power(f, a + b) == compose(functional_power(f, a),
                                                  functional_power(f, b))
-    k = perm_order(f)
+    k = cycle_structure(f).order
     assert functional_power(f, k) == identity_perm(ctx)
     for d in range(1, k):
         if k % d == 0:

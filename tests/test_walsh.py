@@ -9,8 +9,8 @@ from ncyclepp import field as field_mod, walsh
 from ncyclepp.errors import BadParams, CapExceeded
 from ncyclepp.field import make_field
 from ncyclepp.polyperm import (
-    PermMap, SparsePoly, as_images, compose, functional_power, identity_perm,
-    invert, perm_order, require_perm,
+    PermMap, SparsePoly, as_images, compose, cycle_structure, functional_power,
+    identity_perm, require_perm,
 )
 from ncyclepp.walsh import (
     WALSH_CAP, WalshValue, walsh_coefficient, walsh_involution_test, within_walsh_cap,
@@ -38,7 +38,6 @@ def test_walsh_value_basics():
     assert w3.counts == (3, 3, 0)
     with pytest.raises(ValueError):
         w3.signed
-    assert abs(w3.approx() - (3 + 3 * np.exp(2j * np.pi / 3))) < 1e-9
 
 
 @pytest.mark.parametrize("pn", [(2, 3), (3, 2), (5, 1)])
@@ -113,7 +112,7 @@ def test_involution_test_forced_involutions(pn, seed):
     for a, b in pairs:
         imgs[[a, b]] = imgs[[b, a]]
     f = PermMap(ctx, imgs)
-    assert perm_order(f) in (1, 2)
+    assert cycle_structure(f).order in (1, 2)
     flag, witness = walsh_involution_test(ctx, f)
     assert flag
 
