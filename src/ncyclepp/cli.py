@@ -108,53 +108,14 @@ def _cmd_field(args) -> int:
     return 0
 
 
-def _sub_env(ctx: FieldCtx, sub_degree: int) -> dict:
-    """Expression names for a subfield family, q = p^sub_degree; a bad
-    sub_degree is refused before that power is built."""
-    ctx.degree_over(sub_degree)
-    return {"p": ctx.p, "n": ctx.n, "q": ctx.p ** sub_degree}
-
-
-def _build_xh_lambda_cmd(args):
-    ctx = _ctx(args.p, args.n, args.modulus)
-    env = _sub_env(ctx, args.sub_degree)
-    return build_xh_lambda(
-        ctx, args.variant, sub_degree=args.sub_degree, lam=args.lam,
-        n=_int(args.cycle, env), theta=args.theta, a=_int(args.a, env),
-        b=_int(args.b, env), c=_int(args.c, env), h=args.h)
-
-
-def _build_additive_cmd(args):
-    ctx = _ctx(args.p, args.n, args.modulus)
-    env = _sub_env(ctx, args.sub_degree)
-    return build_additive(ctx, args.variant, sub_degree=args.sub_degree,
-                          H=args.H, psi=args.psi, s=_int(args.s, env),
-                          c=args.c, g=args.g)
-
-
-def _build_shift_cmd(args):
-    ctx = _ctx(args.p, args.n, args.modulus)
-    env = _sub_env(ctx, args.sub_degree)
-    return build_shift(ctx, args.variant, i=_int(args.i, env),
-                       delta=args.delta, sub_degree=args.sub_degree,
-                       H=args.H, s=_int(args.s, env))
-
-
-# the q-parameterized families build their own field, after their checks
-_FAMILY_BUILDERS = {
-    "jieguo": lambda args: build_jieguo(
-        args.q, _int(args.t, {"q": args.q}), _int(args.m, {"q": args.q})),
-    "rs2to3m": lambda args: build_rs_2to3m(args.q, _int(args.k, {"q": args.q})),
-    "xq_h_alpha": lambda args: build_xq_h_alpha(args.q, args.alpha),
-    "trace_theta": lambda args: build_trace_theta(args.q, args.theta),
-    "xh_lambda": _build_xh_lambda_cmd,
-    "additive": _build_additive_cmd,
-    "shift": _build_shift_cmd,
-}
-
-
 def _cmd_construct(args) -> int:
-    inst = _FAMILY_BUILDERS[args.family](args)
+    if hasattr(args, "p"):
+        ctx = _ctx(args.p, args.n, args.modulus)
+        ctx.degree_over(args.sub_degree)   # checked before p ** sub_degree
+        env = {"p": ctx.p, "n": ctx.n, "q": ctx.p ** args.sub_degree}
+    else:
+        ctx, env = None, {"q": args.q}
+    inst = FAMILIES[args.family][1](args, ctx, lambda text: _int(text, env))
     doc = inst.to_json()
     code = 0
     if args.verify:
@@ -197,38 +158,9 @@ def _lambda_fn(ctx: FieldCtx, spec_text: str, sub_degree: int):
 def _cmd_criterion(args) -> int:
     ctx = _ctx(args.p, args.n, args.modulus)
     env = {"p": args.p, "n": args.n, "q": ctx.order}
-
-    def poly(text: str) -> SparsePoly:
-        return SparsePoly.from_text(ctx, text, env)
-
-    name = args.name
-    if name == "monomial":
-        verdict = monomial_ncycle(ctx, _int(args.d, env),
-                                  _int(args.cycle, env))
-    elif name == "frobenius_twist":
-        verdict = frobenius_twist_ncycle(ctx, poly(args.poly),
-                                         _int(args.i, env),
-                                         _int(args.cycle, env),
-                                         args.sub_degree)
-    elif name == "xh_lambda":
-        verdict = xh_lambda_criterion(
-            ctx, poly(args.h), _lambda_fn(ctx, args.lam, args.sub_degree),
-            poly(args.k), _int(args.cycle, env))
-    elif name == "additive":
-        verdict = additive_criterion(ctx, poly(args.phi), poly(args.psi),
-                                     poly(args.g), _int(args.cycle, env))
-    elif name == "shift":
-        params = ShiftParams(_int(args.i, env),
-                             ctx.from_literal(args.delta).i, args.sub_degree)
-        verdict = shift_criterion(ctx, poly(args.g), params,
-                                  _int(args.cycle, env))
-    elif name == "rs_triple":
-        verdict = rs_triple_criterion(
-            ctx, poly(args.h), RsParams(_int(args.r, env), _int(args.s, env)))
-    else:  # rs_single
-        verdict = rs_single_criterion(
-            ctx, poly(args.h), RsParams(_int(args.r, env), _int(args.s, env)),
-            ctx.from_literal(args.a).i, _int(args.v, env))
+    verdict = CRITERIA[args.name][1](
+        args, ctx, lambda text: _int(text, env),
+        lambda text: SparsePoly.from_text(ctx, text, env))
     _emit_json(verdict.to_json())
     return 0 if verdict.holds else 1
 
@@ -262,15 +194,140 @@ def _cmd_fuzz(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# construct families and criteria: one entry each
+# ---------------------------------------------------------------------------
+
+_REQ = {"required": True}
+_ELEM = {"help": "element literal"}
+_POLY = {"help": "polynomial text"}
+_FIELD = [
+    ("--p", {"type": int, "required": True, "help": "characteristic"}),
+    ("--n", {"type": int, "required": True, "help": "extension degree"}),
+    ("--modulus", {"help": "comma-separated modulus coefficients, constant first"}),
+]
+_VERIFY = ("--verify", {"action": "store_true",
+                        "help": "cross-check against the brute-force oracle"})
+_Q = ("--q", {"type": int, "required": True})
+_SUB = ("--sub-degree", {"type": int, "required": True})
+
+# family -> (its options in --help order, its build).  A build gets the
+# options, the field and num, which reads an integer option over p, n and
+# q = p^sub_degree (a family with --p takes --sub-degree), or over q alone
+# for a q family, which builds its own field after its checks.  Text options
+# reach the builder unread.  Builders and criteria are called by module
+# name, so that a rebinding of the name (perfbench/shim.py) reaches them.
+FAMILIES = {
+    "jieguo": ([_Q,
+                ("--t", _REQ),
+                ("--m", _REQ)],
+               lambda o, ctx, num: build_jieguo(o.q, num(o.t), num(o.m))),
+    "rs2to3m": ([_Q,
+                 ("--k", _REQ)],
+                lambda o, ctx, num: build_rs_2to3m(o.q, num(o.k))),
+    "xq_h_alpha": ([_Q,
+                    ("--alpha", {"required": True, **_ELEM})],
+                   lambda o, ctx, num: build_xq_h_alpha(o.q, o.alpha)),
+    "trace_theta": ([_Q,
+                     ("--theta", _ELEM)],
+                    lambda o, ctx, num: build_trace_theta(o.q, o.theta)),
+    "xh_lambda": ([*_FIELD,
+                   ("--variant", {"required": True, "choices": XH_VARIANTS}),
+                   _SUB,
+                   ("--lam", {"default": "lambda1", "choices": ("lambda1", "lambda2")}),
+                   ("--cycle", {"help": "claimed cycle length n"}),
+                   ("--theta", _ELEM),
+                   ("--a", {}),
+                   ("--b", {}),
+                   ("--c", {}),
+                   ("--h", _POLY)],
+                  lambda o, ctx, num: build_xh_lambda(
+                      ctx, o.variant, sub_degree=o.sub_degree, lam=o.lam,
+                      n=num(o.cycle), theta=o.theta, a=num(o.a), b=num(o.b),
+                      c=num(o.c), h=o.h)),
+    "additive": ([*_FIELD,
+                  ("--variant", {"required": True, "choices": ADDITIVE_VARIANTS}),
+                  _SUB,
+                  ("--H", _POLY),
+                  ("--psi", _POLY),
+                  ("--s", {}),
+                  ("--c", _ELEM),
+                  ("--g", _POLY)],
+                 lambda o, ctx, num: build_additive(
+                     ctx, o.variant, sub_degree=o.sub_degree, H=o.H,
+                     psi=o.psi, s=num(o.s), c=o.c, g=o.g)),
+    "shift": ([*_FIELD,
+               ("--variant", {"required": True, "choices": SHIFT_VARIANTS}),
+               _SUB,
+               ("--i", _REQ),
+               ("--delta", {"required": True, **_ELEM}),
+               ("--H", _POLY),
+               ("--s", {})],
+              lambda o, ctx, num: build_shift(
+                  ctx, o.variant, i=num(o.i), delta=o.delta,
+                  sub_degree=o.sub_degree, H=o.H, s=num(o.s))),
+}
+
+# criterion -> (its options after the field's, its call).  A call gets
+# the options, the field, num and poly; both read the names p, n and q.
+CRITERIA = {
+    "monomial": ([("--d", _REQ),
+                  ("--cycle", _REQ)],
+                 lambda o, ctx, num, poly: monomial_ncycle(
+                     ctx, num(o.d), num(o.cycle))),
+    "frobenius_twist": ([("--poly", _REQ),
+                         ("--i", _REQ),
+                         ("--cycle", _REQ),
+                         _SUB],
+                        lambda o, ctx, num, poly: frobenius_twist_ncycle(
+                            ctx, poly(o.poly), num(o.i), num(o.cycle), o.sub_degree)),
+    "xh_lambda": ([("--h", _REQ),
+                   ("--lam", {"required": True,
+                              "help": "lambda1:N, lambda2:N, or polynomial text"}),
+                   ("--k", _REQ),
+                   ("--cycle", _REQ),
+                   ("--sub-degree", {"type": int, "default": 1})],
+                  lambda o, ctx, num, poly: xh_lambda_criterion(
+                      ctx, poly(o.h), _lambda_fn(ctx, o.lam, o.sub_degree),
+                      poly(o.k), num(o.cycle))),
+    "additive": ([("--phi", _REQ),
+                  ("--psi", _REQ),
+                  ("--g", _REQ),
+                  ("--cycle", _REQ)],
+                 lambda o, ctx, num, poly: additive_criterion(
+                     ctx, poly(o.phi), poly(o.psi), poly(o.g), num(o.cycle))),
+    # keywords, so that --i and --delta are read before --g
+    "shift": ([("--g", _REQ),
+               ("--i", _REQ),
+               ("--delta", _REQ),
+               _SUB,
+               ("--cycle", _REQ)],
+              lambda o, ctx, num, poly: shift_criterion(
+                  ctx, params=ShiftParams(num(o.i), ctx.from_literal(o.delta).i,
+                                          o.sub_degree),
+                  g=poly(o.g), n=num(o.cycle))),
+    "rs_triple": ([("--h", _REQ),
+                   ("--r", _REQ),
+                   ("--s", _REQ)],
+                  lambda o, ctx, num, poly: rs_triple_criterion(
+                      ctx, poly(o.h), RsParams(num(o.r), num(o.s)))),
+    "rs_single": ([("--h", _REQ),
+                   ("--r", _REQ),
+                   ("--s", _REQ),
+                   ("--a", _REQ),
+                   ("--v", _REQ)],
+                  lambda o, ctx, num, poly: rs_single_criterion(
+                      ctx, poly(o.h), RsParams(num(o.r), num(o.s)),
+                      ctx.from_literal(o.a).i, num(o.v))),
+}
+
+
+# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_field_opts(sp, modulus: bool = True) -> None:
-    sp.add_argument("--p", type=int, required=True, help="characteristic")
-    sp.add_argument("--n", type=int, required=True, help="extension degree")
-    if modulus:
-        sp.add_argument("--modulus", help="comma-separated modulus "
-                                          "coefficients, constant first")
+def _add_opts(sp, options) -> None:
+    for flag, kwargs in options:
+        sp.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,132 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field", help="print the field context")
-    _add_field_opts(sp)
+    _add_opts(sp, _FIELD)
     sp.set_defaults(handler=_cmd_field)
 
     sp = sub.add_parser("construct", help="build a family instance")
+    sp.set_defaults(handler=_cmd_construct)
     fam = sp.add_subparsers(dest="family", required=True)
-
-    def family_parser(name: str):
-        fp = fam.add_parser(name)
-        fp.add_argument("--verify", action="store_true",
-                        help="cross-check against the brute-force oracle")
-        fp.set_defaults(handler=_cmd_construct)
-        return fp
-
-    fp = family_parser("jieguo")
-    fp.add_argument("--q", type=int, required=True)
-    fp.add_argument("--t", required=True)
-    fp.add_argument("--m", required=True)
-
-    fp = family_parser("rs2to3m")
-    fp.add_argument("--q", type=int, required=True)
-    fp.add_argument("--k", required=True)
-
-    fp = family_parser("xq_h_alpha")
-    fp.add_argument("--q", type=int, required=True)
-    fp.add_argument("--alpha", required=True, help="element literal")
-
-    fp = family_parser("trace_theta")
-    fp.add_argument("--q", type=int, required=True)
-    fp.add_argument("--theta", default=None, help="element literal")
-
-    fp = family_parser("xh_lambda")
-    _add_field_opts(fp)
-    fp.add_argument("--variant", required=True, choices=XH_VARIANTS)
-    fp.add_argument("--sub-degree", type=int, required=True)
-    fp.add_argument("--lam", default="lambda1",
-                    choices=("lambda1", "lambda2"))
-    fp.add_argument("--cycle", default=None, help="claimed cycle length n")
-    fp.add_argument("--theta", default=None, help="element literal")
-    fp.add_argument("--a", default=None)
-    fp.add_argument("--b", default=None)
-    fp.add_argument("--c", default=None)
-    fp.add_argument("--h", default=None, help="polynomial text")
-
-    fp = family_parser("additive")
-    _add_field_opts(fp)
-    fp.add_argument("--variant", required=True, choices=ADDITIVE_VARIANTS)
-    fp.add_argument("--sub-degree", type=int, required=True)
-    fp.add_argument("--H", default=None, help="polynomial text")
-    fp.add_argument("--psi", default=None, help="polynomial text")
-    fp.add_argument("--s", default=None)
-    fp.add_argument("--c", default=None, help="element literal")
-    fp.add_argument("--g", default=None, help="polynomial text")
-
-    fp = family_parser("shift")
-    _add_field_opts(fp)
-    fp.add_argument("--variant", required=True, choices=SHIFT_VARIANTS)
-    fp.add_argument("--sub-degree", type=int, required=True)
-    fp.add_argument("--i", required=True)
-    fp.add_argument("--delta", required=True, help="element literal")
-    fp.add_argument("--H", default=None, help="polynomial text")
-    fp.add_argument("--s", default=None)
+    for name, (options, _) in FAMILIES.items():
+        _add_opts(fam.add_parser(name), [_VERIFY, *options])
 
     sp = sub.add_parser("verify", help="exhaustive n-cycle check")
-    _add_field_opts(sp)
+    _add_opts(sp, _FIELD)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--cycle", required=True)
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("order", help="cycle structure of a polynomial map")
-    _add_field_opts(sp)
+    _add_opts(sp, _FIELD)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(handler=_cmd_order)
 
     sp = sub.add_parser("criterion", help="run one algebraic criterion")
+    sp.set_defaults(handler=_cmd_criterion)
     crit = sp.add_subparsers(dest="name", required=True)
-
-    def crit_parser(name: str):
-        cp = crit.add_parser(name)
-        _add_field_opts(cp)
-        cp.set_defaults(handler=_cmd_criterion)
-        return cp
-
-    cp = crit_parser("monomial")
-    cp.add_argument("--d", required=True)
-    cp.add_argument("--cycle", required=True)
-
-    cp = crit_parser("frobenius_twist")
-    cp.add_argument("--poly", required=True)
-    cp.add_argument("--i", required=True)
-    cp.add_argument("--cycle", required=True)
-    cp.add_argument("--sub-degree", type=int, required=True)
-
-    cp = crit_parser("xh_lambda")
-    cp.add_argument("--h", required=True)
-    cp.add_argument("--lam", required=True,
-                    help="lambda1:N, lambda2:N, or polynomial text")
-    cp.add_argument("--k", required=True)
-    cp.add_argument("--cycle", required=True)
-    cp.add_argument("--sub-degree", type=int, default=1)
-
-    cp = crit_parser("additive")
-    cp.add_argument("--phi", required=True)
-    cp.add_argument("--psi", required=True)
-    cp.add_argument("--g", required=True)
-    cp.add_argument("--cycle", required=True)
-
-    cp = crit_parser("shift")
-    cp.add_argument("--g", required=True)
-    cp.add_argument("--i", required=True)
-    cp.add_argument("--delta", required=True)
-    cp.add_argument("--sub-degree", type=int, required=True)
-    cp.add_argument("--cycle", required=True)
-
-    cp = crit_parser("rs_triple")
-    cp.add_argument("--h", required=True)
-    cp.add_argument("--r", required=True)
-    cp.add_argument("--s", required=True)
-
-    cp = crit_parser("rs_single")
-    cp.add_argument("--h", required=True)
-    cp.add_argument("--r", required=True)
-    cp.add_argument("--s", required=True)
-    cp.add_argument("--a", required=True)
-    cp.add_argument("--v", required=True)
+    for name, (options, _) in CRITERIA.items():
+        _add_opts(crit.add_parser(name), [*_FIELD, *options])
 
     sp = sub.add_parser("search", help="enumerate valid family parameters")
     tgt = sp.add_subparsers(dest="target", required=True)
@@ -416,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         tp.set_defaults(handler=_cmd_search)
 
     sp = sub.add_parser("walsh", help="spectral involution test")
-    _add_field_opts(sp)
+    _add_opts(sp, _FIELD)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--check-involution", action="store_true", required=True)
     sp.set_defaults(handler=_cmd_walsh)

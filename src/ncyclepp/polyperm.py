@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import BadParams, CapExceeded, CtxMismatch, NotPermutation
-from .field import (CHUNK_POINTS, EVAL_CHUNK, FieldCtx, FieldElement, memory_budget,
+from .field import (CHUNK_POINTS, EVAL_CHUNK, FieldCtx, memory_budget,
                     table_dtype)
 
 
@@ -251,11 +251,6 @@ class SparsePoly:
         acc = self._from_logs(ctx._log[xs.ravel()], self._plan if grouped else self._logged)
         return np.where(xs != 0, acc.reshape(xs.shape), np.int64(self.eval_idx(0)))
 
-    def __call__(self, a: FieldElement) -> FieldElement:
-        if a.ctx.key != self.ctx.key:
-            raise CtxMismatch("element from a different field")
-        return self.ctx.element(self.eval_idx(a.i))
-
     def is_additive(self) -> bool:
         """True when every exponent is a power of the characteristic, which
         makes the induced map additive."""
@@ -376,11 +371,6 @@ class PermMap:
 
     ctx: FieldCtx
     images: np.ndarray
-
-    def __call__(self, a: FieldElement) -> FieldElement:
-        if a.ctx.key != self.ctx.key:
-            raise CtxMismatch("element from a different field")
-        return self.ctx.element(int(self.images[a.i]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermMap):

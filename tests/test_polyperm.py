@@ -17,7 +17,7 @@ from ncyclepp.field import CHUNK_POINTS, divisors, make_field, table_dtype
 from ncyclepp.polyperm import (
     CycleReport, NotBijective, PermMap, SparsePoly, as_images, compose,
     cycle_report_for_fn, cycle_structure, eval_int_expr, functional_power,
-    identity_perm, is_ncycle, perm_from_images, require_perm,
+    identity_perm, is_ncycle, perm_from_images, poly_add, require_perm,
 )
 from ncyclepp.walsh import walsh_involution_test
 from conftest import field, naive_cycle_type
@@ -274,9 +274,9 @@ def test_poly_pow_of_a_monomial_matches_repeated_products(pn):
 def test_call_and_ctx_guard():
     ctx, other = field(2, 2), field(2, 3)
     poly = SparsePoly.from_text(ctx, "x^2")
-    assert poly(ctx.element(2)).i == 3
+    assert poly.eval_idx(2) == 3
     with pytest.raises(CtxMismatch):
-        poly(other.element(1))
+        poly_add(poly, SparsePoly.from_text(other, "x"))
 
 
 def test_is_additive():
