@@ -13,7 +13,7 @@ line dropped.  The cases are:
   one, so the message shows which option is converted first.
 
 Re-record after a deliberate change to the surface with
-`python tests/test_cli_surface.py` from the repository root.
+`PYTHONPATH=src python tests/test_cli_surface.py` from the repository root.
 """
 import io
 import json
