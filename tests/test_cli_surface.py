@@ -126,10 +126,6 @@ def observed(code: int, out: str, err: str) -> dict:
     return {"code": code, "stdout": out, "stderr": err}
 
 
-def test_cases_are_distinct():
-    assert len(set(CASES)) == len(CASES)
-
-
 @pytest.mark.parametrize("argv", CASES)
 def test_surface_matches_golden(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

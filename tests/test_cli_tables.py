@@ -8,8 +8,6 @@ import json
 import re
 from pathlib import Path
 
-import pytest
-
 from ncyclepp import cli
 from ncyclepp.criteria import RsParams, rs_triple_criterion
 from ncyclepp.families import rs_instance
@@ -66,14 +64,6 @@ def test_a_toy_criterion_is_one_entry(monkeypatch, capsys):
                      "--r", "2", "--s", "21"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and doc["holds"] is False
-
-
-def test_a_toy_entry_reaches_the_help(monkeypatch, capsys):
-    add_toy(monkeypatch)
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["construct", "--help"])
-    assert exit_.value.code == 0
-    assert "toy" in capsys.readouterr().out
 
 
 def readme_names(label: str) -> list[str]:
